@@ -1,4 +1,4 @@
-.PHONY: check check-fast test bench bench-raw trace-demo profile
+.PHONY: check check-fast test bench bench-raw trace-demo profile full-results
 
 # Experiment to profile with `make profile` (any id from cf-bench -list).
 PROFILE_EXP ?= fig3
@@ -21,6 +21,17 @@ check-fast:
 # Quick loop: skips the soak and other -short-gated sweeps.
 test:
 	go test -short ./...
+
+# Regenerate full_results.txt: every registered experiment at Full scale,
+# with the wall-clock "(<id> took Ns)" lines stripped so the file is
+# byte-stable across runs and hosts. The file is written even when a shape
+# check fails (its FAIL lines are part of the record); the target then
+# exits with cf-bench's failure status.
+full-results:
+	mkdir -p artifacts
+	go run ./cmd/cf-bench -exp all > artifacts/full_results.raw; status=$$?; \
+	sed '/^([a-z0-9-]* took [0-9.]*s)$$/d' artifacts/full_results.raw | cat -s > full_results.txt; \
+	exit $$status
 
 # Serial + parallel benchmark passes folded into the next BENCH_<n>.json
 # (index derived from the committed BENCH_*.json sequence; see

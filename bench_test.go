@@ -29,12 +29,9 @@ import (
 // benchmark suite doubles as the reproduction gate.
 //
 // Sweep fan-out follows CF_PARALLEL: unset (or 0) uses GOMAXPROCS workers,
-// CF_PARALLEL=1 forces the serial path. CF_PARTITION runs each multi-node
-// sweep point on the partitioned engine (per-node event queues between
-// lookahead barriers). scripts/bench.sh runs the suite all three ways and
-// records the ratios in the BENCH_*.json record; the reports themselves
-// are byte-identical on every axis (see determinism_test.go and
-// partition_test.go).
+// CF_PARALLEL=1 forces the serial path. scripts/bench.sh runs the suite
+// both ways and records the ratio in the BENCH_*.json record; the reports
+// themselves are byte-identical either way (see determinism_test.go).
 func benchExperiment(b *testing.B, id string) {
 	fn, ok := experiments.All()[id]
 	if !ok {
@@ -42,7 +39,6 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	sc := experiments.Quick()
 	sc.Workers = experiments.WorkersFromEnv()
-	sc.Partition = experiments.PartitionFromEnv()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rep := fn(sc)

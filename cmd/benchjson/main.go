@@ -1,20 +1,20 @@
 // Command benchjson folds `go test -bench -benchmem` outputs — one serial
-// (CF_PARALLEL=1), one parallel (CF_PARALLEL=0 → GOMAXPROCS), and
-// optionally one partitioned (CF_PARTITION=1, per-node event queues) —
-// into a single JSON perf record (BENCH_N.json). The record is the repo's
-// perf trajectory: each PR appends a file, so regressions in wall-clock or
+// (CF_PARALLEL=1) and one parallel (CF_PARALLEL=0 → GOMAXPROCS) — into a
+// single JSON perf record (BENCH_N.json). The record is the repo's perf
+// trajectory: each PR appends a file, so regressions in wall-clock or
 // allocation discipline are visible in review rather than discovered later.
 //
 // Usage:
 //
 //	benchjson -serial serial.txt -parallel parallel.txt \
-//	    -partitioned partitioned.txt -prev BENCH_9.json -out BENCH_10.json
+//	    -prev BENCH_9.json -out BENCH_10.json
 //
 // -prev points at the previous committed record: each benchmark present in
 // both records gains speedup_vs_prev (prev serial / current serial) and
 // allocs_vs_prev (current − prev allocs/op), and the record totals gain
 // total_speedup_vs_prev over the matched set. Times compare whatever hosts
-// produced the two records; allocs/op is host-independent.
+// produced the two records; allocs/op is host-independent. Older records
+// may carry fields this version no longer writes; they are ignored.
 package main
 
 import (
@@ -70,15 +70,13 @@ func parse(path string) (map[string]sample, []string, error) {
 }
 
 type entry struct {
-	Name               string  `json:"name"`
-	SerialNsOp         float64 `json:"serial_ns_op"`
-	ParallelNsOp       float64 `json:"parallel_ns_op,omitempty"`
-	SpeedupParallel    float64 `json:"speedup_parallel,omitempty"`
-	PartitionedNsOp    float64 `json:"partitioned_ns_op,omitempty"`
-	SpeedupPartitioned float64 `json:"speedup_partitioned,omitempty"`
-	SerialBOp          int64   `json:"serial_b_op"`
-	SerialAllocsOp     int64   `json:"serial_allocs_op"`
-	ParallelAllocsOp   int64   `json:"parallel_allocs_op,omitempty"`
+	Name             string  `json:"name"`
+	SerialNsOp       float64 `json:"serial_ns_op"`
+	ParallelNsOp     float64 `json:"parallel_ns_op,omitempty"`
+	SpeedupParallel  float64 `json:"speedup_parallel,omitempty"`
+	SerialBOp        int64   `json:"serial_b_op"`
+	SerialAllocsOp   int64   `json:"serial_allocs_op"`
+	ParallelAllocsOp int64   `json:"parallel_allocs_op,omitempty"`
 	// SpeedupVsPrev compares this record's serial time against the same
 	// benchmark in the -prev record (prev / current; >1 is faster now).
 	// AllocsVsPrev is the allocs/op delta (current − prev; negative is
@@ -100,8 +98,6 @@ type record struct {
 	TotalSerial   float64 `json:"total_serial_ns"`
 	TotalParall   float64 `json:"total_parallel_ns"`
 	TotalSpeedup  float64 `json:"total_speedup"`
-	TotalPartit   float64 `json:"total_partitioned_ns,omitempty"`
-	SpeedupPartit float64 `json:"total_speedup_partitioned,omitempty"`
 	SpeedupVsPrev float64 `json:"total_speedup_vs_prev,omitempty"`
 }
 
@@ -121,7 +117,6 @@ func loadPrev(path string) (*record, error) {
 func main() {
 	serialPath := flag.String("serial", "", "bench output with CF_PARALLEL=1")
 	parallelPath := flag.String("parallel", "", "bench output with CF_PARALLEL unset (GOMAXPROCS workers)")
-	partitionedPath := flag.String("partitioned", "", "bench output with CF_PARTITION=1 (per-node event-queue shards)")
 	out := flag.String("out", "", "output JSON path (stdout if empty)")
 	note := flag.String("note", "", "free-form context (host caveats, scale)")
 	prevPath := flag.String("prev", "", "previous BENCH_*.json to compute speedup_vs_prev against")
@@ -130,98 +125,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: -serial is required")
 		os.Exit(2)
 	}
-	serial, order, err := parse(*serialPath)
+	rec, err := fold(*serialPath, *parallelPath, *prevPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	parallel := map[string]sample{}
-	if *parallelPath != "" {
-		parallel, _, err = parse(*parallelPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-	}
-	partitioned := map[string]sample{}
-	if *partitionedPath != "" {
-		partitioned, _, err = parse(*partitionedPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-	}
-	var prev *record
-	prevByName := map[string]entry{}
-	if *prevPath != "" {
-		prev, err = loadPrev(*prevPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		for _, e := range prev.Benchmarks {
-			prevByName[e.Name] = e
-		}
-	}
-	rec := record{
-		Schema:      "cornflakes-bench/v1",
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		HostCores:   runtime.NumCPU(),
-		Workers:     runtime.GOMAXPROCS(0),
-		Note:        *note,
-	}
-	serialOfPartit := 0.0
-	prevSerialMatched, curSerialMatched := 0.0, 0.0
-	for _, name := range order {
-		s := serial[name]
-		e := entry{
-			Name:           name,
-			SerialNsOp:     s.NsOp,
-			SerialBOp:      s.BOp,
-			SerialAllocsOp: s.AllocsOp,
-		}
-		rec.TotalSerial += s.NsOp
-		if p, ok := parallel[name]; ok {
-			e.ParallelNsOp = p.NsOp
-			e.ParallelAllocsOp = p.AllocsOp
-			if p.NsOp > 0 {
-				e.SpeedupParallel = s.NsOp / p.NsOp
-			}
-			rec.TotalParall += p.NsOp
-		}
-		if p, ok := partitioned[name]; ok {
-			e.PartitionedNsOp = p.NsOp
-			if p.NsOp > 0 {
-				e.SpeedupPartitioned = s.NsOp / p.NsOp
-			}
-			rec.TotalPartit += p.NsOp
-			serialOfPartit += s.NsOp
-		}
-		if pe, ok := prevByName[name]; ok && pe.SerialNsOp > 0 && s.NsOp > 0 {
-			e.SpeedupVsPrev = pe.SerialNsOp / s.NsOp
-			d := s.AllocsOp - pe.SerialAllocsOp
-			e.AllocsVsPrev = &d
-			prevSerialMatched += pe.SerialNsOp
-			curSerialMatched += s.NsOp
-		}
-		rec.Benchmarks = append(rec.Benchmarks, e)
-	}
-	if rec.TotalParall > 0 {
-		rec.TotalSpeedup = rec.TotalSerial / rec.TotalParall
-	}
-	// The partitioned pass covers only the multi-node benchmarks, so its
-	// total speedup compares against the serial time of those same
-	// benchmarks, not the whole suite.
-	if rec.TotalPartit > 0 {
-		rec.SpeedupPartit = serialOfPartit / rec.TotalPartit
-	}
-	// Like the partitioned total: compare only the benchmarks present in
-	// both records, so a renamed or added benchmark can't skew the ratio.
-	if prev != nil && curSerialMatched > 0 {
-		rec.PrevRecord = *prevPath
-		rec.SpeedupVsPrev = prevSerialMatched / curSerialMatched
-	}
+	rec.Note = *note
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -241,4 +150,75 @@ func main() {
 		fmt.Printf(", x%.2f vs %s", rec.SpeedupVsPrev, rec.PrevRecord)
 	}
 	fmt.Println(")")
+}
+
+// fold builds the record from the serial bench output, plus the parallel
+// output and the previous record when their paths are non-empty.
+func fold(serialPath, parallelPath, prevPath string) (record, error) {
+	serial, order, err := parse(serialPath)
+	if err != nil {
+		return record{}, err
+	}
+	parallel := map[string]sample{}
+	if parallelPath != "" {
+		parallel, _, err = parse(parallelPath)
+		if err != nil {
+			return record{}, err
+		}
+	}
+	var prev *record
+	prevByName := map[string]entry{}
+	if prevPath != "" {
+		prev, err = loadPrev(prevPath)
+		if err != nil {
+			return record{}, err
+		}
+		for _, e := range prev.Benchmarks {
+			prevByName[e.Name] = e
+		}
+	}
+	rec := record{
+		Schema:      "cornflakes-bench/v1",
+		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		GoVersion:   runtime.Version(),
+		HostCores:   runtime.NumCPU(),
+		Workers:     runtime.GOMAXPROCS(0),
+	}
+	prevSerialMatched, curSerialMatched := 0.0, 0.0
+	for _, name := range order {
+		s := serial[name]
+		e := entry{
+			Name:           name,
+			SerialNsOp:     s.NsOp,
+			SerialBOp:      s.BOp,
+			SerialAllocsOp: s.AllocsOp,
+		}
+		rec.TotalSerial += s.NsOp
+		if p, ok := parallel[name]; ok {
+			e.ParallelNsOp = p.NsOp
+			e.ParallelAllocsOp = p.AllocsOp
+			if p.NsOp > 0 {
+				e.SpeedupParallel = s.NsOp / p.NsOp
+			}
+			rec.TotalParall += p.NsOp
+		}
+		if pe, ok := prevByName[name]; ok && pe.SerialNsOp > 0 && s.NsOp > 0 {
+			e.SpeedupVsPrev = pe.SerialNsOp / s.NsOp
+			d := s.AllocsOp - pe.SerialAllocsOp
+			e.AllocsVsPrev = &d
+			prevSerialMatched += pe.SerialNsOp
+			curSerialMatched += s.NsOp
+		}
+		rec.Benchmarks = append(rec.Benchmarks, e)
+	}
+	if rec.TotalParall > 0 {
+		rec.TotalSpeedup = rec.TotalSerial / rec.TotalParall
+	}
+	// Compare only the benchmarks present in both records, so a renamed or
+	// added benchmark can't skew the ratio.
+	if prev != nil && curSerialMatched > 0 {
+		rec.PrevRecord = prevPath
+		rec.SpeedupVsPrev = prevSerialMatched / curSerialMatched
+	}
+	return rec, nil
 }

@@ -22,14 +22,7 @@
 // on independent testbeds and merge in point order, so reports are
 // byte-identical at any width (gated by TestSerialParallelFingerprints).
 //
-// -partition runs each multi-node sweep point (cluster, chaos, rpc) on the
-// parallel-in-time engine: every node owns its own event-queue shard and
-// shards advance concurrently between lookahead barriers. Also only
-// wall-clock: the partitioned total event order equals the serial order
-// (gated by TestSerialPartitionedFingerprints).
-//
-// Experiment ids: fig2 fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-// fig13 tab1 tab2 tab3 tab4 tab5.
+// `cf-bench -list` prints every registered experiment id.
 package main
 
 import (
@@ -63,8 +56,6 @@ func run() int {
 	traceDir := flag.String("trace", "", "enable per-request tracing on experiments that support it and write each report's artifacts (Chrome trace JSON) to <dir>")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"sweep fan-out width: independent sweep points run on up to N goroutines (1 = serial); reports are byte-identical at any width")
-	partition := flag.Bool("partition", false,
-		"run each multi-node sweep point on the parallel-in-time engine (per-node event-queue shards between lookahead barriers); reports are byte-identical either way")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file (inspect with go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file after the runs (alloc_space shows the serialization-path allocators)")
 	flag.Parse()
@@ -88,7 +79,6 @@ func run() int {
 	}
 	sc.Trace = *traceDir != ""
 	sc.Workers = *parallel
-	sc.Partition = *partition
 	if *batch {
 		*exp = "batching"
 	}

@@ -147,21 +147,14 @@ func (p ClusterPoint) accountingExact() bool {
 // YCSB keyspace of nKeys keys, routed with R-way read spreading.
 func ClusterAt(sc Scale, nodes, nKeys int, ratePerClient, theta float64, R int, seed uint64) ClusterPoint {
 	gen := workloads.NewYCSBTheta(nKeys, 128, 1, theta)
-	rack := driver.NewRack(fabric.Config{})
-	if sc.Partition {
-		rack = driver.NewRackPartitioned(fabric.Config{})
-	}
-	c := driver.NewClusterTestbedOn(rack, nodes, nodes, driver.SysCornflakes,
-		nic.MellanoxCX6(), cachesim.DefaultConfig())
+	c := driver.NewClusterTestbed(nodes, nodes, driver.SysCornflakes,
+		nic.MellanoxCX6(), cachesim.DefaultConfig(), fabric.Config{})
 	c.Preload(gen.Records(), R)
 
 	cfgs := make([]loadgen.Config, nodes)
 	for i := range cfgs {
 		cfgs[i] = loadgen.Config{
-			// Each client schedules on its own node's engine (its shard in
-			// partitioned mode; the rack engine otherwise) and the run is
-			// driven through the rack's Exec.
-			Eng: c.Clients[i].Eng, Exec: c.Exec, EP: c.Clients[i].UDP,
+			Eng: c.Eng, EP: c.Clients[i].UDP,
 			Gen: gen, Client: c.NewClient(i, driver.SysCornflakes, R),
 			RatePerS: ratePerClient,
 			Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,

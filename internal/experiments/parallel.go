@@ -49,15 +49,6 @@ func WorkersFromEnv() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// PartitionFromEnv resolves the partitioned-engine knob from the
-// CF_PARTITION environment variable: any value other than empty or "0"
-// turns Scale.Partition on. bench_test.go and scripts/bench.sh use it to
-// compare serial and partitioned runs of the same suite.
-func PartitionFromEnv() bool {
-	v := os.Getenv("CF_PARTITION")
-	return v != "" && v != "0"
-}
-
 // forEach runs fn(i) for every i in [0, n), fanning the calls across up to
 // w worker goroutines. Work is handed out by an atomic counter; callers
 // write results into slot i of a pre-sized slice, which makes the merge

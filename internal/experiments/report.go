@@ -185,14 +185,6 @@ type Scale struct {
 	// order, so reports are byte-identical at every width — see
 	// parallel.go for the isolation contract.
 	Workers int
-	// Partition runs each multi-node topology point (cluster, chaos, rpc)
-	// on a parallel-in-time partitioned engine: every node gets its own
-	// event-queue shard, synchronized by link-lookahead barriers, so a
-	// single big topology point uses all host cores — orthogonal to
-	// Workers, which fans out *across* points. Reports are byte-identical
-	// either way (gated in scripts/check.sh); single-node experiments
-	// ignore it.
-	Partition bool
 }
 
 // Full is the default experiment scale.

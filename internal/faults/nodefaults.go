@@ -12,11 +12,7 @@
 // fabric.Switch implements PortAdmin.
 package faults
 
-import (
-	"sync"
-
-	"cornflakes/internal/sim"
-)
+import "cornflakes/internal/sim"
 
 // FaultNode is the node-level fault surface a plan drives. Crash kills the
 // node (arriving traffic discarded, accepted-but-unserved work dropped);
@@ -100,32 +96,9 @@ type NodeSchedule struct {
 // All jitter is drawn here, at schedule time, in plan order, so the
 // realized storm depends only on (Seed, plan) — never on traffic.
 func ScheduleNodePlan(eng *sim.Engine, plan NodeFaultPlan, nodes []FaultNode, sw PortAdmin) *NodeSchedule {
-	engs := make([]*sim.Engine, len(nodes))
-	for i := range engs {
-		engs[i] = eng
-	}
-	return ScheduleNodePlanOn(engs, eng, plan, nodes, sw)
-}
-
-// ScheduleNodePlanOn is ScheduleNodePlan for topologies whose nodes live on
-// separate engine shards (parallel-in-time mode): each node's transitions
-// arm on that node's engine — crashing a node mutates its stack and cache,
-// which only its own partition may touch mid-run — and port flaps arm on
-// the switch's engine, which owns the admin state. engs is index-aligned
-// with nodes. The counters are mutex-guarded because transitions on
-// different shards can execute in the same barrier window; read them only
-// after the run returns (the run's completion orders all increments).
-// With every engine the same this is exactly ScheduleNodePlan.
-func ScheduleNodePlanOn(engs []*sim.Engine, swEng *sim.Engine, plan NodeFaultPlan, nodes []FaultNode, sw PortAdmin) *NodeSchedule {
 	ns := &NodeSchedule{}
-	var mu sync.Mutex
-	count := func(c *uint64) {
-		mu.Lock()
-		*c++
-		mu.Unlock()
-	}
 	rng := sim.NewRand(plan.Seed ^ 0xF1A_BEEF)
-	at := func(eng *sim.Engine, t sim.Time, fn func()) {
+	at := func(t sim.Time, fn func()) {
 		if t <= eng.Now() {
 			t = eng.Now() + 1
 		}
@@ -135,21 +108,21 @@ func ScheduleNodePlanOn(engs []*sim.Engine, swEng *sim.Engine, plan NodeFaultPla
 		if cr.Node < 0 || cr.Node >= len(nodes) {
 			continue
 		}
-		n, eng := nodes[cr.Node], engs[cr.Node]
-		at(eng, cr.At, func() { n.Crash(); count(&ns.Crashes) })
+		n := nodes[cr.Node]
+		at(cr.At, func() { n.Crash(); ns.Crashes++ })
 		if cr.Downtime > 0 {
-			at(eng, cr.At+cr.Downtime, func() { n.Recover(); count(&ns.Recoveries) })
+			at(cr.At+cr.Downtime, func() { n.Recover(); ns.Recoveries++ })
 		}
 	}
 	for _, g := range plan.Grays {
 		if g.Node < 0 || g.Node >= len(nodes) || g.Slowdown <= 1 {
 			continue
 		}
-		n, eng := nodes[g.Node], engs[g.Node]
+		n := nodes[g.Node]
 		k := g.Slowdown
-		at(eng, g.At, func() { n.SetGray(k); count(&ns.GraysOn) })
+		at(g.At, func() { n.SetGray(k); ns.GraysOn++ })
 		if g.Duration > 0 {
-			at(eng, g.At+g.Duration, func() { n.SetGray(1); count(&ns.GraysOff) })
+			at(g.At+g.Duration, func() { n.SetGray(1); ns.GraysOff++ })
 		}
 	}
 	for _, fl := range plan.Flaps {
@@ -168,8 +141,8 @@ func ScheduleNodePlanOn(engs []*sim.Engine, swEng *sim.Engine, plan NodeFaultPla
 			if upAt <= downAt {
 				upAt = downAt + 1
 			}
-			at(swEng, downAt, func() { sw.SetPortAdmin(addr, false); count(&ns.FlapsDown) })
-			at(swEng, upAt, func() { sw.SetPortAdmin(addr, true); count(&ns.FlapsUp) })
+			at(downAt, func() { sw.SetPortAdmin(addr, false); ns.FlapsDown++ })
+			at(upAt, func() { sw.SetPortAdmin(addr, true); ns.FlapsUp++ })
 			t += period
 		}
 	}

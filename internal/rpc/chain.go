@@ -49,12 +49,6 @@ type ChainConfig struct {
 
 	// Tracer receives per-hop phase marks on all tiers.
 	Tracer *trace.Tracer
-
-	// Partition builds the chain on a partitioned rack: every tier, leaf,
-	// sink and the client gets its own event-queue shard and the run uses
-	// all host cores between lookahead barriers (drive it via Rack.Exec).
-	// Fingerprint-identical to the serial build.
-	Partition bool
 }
 
 // Chain is a built topology: the rack, the tiers in hop order (chain tiers
@@ -74,11 +68,7 @@ func NewChain(cfg ChainConfig) *Chain {
 	if cfg.Depth < 1 {
 		cfg.Depth = 1
 	}
-	rack := driver.NewRack(cfg.Fabric)
-	if cfg.Partition {
-		rack = driver.NewRackPartitioned(cfg.Fabric)
-	}
-	c := &Chain{Rack: rack}
+	c := &Chain{Rack: driver.NewRack(cfg.Fabric)}
 
 	mk := func(name string, hop int) *Service {
 		n, addr := c.AddNode(cfg.Profile, cfg.Cache)
@@ -118,12 +108,8 @@ func NewChain(cfg ChainConfig) *Chain {
 			if s == c.Sink {
 				continue // the sink only consumes; nothing to offload
 			}
-			// The offload engine is part of the tier's NIC: it must live on
-			// the tier's own engine, not the rack's — on a partitioned rack
-			// the rack engine is the switch's shard, and a tier scheduling
-			// offload work there from its own shard would race. (On a serial
-			// rack the two engines are the same, so this is also the fix for
-			// a latent wrong-engine wart.)
+			// The offload engine is part of the tier's NIC, so it runs on
+			// the tier's engine.
 			off := sim.NewCore(s.N.Eng)
 			off.MaxQueue = 1024
 			s.Offload = off

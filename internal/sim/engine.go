@@ -10,7 +10,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"sync"
 )
 
 // Time is a point on (or a span of) the virtual timeline, in picoseconds.
@@ -61,20 +60,12 @@ func FromMicros(us float64) Time { return Time(us * float64(Microsecond)) }
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
 // event is a scheduled callback. Ties between events at the same instant
-// break by (schedAt, src, seq): the virtual time the event was scheduled
-// at, the rank of the engine that scheduled it, then its per-engine
-// sequence number. On a lone engine this collapses to the historical
-// earlier-scheduled-fires-first order — seq increases monotonically with
-// scheduling order, schedAt is nondecreasing along it, and src is constant
-// — so the extended key is behavior-neutral serially. It exists for the
-// partitioned engine, where events merged from several shards need a total
-// order that no shard's execution interleaving can perturb.
+// break by seq, the engine's scheduling counter, so the earlier-scheduled
+// event fires first.
 type event struct {
-	at      Time
-	schedAt Time
-	src     int32
-	seq     uint64
-	fn      func()
+	at  Time
+	seq uint64
+	fn  func()
 	// index within the heap, maintained by heap.Interface methods so that
 	// cancellation can remove an event in O(log n). Events parked on the
 	// ready ring instead of the heap use the negative sentinels below.
@@ -93,36 +84,19 @@ const (
 	idxRingCancelled = -3 // cancelled while on the ring; recycled at dequeue
 )
 
-// eventLess is the four-part deterministic key ordering from the heap,
+// eventLess is the deterministic (at, seq) key ordering from the heap,
 // usable on any two events regardless of which structure holds them.
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.schedAt != b.schedAt {
-		return a.schedAt < b.schedAt
-	}
-	if a.src != b.src {
-		return a.src < b.src
 	}
 	return a.seq < b.seq
 }
 
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].schedAt != h[j].schedAt {
-		return h[i].schedAt < h[j].schedAt
-	}
-	if h[i].src != h[j].src {
-		return h[i].src < h[j].src
-	}
-	return h[i].seq < h[j].seq
-}
+func (h eventHeap) Len() int           { return len(h) }
+func (h eventHeap) Less(i, j int) bool { return eventLess(h[i], h[j]) }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
@@ -145,8 +119,6 @@ func (h *eventHeap) Pop() any {
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; all simulated components run on the engine's goroutine.
-// (A partitioned run gives every shard its own Engine; cross-shard
-// scheduling goes through AtFrom's mutex-protected inbox, never the heap.)
 type Engine struct {
 	now     Time
 	events  eventHeap
@@ -164,43 +136,34 @@ type Engine struct {
 	// scheduled at exactly Now() — the common After(0)/At(Now()) case, and
 	// by construction also the current heap minimum's timestamp whenever
 	// the heap holds same-instant work — are appended here in O(1) instead
-	// of paying a heap sift. Ring entries all carry (at=now, schedAt=now,
-	// src=rank) with strictly increasing seq, so the ring is always sorted
-	// by the four-part key, and the clock cannot advance past them (the
-	// dispatcher always fires the key-minimum of ring head vs heap min, and
-	// every ring entry's at equals the current clock). Cancellation leaves
-	// a tombstone (index = idxRingCancelled) that the dispatcher recycles
-	// at dequeue, since ring entries have no heap index to remove by.
+	// of paying a heap sift. Ring entries all carry at=now with strictly
+	// increasing seq, so the ring is always sorted by the (at, seq) key,
+	// and the clock cannot advance past them (the dispatcher always fires
+	// the key-minimum of ring head vs heap min, and every ring entry's at
+	// equals the current clock). Cancellation leaves a tombstone (index =
+	// idxRingCancelled) that the dispatcher recycles at dequeue, since ring
+	// entries have no heap index to remove by.
 	ready     []*event
 	readyHead int
 	readyLive int
 	// noRing forces every event through the heap; test-only, for
 	// differencing ring dispatch against the heap-only reference order.
 	noRing bool
-
-	// Shard identity, zero-valued on a plain engine: rank orders this
-	// shard among its siblings (part of the deterministic event key) and
-	// owner points at the coordinating PartitionedEngine. The inbox
-	// receives cross-shard events from AtFrom; it is the only
-	// engine-internal state touched from other goroutines, and only under
-	// inboxMu. The coordinator drains it into the heap at round barriers.
-	rank       int32
-	owner      *PartitionedEngine
-	inboxMu    sync.Mutex
-	inbox      []crossEvent
-	inboxSpare []crossEvent
 }
 
-// crossEvent is one cross-shard scheduling request, carrying the full
-// deterministic sort key assigned at the source: the merged heap order
-// depends only on the keys, never on the mutex interleaving of appends.
-type crossEvent struct {
-	at      Time
-	schedAt Time
-	src     int32
-	seq     uint64
-	fn      func()
+// Runner is the engine surface the harness drives a run through. Testbeds
+// expose it as their Exec handle, so callers that only run the clock need
+// not know which testbed built the engine.
+type Runner interface {
+	Now() Time
+	Run() Time
+	RunUntil(deadline Time) Time
+	Stop()
+	Pending() int
+	Processed() uint64
 }
+
+var _ Runner = (*Engine)(nil)
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
@@ -266,15 +229,15 @@ func (e *Engine) recycle(ev *event) {
 // corrupt every downstream measurement.
 //
 // Scheduling at exactly the current time takes the ready-ring fast path:
-// the event's key (at=now, schedAt=now, src=rank, fresh seq) is strictly
-// greater than every ring entry already queued and orders against heap
-// events purely by the four-part key the dispatcher compares, so dispatch
-// order — and therefore every report — is identical to the heap-only path.
+// the event's key (at=now, fresh seq) is strictly greater than every ring
+// entry already queued and orders against heap events purely by the
+// (at, seq) key the dispatcher compares, so dispatch order — and therefore
+// every report — is identical to the heap-only path.
 func (e *Engine) At(at Time, fn func()) Timer {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	ev := e.newEvent(at, e.now, e.rank, e.seq, fn)
+	ev := e.newEvent(at, e.seq, fn)
 	e.seq++
 	if at == e.now && !e.noRing {
 		ev.index = idxRing
@@ -338,71 +301,19 @@ func (e *Engine) popKnown(ev *event) {
 	e.ringAdvance()
 }
 
-// nextAt reports the timestamp of the next pending event, ring included.
-// Heap-peeking call sites (RunUntil, runWindow, the partitioned
-// coordinator's barrier scans) must use this instead of reading events[0]
-// directly.
-func (e *Engine) nextAt() (Time, bool) {
-	ev := e.peekNext()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
-}
-
 // newEvent takes an event struct off the free list (or allocates one) and
-// fills in the full sort key.
-func (e *Engine) newEvent(at, schedAt Time, src int32, seq uint64, fn func()) *event {
+// fills in the sort key.
+func (e *Engine) newEvent(at Time, seq uint64, fn func()) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.at, ev.schedAt, ev.src, ev.seq, ev.fn = at, schedAt, src, seq, fn
+		ev.at, ev.seq, ev.fn = at, seq, fn
 	} else {
-		ev = &event{at: at, schedAt: schedAt, src: src, seq: seq, fn: fn}
+		ev = &event{at: at, seq: seq, fn: fn}
 	}
 	return ev
-}
-
-// AtFrom schedules fn on e at absolute time at, on behalf of code running
-// on the src engine. With src == e (or either engine outside a partitioned
-// run) it is exactly At. Across shards of one PartitionedEngine it appends
-// a cross event to e's inbox instead of touching e's heap: the event
-// carries (at, src.now, src.rank, src.seq) as its deterministic sort key,
-// and the coordinator merges it into e's heap at the next round barrier.
-// The destination time must respect the partition lookahead: at least
-// src.now plus the coordinator's lookahead, checked when the inbox drains.
-func (e *Engine) AtFrom(src *Engine, at Time, fn func()) {
-	if src == e || e.owner == nil || src.owner != e.owner {
-		e.At(at, fn)
-		return
-	}
-	ce := crossEvent{at: at, schedAt: src.now, src: src.rank, seq: src.seq, fn: fn}
-	src.seq++
-	e.inboxMu.Lock()
-	e.inbox = append(e.inbox, ce)
-	e.inboxMu.Unlock()
-}
-
-// drainInbox merges queued cross events into the heap. Called only by the
-// coordinator between rounds (never concurrently with the shard running).
-// An event landing before the shard's clock means a sender violated the
-// lookahead bound — a modelling bug exactly like scheduling in the past.
-func (e *Engine) drainInbox() {
-	e.inboxMu.Lock()
-	pending := e.inbox
-	e.inbox = e.inboxSpare[:0]
-	e.inboxMu.Unlock()
-	for i := range pending {
-		ce := &pending[i]
-		if ce.at < e.now {
-			panic(fmt.Sprintf("sim: cross-shard event at %v before shard now %v (lookahead violated)", ce.at, e.now))
-		}
-		heap.Push(&e.events, e.newEvent(ce.at, ce.schedAt, ce.src, ce.seq, ce.fn))
-		ce.fn = nil // release the closure promptly on reuse
-	}
-	e.inboxSpare = pending[:0]
 }
 
 // After schedules fn to run d after the current time.
@@ -417,15 +328,8 @@ func (e *Engine) After(d Time, fn func()) Timer {
 // Pending events stay queued and a later Run call resumes them. A Stop
 // issued while the engine is not running is sticky: the next Run or
 // RunUntil observes it and returns before executing anything. Each run
-// consumes at most one stop — the flag clears when a run returns. On a
-// shard of a PartitionedEngine, Stop also stops the coordinator (the whole
-// partitioned run ends at the current round's barrier).
-func (e *Engine) Stop() {
-	e.stopped = true
-	if e.owner != nil {
-		e.owner.Stop()
-	}
-}
+// consumes at most one stop — the flag clears when a run returns.
+func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes events in timestamp order until no events remain or Stop is
 // called. It returns the time of the last executed event.
@@ -472,26 +376,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	}
 	e.stopped = false
 	return e.now
-}
-
-// runWindow executes events with timestamps strictly below limit, leaving
-// the clock at the last executed event. It is the per-round shard step of
-// a partitioned run: the coordinator guarantees (via the lookahead bound)
-// that no cross-shard event can still land inside [now, limit), so the
-// window is safe to execute without consulting any other shard.
-func (e *Engine) runWindow(limit Time) {
-	for !e.stopped {
-		ev := e.peekNext()
-		if ev == nil || ev.at >= limit {
-			break
-		}
-		e.popKnown(ev)
-		e.now = ev.at
-		e.processed++
-		fn := ev.fn
-		e.recycle(ev)
-		fn()
-	}
 }
 
 // Pending returns the number of queued events (ring and heap; cancelled

@@ -6,9 +6,9 @@ import (
 )
 
 // TestRingOrderMatchesHeapKey pins the dispatcher's merge order: an event
-// scheduled earlier for time t (heap, schedAt < t) must fire before an
-// event scheduled at time t for time t (ring, schedAt == t), and ring
-// entries fire in scheduling order — exactly the four-part key order the
+// scheduled earlier for time t (heap, smaller seq) must fire before an
+// event scheduled at time t for time t (ring, larger seq), and ring
+// entries fire in scheduling order — exactly the (at, seq) key order the
 // heap alone would have produced.
 func TestRingOrderMatchesHeapKey(t *testing.T) {
 	e := NewEngine()
@@ -19,7 +19,7 @@ func TestRingOrderMatchesHeapKey(t *testing.T) {
 		e.At(10, func() { got = append(got, 4) })
 		got = append(got, 1)
 	})
-	// Scheduled at t=0 for t=10: heap entry with smaller schedAt — must fire
+	// Scheduled at t=0 for t=10: heap entry with smaller seq — must fire
 	// between the first t=10 event and the ring entries it spawned.
 	e.At(10, func() { got = append(got, 2) })
 	e.Run()

@@ -32,13 +32,6 @@ go test -short ./internal/rpc -run 'TestSingleHopAllSystems|TestShedPropagatesUp
 echo "== parallel-harness fingerprint gate (serial == parallel across every experiment, rpc included)"
 go test ./internal/experiments -run 'TestSerialParallelFingerprints|TestFingerprintSensitivity'
 
-echo "== partitioned-engine fingerprint gate (serial == per-node event-queue shards: cluster, chaos, rpc)"
-go test ./internal/experiments -run 'TestSerialPartitionedFingerprints|TestPartitionComposesWithWorkers'
-
-echo "== partitioned-engine race smoke (GOMAXPROCS=4 forces the shard worker pool even on 1-core hosts)"
-GOMAXPROCS=4 go test -race ./internal/sim -run 'TestPartitioned|TestShardStop|TestSingleShard'
-GOMAXPROCS=4 go test -race -timeout 20m ./internal/experiments -run 'TestSerialPartitionedFingerprints'
-
 echo "== zero-alloc hot-path pins (DES engine, core, meter, cache fill, frame path, range walk, message pool)"
 go test ./internal/sim ./internal/costmodel ./internal/nic ./internal/cachesim ./internal/core -run 'AllocFree|TestTimerStaleAfterRecycle'
 
