@@ -6,10 +6,6 @@
 //	cf-bench -exp fig2            # one experiment
 //	cf-bench -exp all             # everything (takes a while)
 //	cf-bench -exp tab1 -quick     # reduced scale
-//	cf-bench -batch               # the batched-datapath sweep (-exp batching)
-//	cf-bench -cluster             # the multi-node scale-out grid (-exp cluster)
-//	cf-bench -chaos               # crash/flap/gray fault scenarios (-exp chaos)
-//	cf-bench -rpc                 # serializer-aware RPC chains over the rack (-exp rpc)
 //	cf-bench -exp fig7 -parallel 4  # fan sweep points across 4 goroutines
 //	cf-bench -exp fig3 -quick -parallel 1 -cpuprofile cpu.prof
 //	cf-bench -exp fig5 -quick -parallel 1 -memprofile mem.prof
@@ -46,10 +42,6 @@ func main() {
 
 func run() int {
 	exp := flag.String("exp", "all", "experiment id or 'all'")
-	batch := flag.Bool("batch", false, "shorthand for -exp batching (batched RX/TX datapath sweep)")
-	cluster := flag.Bool("cluster", false, "shorthand for -exp cluster (multi-node ToR-switch scale-out grid)")
-	chaos := flag.Bool("chaos", false, "shorthand for -exp chaos (node crash/recovery, port flaps, gray failure)")
-	rpcExp := flag.Bool("rpc", false, "shorthand for -exp rpc (serializer-aware RPC chains: depth × load, fan-out, NIC offload)")
 	quick := flag.Bool("quick", false, "reduced scale (faster, noisier)")
 	list := flag.Bool("list", false, "list experiment ids")
 	csvDir := flag.String("csv", "", "also write each report's table to <dir>/<id>.csv")
@@ -79,18 +71,6 @@ func run() int {
 	}
 	sc.Trace = *traceDir != ""
 	sc.Workers = *parallel
-	if *batch {
-		*exp = "batching"
-	}
-	if *cluster {
-		*exp = "cluster"
-	}
-	if *chaos {
-		*exp = "chaos"
-	}
-	if *rpcExp {
-		*exp = "rpc"
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -43,7 +43,7 @@ func main() {
 	fmt.Println()
 
 	// The full grid, as run by `go test ./internal/experiments -run
-	// TestBatching` and `cf-bench -batch`: burst caps {1,4,16} against a
+	// TestBatching` and `cf-bench -exp batching`: burst caps {1,4,16} against a
 	// geometric load ladder from 0.2× to 1.5× of the measured capacity.
 	rep := experiments.Batching(sc)
 	fmt.Println(rep)

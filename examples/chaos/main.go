@@ -71,7 +71,7 @@ func main() {
 	fmt.Println()
 
 	// The full scenario set, as run by `go test ./internal/experiments
-	// -run TestChaos` and `cf-bench -chaos`: the crash ladder, a two-port
+	// -run TestChaos` and `cf-bench -exp chaos`: the crash ladder, a two-port
 	// flap storm composed with a lossy/corrupting client link, and the
 	// gray-failure triplet where hedging recovers the tail that plain
 	// timeouts cannot.

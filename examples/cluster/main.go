@@ -60,7 +60,7 @@ func main() {
 	fmt.Println()
 
 	// The full grid, as run by `go test ./internal/experiments -run
-	// TestCluster` and `cf-bench -cluster`: node counts × a per-client
+	// TestCluster` and `cf-bench -exp cluster`: node counts × a per-client
 	// load ladder, plus the hot-shard triplet and its checks.
 	rep := experiments.Cluster(sc)
 	fmt.Println(rep)

@@ -109,5 +109,5 @@ func main() {
 		oHost.Cycles[costmodel.CatSerialize],
 		oOff.Cycles[costmodel.CatSerialize]+oOff.Cycles[costmodel.CatDeserialize])
 	fmt.Println()
-	fmt.Println("  (full grid with shape checks: go run ./cmd/cf-bench -rpc)")
+	fmt.Println("  (full grid with shape checks: go run ./cmd/cf-bench -exp rpc)")
 }

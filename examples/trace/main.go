@@ -28,7 +28,7 @@ func main() {
 	// of queueing, shedding and retries to look at. Retain 1 in 8 measured
 	// requests plus the 5 slowest.
 	sc := experiments.Quick()
-	run := experiments.TracedOverloadRun(sc, 2_000_000, trace.Config{
+	run := experiments.TracedOverloadRun(sc, 0, 2_000_000, trace.Config{
 		SampleEvery: 8, SlowestK: 5,
 	})
 	res := run.Res

@@ -162,16 +162,6 @@ func (b *fbBuilder) table(d *Doc) uint32 {
 	return uint32(tbl)
 }
 
-// fbView is a decoded table view.
-type fbView struct {
-	buf    []byte
-	sim    uint64
-	schema *core.Schema
-	tbl    int
-	vt     int
-	m      *costmodel.Meter
-}
-
 // FBDecode parses an fblite buffer into a zero-copy accessor, validating
 // structure eagerly (including UTF-8 for string fields, which FlatBuffers
 // verifiers do at deserialization time, unlike Cornflakes).

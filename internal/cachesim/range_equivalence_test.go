@@ -11,8 +11,8 @@ func perLineRange(h *Hierarchy, addr uint64, n int) (cycles float64, dramLines i
 	if n <= 0 {
 		return 0, 0
 	}
-	first := addr &^ uint64(LineSize - 1)
-	last := (addr + uint64(n) - 1) &^ uint64(LineSize - 1)
+	first := addr &^ uint64(LineSize-1)
+	last := (addr + uint64(n) - 1) &^ uint64(LineSize-1)
 	for line := first; ; line += LineSize {
 		lvl, c := h.Access(line)
 		cycles += c

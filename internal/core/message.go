@@ -107,9 +107,6 @@ func NewMessage(schema *Schema, ctx *Ctx) *Message {
 // Schema returns the message's schema.
 func (m *Message) Schema() *Schema { return m.schema }
 
-// IsRecv reports whether the message is a received (read-only) view.
-func (m *Message) IsRecv() bool { return m.recv }
-
 // kindSet is a bitmask of acceptable FieldKinds. field takes a mask rather
 // than a variadic list: the variadic slice escaped to the heap through the
 // panic path's Sprintf, putting one allocation on every getter and setter —

@@ -2,9 +2,6 @@ package driver
 
 import (
 	"cornflakes/internal/cachesim"
-	"cornflakes/internal/core"
-	"cornflakes/internal/costmodel"
-	"cornflakes/internal/mem"
 	"cornflakes/internal/netstack"
 	"cornflakes/internal/nic"
 	"cornflakes/internal/sim"
@@ -40,24 +37,10 @@ func NewMultiKVServer(eng *sim.Engine, port *nic.Port, nCores int, sys System, c
 		if i > 0 {
 			cache = cachesim.NewShared(cacheCfg, base)
 		}
-		alloc := mem.NewAllocator()
-		arena := mem.NewArena(256 << 10)
-		meter := costmodel.NewMeter(costmodel.DefaultCPU(), cache)
-		n := &Node{
-			Eng:   eng,
-			Alloc: alloc,
-			Arena: arena,
-			Cache: cache,
-			Meter: meter,
-			Ctx:   core.NewCtx(alloc, arena, meter),
-			Core:  sim.NewCore(eng),
-		}
-		n.Core.MaxQueue = rxRingDepth
 		// Each core owns a UDP transmit context on the shared port. The
 		// receive handler it installs is immediately superseded by the
 		// dispatcher below.
-		n.UDP = netstack.NewUDP(eng, port, alloc, meter)
-		m.Cores = append(m.Cores, NewKVServer(n, sys))
+		m.Cores = append(m.Cores, NewKVServer(newNode(eng, port, false, cache), sys))
 	}
 	port.SetHandler(m.onFrame)
 	return m

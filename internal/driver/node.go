@@ -112,9 +112,14 @@ func NewNode(eng *sim.Engine, port *nic.Port, useTCP bool) *Node {
 // shrink the modelled L3 so scaled-down stores keep the paper's
 // working-set-vs-cache ratios.
 func NewNodeCfg(eng *sim.Engine, port *nic.Port, useTCP bool, cacheCfg cachesim.Config) *Node {
+	return newNode(eng, port, useTCP, cachesim.New(cacheCfg))
+}
+
+// newNode assembles a node around a given cache hierarchy; the multicore
+// server passes per-core hierarchies that share one L3.
+func newNode(eng *sim.Engine, port *nic.Port, useTCP bool, cache *cachesim.Hierarchy) *Node {
 	alloc := mem.NewAllocator()
 	arena := mem.NewArena(256 << 10)
-	cache := cachesim.New(cacheCfg)
 	meter := costmodel.NewMeter(costmodel.DefaultCPU(), cache)
 	n := &Node{
 		Eng:   eng,

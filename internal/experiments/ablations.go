@@ -5,12 +5,8 @@ import (
 
 	"cornflakes/internal/core"
 	"cornflakes/internal/driver"
-	"cornflakes/internal/nic"
 	"cornflakes/internal/workloads"
 )
-
-// kvProfile is the default end-to-end NIC.
-func kvProfile() nic.Profile { return nic.MellanoxCX6() }
 
 // Fig12 reproduces Figure 12: the Twitter trace under the hybrid
 // threshold, only-scatter-gather, and only-copy configurations. Paper: the

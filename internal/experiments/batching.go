@@ -5,7 +5,6 @@ import (
 
 	"cornflakes/internal/driver"
 	"cornflakes/internal/loadgen"
-	"cornflakes/internal/sim"
 	"cornflakes/internal/trace"
 	"cornflakes/internal/workloads"
 )
@@ -40,10 +39,10 @@ var batchingBursts = []int{1, 4, 16}
 // batchingOpts is the KV configuration under test: Cornflakes over UDP
 // with 128 B values at the given burst cap.
 func batchingOpts(sc Scale, burst int) kvOpts {
-	sc.Batch = burst
 	return kvOpts{
 		Sys:   driver.SysCornflakes,
 		Gen:   workloads.NewYCSB(sc.StoreKeys, 128, 1),
+		Batch: burst,
 		Scale: sc,
 		Seed:  11,
 	}
@@ -86,14 +85,12 @@ func (p BatchPoint) DoorbellsPerFrame() float64 {
 func BatchingAt(sc Scale, burst int, rate float64) BatchPoint {
 	o := batchingOpts(sc, burst)
 	tb, srv, client := newKVTestbed(o)
-	res := loadgen.Run(loadgen.Config{
+	res := loadgen.Run(sc.withWindow(loadgen.Config{
 		Eng: tb.Eng, EP: tb.Client.UDP,
 		Gen: o.Gen, Client: client,
 		RatePerS: rate,
-		Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
-		Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
 		Seed:     o.Seed + 1,
-	})
+	}))
 	// Run the engine dry so queued bursts finish and the RX ring empties.
 	tb.Eng.Run()
 	port := tb.Server.UDP.Port
@@ -124,9 +121,7 @@ func Batching(sc Scale) *Report {
 			"mean burst", "max burst", "doorbells/frame"},
 	}
 	capRps := kvCapacity(batchingOpts(sc, 1)).AchievedRps
-	if capRps <= 0 {
-		r.AddCheck("capacity: estimator produced a usable operating point", false,
-			"capacity estimate %.0f rps", capRps)
+	if !capacityOK(r, capRps) {
 		return r
 	}
 	r.Notes = append(r.Notes, fmt.Sprintf(
@@ -208,15 +203,14 @@ func Batching(sc Scale) *Report {
 	// ship the export as an artifact: the per-request view of batch
 	// assembly (queue spans ending at a shared drain instant) and flush.
 	if sc.Trace {
-		scb := sc
-		scb.Batch = batchingBursts[len(batchingBursts)-1]
-		tr := TracedOverloadRun(scb, rates[hi], trace.Config{
+		burst := batchingBursts[len(batchingBursts)-1]
+		tr := TracedOverloadRun(sc, burst, rates[hi], trace.Config{
 			SampleEvery: traceSampleEvery, SlowestK: traceSlowestK,
 		})
 		r.AddArtifact("batching-trace.json", tr.JSON)
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"trace artifact batching-trace.json: %d retained flows at %.0f rps, burst cap %d",
-			len(tr.Tracer.Retained()), tr.Res.OfferedRps, scb.Batch))
+			len(tr.Tracer.Retained()), tr.Res.OfferedRps, burst))
 	}
 
 	return r

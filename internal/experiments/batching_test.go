@@ -30,14 +30,14 @@ func TestBatchingSmoke(t *testing.T) {
 }
 
 // TestBatchingGoldenAtB1 is the determinism gate for the degenerate burst
-// cap: with Batch=1 the batched configuration must route through the
+// cap: with burst cap 1 the batched configuration must route through the
 // legacy datapath untouched, so the golden trace run reproduces the
 // checked-in unbatched export byte for byte. If this fails, burst cap 1
 // stopped being a no-op and every unbatched calibration is suspect.
 func TestBatchingGoldenAtB1(t *testing.T) {
 	t.Parallel()
-	sc := Scale{StoreKeys: 200, MeasureMs: 1, WarmupMs: 1, SweepPoints: 2, Cores: 1, Batch: 1}
-	got := TracedOverloadRun(sc, 60_000, trace.Config{SampleEvery: 4, SlowestK: 3}).JSON
+	sc := Scale{StoreKeys: 200, MeasureMs: 1, WarmupMs: 1, SweepPoints: 2, Cores: 1}
+	got := TracedOverloadRun(sc, 1, 60_000, trace.Config{SampleEvery: 4, SlowestK: 3}).JSON
 	want, err := os.ReadFile(goldenTracePath)
 	if err != nil {
 		t.Fatalf("read golden file: %v (regenerate with: UPDATE_GOLDEN=1 go test ./internal/experiments -run TestTraceGoldenExport)", err)
@@ -56,9 +56,7 @@ func TestBatchingGoldenAtB1(t *testing.T) {
 // aggregate matching the server's accumulator float for float.
 func TestBatchedTraceProperties(t *testing.T) {
 	t.Parallel()
-	sc := Quick()
-	sc.Batch = 8
-	run := TracedOverloadRun(sc, 150_000, trace.Config{SampleEvery: 1, SlowestK: 8})
+	run := TracedOverloadRun(Quick(), 8, 150_000, trace.Config{SampleEvery: 1, SlowestK: 8})
 	res := run.Res
 	retained := run.Tracer.Retained()
 

@@ -39,10 +39,6 @@ import (
 // the same storm replays bit for bit (pinned by the fingerprint gate and
 // an in-experiment same-seed rerun check).
 
-// chaosRetry is the chaos client policy — same deadline ladder the
-// cluster experiment uses, so effective-p99 censoring floors match.
-func chaosRetry() loadgen.RetryPolicy { return clusterRetry() }
-
 // chaosBuckets slices the measurement window for the goodput-over-time
 // trace the recovery check reads.
 const chaosBuckets = 16
@@ -163,19 +159,19 @@ func runChaos(cc chaosCfg) ChaosPoint {
 	for i := range cfgs {
 		cl := c.NewClient(i, driver.SysCornflakes, cc.R)
 		cl.Failover = cc.failover
-		cfgs[i] = loadgen.Config{
+		cfgs[i] = cc.sc.withWindow(loadgen.Config{
 			Eng: c.Eng, EP: c.Clients[i].UDP,
 			Gen: gen, Client: cl,
 			RatePerS: cc.ratePerClient,
-			Warmup:   sim.Time(cc.sc.WarmupMs) * sim.Millisecond,
-			Measure:  sim.Time(cc.sc.MeasureMs) * sim.Millisecond,
 			Seed:     cc.seed + uint64(i),
 			ClientID: uint64(i + 1),
-			Retry:    chaosRetry(),
-			Hedge:    cc.hedge,
-			Buckets:  chaosBuckets,
-			ShedID:   driver.ShedID,
-		}
+			// The cluster experiment's deadline ladder, so effective-p99
+			// censoring floors match.
+			Retry:   clusterRetry(),
+			Hedge:   cc.hedge,
+			Buckets: chaosBuckets,
+			ShedID:  driver.ShedID,
+		})
 	}
 	results := loadgen.RunMany(cfgs)
 	// Quiesce: let frames still inside the switch pipeline or on a wire
@@ -218,8 +214,7 @@ func runChaos(cc chaosCfg) ChaosPoint {
 // crashPlan is the kill-one-shard scenario: node 0 dies a quarter into the
 // measurement window and restarts cold a quarter-window later.
 func crashPlan(sc Scale, seed uint64) faults.NodeFaultPlan {
-	w := sim.Time(sc.WarmupMs) * sim.Millisecond
-	m := sim.Time(sc.MeasureMs) * sim.Millisecond
+	w, m := sc.window()
 	return faults.NodeFaultPlan{
 		Seed:    seed,
 		Crashes: []faults.NodeCrash{{Node: 0, At: w + m/4, Downtime: m / 4}},
@@ -246,8 +241,7 @@ func ChaosCrashPoint(sc Scale, ratePerClient float64, failover bool) ChaosPoint 
 // flapPlan is the flap storm: two server ports flap three down/up cycles
 // each, edges jittered so the storms interleave irregularly.
 func flapPlan(sc Scale, addrs []byte, seed uint64) faults.NodeFaultPlan {
-	w := sim.Time(sc.WarmupMs) * sim.Millisecond
-	m := sim.Time(sc.MeasureMs) * sim.Millisecond
+	w, m := sc.window()
 	return faults.NodeFaultPlan{
 		Seed: seed,
 		Flaps: []faults.PortFlap{
@@ -259,7 +253,7 @@ func flapPlan(sc Scale, addrs []byte, seed uint64) faults.NodeFaultPlan {
 
 // grayPlan degrades node 0 to 6× service cost for the whole run.
 func grayPlan(sc Scale, seed uint64) faults.NodeFaultPlan {
-	w := sim.Time(sc.WarmupMs) * sim.Millisecond
+	w, _ := sc.window()
 	return faults.NodeFaultPlan{
 		Seed:  seed,
 		Grays: []faults.GrayFailure{{Node: 0, At: w, Slowdown: chaosGraySlowdown}},
@@ -288,26 +282,9 @@ func Chaos(sc Scale) *Report {
 			"eff p99 µs", "timeout %", "hedge l/w/w", "downed", "downdrops", "silent"},
 	}
 
-	// Per-node capacity probe, identical to the cluster experiment's.
-	capRes := capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
-		gen := workloads.NewYCSBTheta(sc.StoreKeys, 128, 1, clusterBalancedTheta)
-		c := driver.NewClusterTestbed(1, 1, driver.SysCornflakes,
-			nic.MellanoxCX6(), cachesim.DefaultConfig(), fabric.Config{})
-		c.Preload(gen.Records(), 1)
-		res := loadgen.Run(loadgen.Config{
-			Eng: c.Eng, EP: c.Clients[0].UDP,
-			Gen: gen, Client: c.NewClient(0, driver.SysCornflakes, 1),
-			RatePerS: rate,
-			Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
-			Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
-			Seed:     41, ClientID: 1,
-		})
-		return res, c.Servers[0].N.Core
-	}, 100_000)
-	capRps := capRes.AchievedRps
-	if capRps <= 0 {
-		r.AddCheck("capacity: estimator produced a usable operating point", false,
-			"capacity estimate %.0f rps", capRps)
+	// Per-node capacity, probed as the cluster experiment does.
+	capRps := rackCapacity(sc)
+	if !capacityOK(r, capRps) {
 		return r
 	}
 	r.Notes = append(r.Notes, fmt.Sprintf(

@@ -76,15 +76,6 @@ func (p ClusterPoint) AggGoodput() float64 {
 	return agg
 }
 
-// AggOffered sums the clients' offered rates.
-func (p ClusterPoint) AggOffered() float64 {
-	var agg float64
-	for _, r := range p.Results {
-		agg += r.OfferedRps
-	}
-	return agg
-}
-
 // WorstP99 returns the worst per-client p99 over completed requests — the
 // tail a skewed shard inflicts on the clients unlucky enough to hit it.
 func (p ClusterPoint) WorstP99() sim.Time {
@@ -153,17 +144,15 @@ func ClusterAt(sc Scale, nodes, nKeys int, ratePerClient, theta float64, R int, 
 
 	cfgs := make([]loadgen.Config, nodes)
 	for i := range cfgs {
-		cfgs[i] = loadgen.Config{
+		cfgs[i] = sc.withWindow(loadgen.Config{
 			Eng: c.Eng, EP: c.Clients[i].UDP,
 			Gen: gen, Client: c.NewClient(i, driver.SysCornflakes, R),
 			RatePerS: ratePerClient,
-			Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
-			Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
 			Seed:     seed + uint64(i),
 			ClientID: uint64(i + 1),
 			Retry:    clusterRetry(),
 			ShedID:   driver.ShedID,
-		}
+		})
 	}
 	p := ClusterPoint{
 		Nodes: nodes, Theta: theta, R: R,
@@ -210,6 +199,26 @@ const (
 // past it — the regime where routing, not raw capacity, decides the tail.
 const clusterHotFactor = 0.65
 
+// rackCapacity is the per-node capacity the cluster and chaos ladders are
+// scaled from, probed on a 1-server, 1-client rack. The switch adds two
+// port hops and its latency, but capacity stays core-bound, so the
+// estimate transfers to every grid cell.
+func rackCapacity(sc Scale) float64 {
+	return probe(func(rate float64) (loadgen.Result, float64) {
+		gen := workloads.NewYCSBTheta(sc.StoreKeys, 128, 1, clusterBalancedTheta)
+		c := driver.NewClusterTestbed(1, 1, driver.SysCornflakes,
+			nic.MellanoxCX6(), cachesim.DefaultConfig(), fabric.Config{})
+		c.Preload(gen.Records(), 1)
+		res := loadgen.Run(sc.withWindow(loadgen.Config{
+			Eng: c.Eng, EP: c.Clients[0].UDP,
+			Gen: gen, Client: c.NewClient(0, driver.SysCornflakes, 1),
+			RatePerS: rate,
+			Seed:     41, ClientID: 1,
+		}))
+		return res, c.Servers[0].N.Core.Utilization()
+	}).capacity(100_000).AchievedRps
+}
+
 // Cluster sweeps node count × per-node load across the rack and checks
 // scaling, hot-shard tails, read-spread relief, routing, and accounting.
 func Cluster(sc Scale) *Report {
@@ -220,28 +229,8 @@ func Cluster(sc Scale) *Report {
 			"hot share", "eff p99 µs", "timeout %", "misrouted"},
 	}
 
-	// Per-node capacity probe: a 1-server, 1-client rack. The switch adds
-	// two port hops and its latency, but capacity stays core-bound, so the
-	// estimate transfers to every grid cell.
-	capRes := capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
-		gen := workloads.NewYCSBTheta(sc.StoreKeys, 128, 1, clusterBalancedTheta)
-		c := driver.NewClusterTestbed(1, 1, driver.SysCornflakes,
-			nic.MellanoxCX6(), cachesim.DefaultConfig(), fabric.Config{})
-		c.Preload(gen.Records(), 1)
-		res := loadgen.Run(loadgen.Config{
-			Eng: c.Eng, EP: c.Clients[0].UDP,
-			Gen: gen, Client: c.NewClient(0, driver.SysCornflakes, 1),
-			RatePerS: rate,
-			Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
-			Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
-			Seed:     41, ClientID: 1,
-		})
-		return res, c.Servers[0].N.Core
-	}, 100_000)
-	capRps := capRes.AchievedRps
-	if capRps <= 0 {
-		r.AddCheck("capacity: estimator produced a usable operating point", false,
-			"capacity estimate %.0f rps", capRps)
+	capRps := rackCapacity(sc)
+	if !capacityOK(r, capRps) {
 		return r
 	}
 

@@ -1,9 +1,36 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 )
+
+const reportGoldenPath = "testdata/report_fingerprints.golden"
+
+// readReportGolden parses the pinned report fingerprints: one
+// "<id> <%016x>" line per registered experiment.
+func readReportGolden(t *testing.T) map[string]string {
+	data, err := os.ReadFile(reportGoldenPath)
+	if err != nil {
+		if os.IsNotExist(err) && os.Getenv("UPDATE_GOLDEN") != "" {
+			return map[string]string{}
+		}
+		t.Fatalf("read golden file: %v (regenerate with: UPDATE_GOLDEN=1 go test ./internal/experiments -run TestSerialParallelFingerprints)", err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		id, fp, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", reportGoldenPath, line)
+		}
+		out[id] = fp
+	}
+	return out
+}
 
 // TestSerialParallelFingerprints is the determinism gate for the parallel
 // sweep harness: running an experiment serially and with a multi-worker
@@ -12,9 +39,37 @@ import (
 // computed on exactly one goroutine against its own engine and results
 // merge in point order. scripts/check.sh runs this test explicitly so a
 // future change cannot silently trade determinism for speed.
+//
+// The serial fingerprints are also pinned in reportGoldenPath, so a
+// refactor that claims to preserve behaviour is checked against the
+// previous commit's reports, not only against itself. UPDATE_GOLDEN=1
+// rewrites the file from this run.
 func TestSerialParallelFingerprints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep pair per experiment; skipped in -short")
+	}
+	update := os.Getenv("UPDATE_GOLDEN") != ""
+	want := readReportGolden(t)
+	var mu sync.Mutex
+	got := map[string]uint64{}
+	if update {
+		// Subtests run in parallel; write once, after all have finished.
+		// Experiments filtered out by -run keep their pinned line.
+		t.Cleanup(func() {
+			for id, fp := range got {
+				want[id] = fmt.Sprintf("%016x", fp)
+			}
+			var b strings.Builder
+			for _, id := range sortedIDs() {
+				if fp, ok := want[id]; ok {
+					fmt.Fprintf(&b, "%s %s\n", id, fp)
+				}
+			}
+			if err := os.WriteFile(reportGoldenPath, []byte(b.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("wrote %s (%d experiments)", reportGoldenPath, len(got))
+		})
 	}
 	// Three experiments run at Quick scale for depth: fig9 exercises the
 	// TCP stack, overload the shedding/retry layer (with a traced run so
@@ -26,12 +81,7 @@ func TestSerialParallelFingerprints(t *testing.T) {
 	traced := map[string]bool{"overload": true, "batching": true}
 	tiny := Scale{StoreKeys: 200, MeasureMs: 2, WarmupMs: 1, SweepPoints: 2, Cores: 4}
 
-	ids := make([]string, 0, len(All()))
-	for id := range All() {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedIDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
@@ -46,7 +96,16 @@ func TestSerialParallelFingerprints(t *testing.T) {
 
 			repS := fn(serial)
 			repP := fn(parallel)
-			if fpS, fpP := repS.Fingerprint(), repP.Fingerprint(); fpS != fpP {
+			fpS, fpP := repS.Fingerprint(), repP.Fingerprint()
+			mu.Lock()
+			got[id] = fpS
+			mu.Unlock()
+			if !update && want[id] != fmt.Sprintf("%016x", fpS) {
+				t.Errorf("%s: serial fingerprint %016x != pinned %q in %s; if the change is intentional, regenerate with:\n"+
+					"  UPDATE_GOLDEN=1 go test ./internal/experiments -run TestSerialParallelFingerprints",
+					id, fpS, want[id], reportGoldenPath)
+			}
+			if fpS != fpP {
 				t.Errorf("%s: serial fingerprint %016x != parallel %016x", id, fpS, fpP)
 				if s, p := repS.String(), repP.String(); s != p {
 					t.Logf("serial report:\n%s\nparallel report:\n%s", s, p)
@@ -59,6 +118,16 @@ func TestSerialParallelFingerprints(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sortedIDs lists every registered experiment in a stable order.
+func sortedIDs() []string {
+	ids := make([]string, 0, len(All()))
+	for id := range All() {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 // TestFingerprintSensitivity guards the gate itself: the fingerprint must

@@ -8,7 +8,6 @@ import (
 	"cornflakes/internal/driver"
 	"cornflakes/internal/loadgen"
 	"cornflakes/internal/nic"
-	"cornflakes/internal/sim"
 	"cornflakes/internal/workloads"
 )
 
@@ -31,22 +30,20 @@ func ExtArena(sc Scale) *Report {
 	measureShape := func(mv int, disableArena bool) float64 {
 		gen := googleGen(sc, mv, 170)
 		cfg := expCacheConfig()
-		return capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
+		return probe(func(rate float64) (loadgen.Result, float64) {
 			// Rebuild per rate for a clean cache.
 			tb := driver.NewTestbedCfg(nic.MellanoxCX6(), cfg)
 			srv := driver.NewKVServer(tb.Server, driver.SysCornflakes)
 			tb.Server.Ctx.DisableArena = disableArena
 			srv.Preload(gen.Records())
-			res := loadgen.Run(loadgen.Config{
+			res := loadgen.Run(sc.withWindow(loadgen.Config{
 				Eng: tb.Eng, EP: tb.Client.UDP,
 				Gen: gen, Client: driver.NewKVClient(tb.Client, driver.SysCornflakes),
 				RatePerS: rate,
-				Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
-				Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
 				Seed:     171,
-			})
-			return res, tb.Server.Core
-		}, 100_000).AchievedRps
+			}))
+			return res, tb.Server.Core.Utilization()
+		}).capacity(100_000).AchievedRps
 	}
 	// 2 list shapes × {arena, heap} = 4 independent capacity probes.
 	cells := make([]float64, 2*len(shapes))
@@ -92,12 +89,13 @@ func ExtAdaptive(sc Scale) *Report {
 		tb.Server.Ctx.Threshold = start
 		srv.Adaptive = core.NewAdaptiveThreshold(tb.Server.Ctx)
 		srv.Preload(gen.Records())
+		w, m := sc.window()
 		loadgen.Run(loadgen.Config{
 			Eng: tb.Eng, EP: tb.Client.UDP,
 			Gen: gen, Client: driver.NewKVClient(tb.Client, driver.SysCornflakes),
 			RatePerS: 300_000,
-			Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
-			Measure:  sim.Time(3*sc.MeasureMs) * sim.Millisecond,
+			Warmup:   w,
+			Measure:  3 * m,
 			Seed:     172,
 		})
 		row := []string{

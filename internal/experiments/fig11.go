@@ -4,7 +4,7 @@ import (
 	"cornflakes/internal/costmodel"
 	"cornflakes/internal/driver"
 	"cornflakes/internal/loadgen"
-	"cornflakes/internal/sim"
+	"cornflakes/internal/nic"
 	"cornflakes/internal/workloads"
 )
 
@@ -20,7 +20,7 @@ func Fig11(sc Scale) *Report {
 		Header: []string{"system", "rx", "deserialize", "get", "serialize+tx", "total"},
 	}
 	measure := func(sys driver.System) costmodel.Receipt {
-		tb := driver.NewTestbedCfg(kvProfile(), expCacheConfig())
+		tb := driver.NewTestbedCfg(nic.MellanoxCX6(), expCacheConfig())
 		srv := driver.NewKVServer(tb.Server, sys)
 		var sum costmodel.Receipt
 		var n float64
@@ -30,14 +30,12 @@ func Fig11(sc Scale) *Report {
 		}
 		gen := workloads.NewCDN(sc.StoreKeys, 8000, 256<<10, 120)
 		srv.Preload(gen.Records())
-		loadgen.Run(loadgen.Config{
+		loadgen.Run(sc.withWindow(loadgen.Config{
 			Eng: tb.Eng, EP: tb.Client.UDP,
 			Gen: gen, Client: driver.NewKVClient(tb.Client, sys),
 			RatePerS: 20_000,
-			Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
-			Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
 			Seed:     121,
-		})
+		}))
 		sum.Scale(n)
 		return sum
 	}

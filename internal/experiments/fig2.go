@@ -33,7 +33,8 @@ func Fig2(sc Scale) *Report {
 	results := make([]loadgen.Result, len(arms))
 	forEach(sc.workers(), len(arms), func(i int) {
 		a := arms[i]
-		results[i] = echoCapacity(echoOpts{Mode: a.mode, Sys: a.sys, FieldSize: 2048, NumFields: 2, Scale: sc, Seed: 20})
+		o := echoOpts{Mode: a.mode, Sys: a.sys, FieldSize: 2048, NumFields: 2, Scale: sc, Seed: 20}
+		results[i] = o.probe().capacity(200_000)
 	})
 	gbps := map[string]float64{}
 	for i, a := range arms {

@@ -4,7 +4,6 @@ import (
 	"cornflakes/internal/driver"
 	"cornflakes/internal/loadgen"
 	"cornflakes/internal/nic"
-	"cornflakes/internal/sim"
 )
 
 // Fig9 reproduces Figure 9: echo latency percentiles over the TCP stack
@@ -29,17 +28,15 @@ func Fig9(sc Scale) *Report {
 		default:
 			client = &driver.EchoClient{Mode: driver.EchoLib, Sys: driver.SysCornflakes, N: tb.Client, FieldSize: 2048, NumFields: 2}
 		}
-		res := loadgen.Run(loadgen.Config{
+		res := loadgen.Run(sc.withWindow(loadgen.Config{
 			Eng: tb.Eng, EP: tb.Client.TCP,
 			Gen: nopGen{}, Client: client,
 			// Fixed moderate load: the figure reports latency, not
 			// saturation ("we encountered an issue sending at high packet
 			// rates", §6.2.3 fn.9).
 			RatePerS: 40_000,
-			Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
-			Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
 			Seed:     100,
-		})
+		}))
 		perReq := float64(tb.Server.Core.BusyTime) / float64(tb.Server.Core.JobsDone)
 		return res.Latency, perReq
 	}

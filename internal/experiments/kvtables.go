@@ -85,7 +85,7 @@ func Fig6(sc Scale) *Report {
 	perSys := make([]sysRes, len(systems))
 	forEach(sc.workers(), len(systems), func(i int) {
 		o := kvOpts{Sys: systems[i], Gen: googleGen(sc, 8, 60), SmallCache: true, Scale: sc, Seed: 62}
-		perSys[i].points, perSys[i].top = kvSweep(o, 100_000, 2_500_000)
+		perSys[i].points, perSys[i].top = o.probe().sweep(sc, loadgen.GeometricRates(100_000, 2_500_000, sc.SweepPoints))
 	})
 	best := map[driver.System]float64{}
 	for i, sys := range systems {
@@ -128,7 +128,7 @@ func Fig7(sc Scale) *Report {
 		res := kvCapacity(o)
 		// The paper presents this result as a throughput/p99 curve; emit a
 		// short sweep up to the measured capacity, then the capacity row.
-		points, _ := kvSweep(o, res.AchievedRps/8, res.AchievedRps*0.7)
+		points, _ := o.probe().sweep(sc, loadgen.GeometricRates(res.AchievedRps/8, res.AchievedRps*0.7, sc.SweepPoints))
 		perSys[i] = sysRes{cap: res, points: points}
 	})
 	best := map[driver.System]float64{}

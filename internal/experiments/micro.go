@@ -295,9 +295,11 @@ func splitmix(x uint64) uint64 {
 }
 
 // microMaxGbps measures the highest achieved response throughput for one
-// microbenchmark configuration.
+// microbenchmark configuration. Every response has the same length and
+// flows are single-step, so the point with the highest achieved rate is
+// also the one with the highest Gbps.
 func microMaxGbps(mode microMode, nCores, segSize, count, workingSet int, sc Scale, seed uint64) float64 {
-	run := func(rate float64) loadgen.Result {
+	return probe(func(rate float64) (loadgen.Result, float64) {
 		eng := sim.NewEngine()
 		prof := nic.MellanoxCX5Ex()
 		pc, ps := nic.Link(eng, prof, prof, 1500*sim.Nanosecond)
@@ -305,38 +307,15 @@ func microMaxGbps(mode microMode, nCores, segSize, count, workingSet int, sc Sca
 		clientMeter := costmodel.NewMeter(costmodel.DefaultCPU(), cachesim.New(cachesim.DefaultConfig()))
 		clientUDP := netstack.NewUDP(eng, pc, clientAlloc, clientMeter)
 		srv := newMicroServer(eng, ps, nCores, mode, segSize, count, workingSet, expCacheConfig())
-		return loadgen.Run(loadgen.Config{
+		res := loadgen.Run(sc.withWindow(loadgen.Config{
 			Eng: eng, EP: clientUDP,
 			Gen:      nopGen{},
 			Client:   &microClient{shards: nCores, perShard: srv.perShard()},
 			RatePerS: rate,
-			Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
-			Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
 			Seed:     seed,
-		})
-	}
-	rate := 150_000 * float64(nCores)
-	lastGood := rate / 2
-	best := 0.0
-	saturated := false
-	for i := 0; i < 9; i++ {
-		res := run(rate)
-		if res.AchievedGbps > best {
-			best = res.AchievedGbps
-		}
-		if res.AchievedRps < 0.90*res.SentRps {
-			saturated = true
-			break
-		}
-		lastGood = rate
-		rate *= 2
-	}
-	if saturated {
-		for _, r := range loadgen.GeometricRates(lastGood*1.15, rate*0.85, 3) {
-			if res := run(r); res.AchievedGbps > best {
-				best = res.AchievedGbps
-			}
-		}
-	}
-	return best
+		}))
+		// maxTput ranks points by achieved rate alone; it never reads
+		// the utilization.
+		return res, 0
+	}).maxTput(150_000 * float64(nCores)).AchievedGbps
 }

@@ -24,14 +24,15 @@ func ExtMulticore(sc Scale) *Report {
 	}
 	measure := func(nCores int) float64 {
 		gen := workloads.NewTwitter(8*sc.StoreKeys, 190)
-		run := func(rate float64) (loadgen.Result, float64) {
+		// Capacity via the utilization method, generalized to K cores.
+		return probe(func(rate float64) (loadgen.Result, float64) {
 			eng := sim.NewEngine()
 			prof := nic.MellanoxCX6()
 			pc, ps := nic.Link(eng, prof, prof, 1500*sim.Nanosecond)
 			clientNode := driver.NewNode(eng, pc, false)
 			srv := driver.NewMultiKVServer(eng, ps, nCores, driver.SysCornflakes, expCacheConfig())
 			srv.Preload(gen.Records())
-			res := loadgen.Run(loadgen.Config{
+			res := loadgen.Run(sc.withWindow(loadgen.Config{
 				Eng: eng, EP: clientNode.UDP,
 				Gen: gen,
 				Client: &driver.MultiKVClient{
@@ -39,33 +40,10 @@ func ExtMulticore(sc Scale) *Report {
 					NCores: nCores,
 				},
 				RatePerS: rate,
-				Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
-				Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
 				Seed:     191,
-			})
+			}))
 			return res, srv.Utilization()
-		}
-		// Capacity via the utilization method, generalized to K cores.
-		rate := 150_000.0 * float64(nCores)
-		best := 0.0
-		for i := 0; i < 6; i++ {
-			res, u := run(rate)
-			if res.Completed == 0 || u <= 0 {
-				rate /= 2
-				continue
-			}
-			if u > 0.80 {
-				rate *= 0.3
-				continue
-			}
-			capRps := res.AchievedRps / u
-			best = capRps
-			if u >= 0.25 {
-				break
-			}
-			rate = 0.5 * capRps
-		}
-		return best
+		}).capacity(150_000 * float64(nCores)).AchievedRps
 	}
 
 	cores := []int{1, 2, 4}

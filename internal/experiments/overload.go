@@ -92,16 +92,14 @@ func OverloadAt(sc Scale, rate float64) OverloadPoint {
 	o := overloadOpts(sc)
 	tb, srv, client, base, capSlots := newOverloadTestbed(o)
 
-	res := loadgen.Run(loadgen.Config{
+	res := loadgen.Run(sc.withWindow(loadgen.Config{
 		Eng: tb.Eng, EP: tb.Client.UDP,
 		Gen: o.Gen, Client: client,
 		RatePerS: rate,
-		Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
-		Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
 		Seed:     o.Seed + 1,
 		Retry:    overloadRetry,
 		ShedID:   driver.ShedID,
-	})
+	}))
 	// Run the engine dry past the loadgen's own drain: the server queue
 	// finishes whatever it had admitted (deep-overload jobs carry large
 	// metered backlogs) and every buffer returns to the pool.
@@ -129,9 +127,7 @@ func Overload(sc Scale) *Report {
 	}
 	o := overloadOpts(sc)
 	capRps := kvCapacity(o).AchievedRps
-	if capRps <= 0 {
-		r.AddCheck("capacity: estimator produced a usable operating point", false,
-			"capacity estimate %.0f rps", capRps)
+	if !capacityOK(r, capRps) {
 		return r
 	}
 	r.Notes = append(r.Notes,
@@ -257,7 +253,7 @@ func Overload(sc Scale) *Report {
 	// a report artifact — the per-request view of the shed/retry ladder the
 	// table above aggregates away.
 	if sc.Trace {
-		tr := TracedOverloadRun(sc, rates[len(rates)-1], trace.Config{
+		tr := TracedOverloadRun(sc, 0, rates[len(rates)-1], trace.Config{
 			SampleEvery: traceSampleEvery, SlowestK: traceSlowestK,
 		})
 		r.AddArtifact("overload-trace.json", tr.JSON)

@@ -26,9 +26,10 @@ func Fig8(sc Scale) *Report {
 	perMode := make([]modeRes, len(modes))
 	forEach(sc.workers(), len(modes), func(i int) {
 		o := redisOpts{Mode: modes[i], Gen: twitterGen(sc, 90), Scale: sc, Seed: 91}
-		res := redisCapacity(o)
+		p := o.probe()
+		res := p.capacity(100_000)
 		// Curve points below capacity, as the paper's figure shows.
-		points, _ := redisSweep(o, res.AchievedRps/8, res.AchievedRps*0.7, sc.SweepPoints/2)
+		points, _ := p.sweep(sc, loadgen.GeometricRates(res.AchievedRps/8, res.AchievedRps*0.7, sc.SweepPoints/2))
 		perMode[i] = modeRes{cap: res, points: points}
 	})
 	best := map[redis.Mode]float64{}
@@ -111,7 +112,8 @@ func Tab3(sc Scale) *Report {
 		if i%2 == 1 {
 			mode = redis.ModeCornflakes
 		}
-		cells[i] = redisCapacity(redisOpts{Mode: mode, Gen: shapes[i/2].gen, Scale: sc, Seed: 92})
+		o := redisOpts{Mode: mode, Gen: shapes[i/2].gen, Scale: sc, Seed: 92}
+		cells[i] = o.probe().capacity(100_000)
 	})
 	gains := map[string]float64{}
 	for si, sh := range shapes {

@@ -173,12 +173,6 @@ type Scale struct {
 	// Trace asks experiments that support it to attach a per-request trace
 	// artifact (Chrome trace-event JSON) to the report.
 	Trace bool
-	// Batch, when ≥ 1, enables the server's batched RX/TX datapath with
-	// this burst cap (KVServer.EnableBatching). 1 is the adaptive floor —
-	// batching "on" but serving every request in its own burst, which the
-	// determinism gate pins as bit-identical to the unbatched path. 0
-	// leaves batching off entirely.
-	Batch int
 	// Workers is the sweep fan-out width: how many independent sweep points
 	// (each a fresh engine + testbed) may run concurrently on host
 	// goroutines. 0 or 1 means serial. Results are always merged in point

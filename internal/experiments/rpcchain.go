@@ -50,14 +50,11 @@ func RPC(sc Scale) *Report {
 	}
 
 	// Per-tier capacity probe on the single-tier chain.
-	capRes := capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
+	capRps := probe(func(rate float64) (loadgen.Result, float64) {
 		p := rpcAt(sc, rpcOpts{Depth: 1, Rate: rate, Seed: 90})
-		return p.Res, p.FrontCore
-	}, 100_000)
-	capRps := capRes.AchievedRps
-	if capRps <= 0 {
-		r.AddCheck("capacity: estimator produced a usable operating point", false,
-			"capacity estimate %.0f rps", capRps)
+		return p.Res, p.FrontCore.Utilization()
+	}).capacity(100_000).AchievedRps
+	if !capacityOK(r, capRps) {
 		return r
 	}
 	// The estimator extrapolates raw core capacity from a stable
@@ -320,17 +317,15 @@ func rpcAt(sc Scale, o rpcOpts) rpcPoint {
 		deep := c.Services[o.Depth-1]
 		deep.ShedQueue = o.ShedQueue
 	}
-	lcfg := loadgen.Config{
+	lcfg := sc.withWindow(loadgen.Config{
 		Eng: c.Eng, EP: c.Client.N.UDP,
 		Gen: rpcGen{}, Client: c.Client,
 		RatePerS: o.Rate,
-		Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
-		Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
 		Seed:     o.Seed, ClientID: 1,
 		Retry:  rpcRetry(),
 		ShedID: driver.ShedID,
 		Tracer: o.Tracer,
-	}
+	})
 	if o.Hedge {
 		lcfg.Hedge = loadgen.HedgePolicy{Delay: o.HedgeDelay}
 	}

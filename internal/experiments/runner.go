@@ -12,85 +12,23 @@ import (
 	"cornflakes/internal/workloads"
 )
 
-// kvOpts configures one KV-server measurement.
-type kvOpts struct {
-	Sys driver.System
-	Gen workloads.Generator
-	// Threshold overrides the zero-copy threshold when ThresholdSet is
-	// true (0 is a meaningful value: scatter-gather everything).
-	Threshold    int
-	ThresholdSet bool
-	UseSGArray   bool
-	Profile      nic.Profile
-	// SmallCache shrinks the modelled L3 (see expCacheConfig) so that
-	// scaled-down stores stay DRAM-resident like the paper's.
-	SmallCache bool
-	// Offload charges (de)serialization to a NIC-side engine instead of
-	// the host core (KVServer.OffloadSer) — the RPCAcc-style deployment.
-	Offload bool
-	Scale   Scale
-	Seed    uint64
-}
+// probe measures one offered-load point on a freshly built testbed and
+// returns the result plus the measured server's core utilization. Every
+// call builds its own engine, so points are independent and may run
+// concurrently (parallel.go). The paper's §6.1 method is then one of the
+// three searches below, whatever the server under test.
+type probe func(rate float64) (loadgen.Result, float64)
 
-func (o *kvOpts) profile() nic.Profile {
-	if o.Profile.Name == "" {
-		return nic.MellanoxCX6()
-	}
-	return o.Profile
-}
-
-// newKVTestbed builds the testbed, server and client for the options.
-func newKVTestbed(o kvOpts) (*driver.Testbed, *driver.KVServer, *driver.KVClient) {
-	cacheCfg := cachesim.DefaultConfig()
-	if o.SmallCache {
-		cacheCfg = expCacheConfig()
-	}
-	tb := driver.NewTestbedCfg(o.profile(), cacheCfg)
-	srv := driver.NewKVServer(tb.Server, o.Sys)
-	if o.ThresholdSet {
-		tb.Server.Ctx.Threshold = o.Threshold
-	}
-	srv.UseSGArray = o.UseSGArray
-	srv.OffloadSer = o.Offload
-	if o.Scale.Batch > 0 {
-		srv.EnableBatching(o.Scale.Batch)
-	}
-	srv.Preload(o.Gen.Records())
-	return tb, srv, driver.NewKVClient(tb.Client, o.Sys)
-}
-
-// runKVAt runs one load point, returning the server core for capacity
-// accounting.
-func runKVAtCore(o kvOpts, rate float64) (loadgen.Result, *sim.Core) {
-	tb, _, client := newKVTestbed(o)
-	res := loadgen.Run(loadgen.Config{
-		Eng: tb.Eng, EP: tb.Client.UDP,
-		Gen: o.Gen, Client: client,
-		RatePerS: rate,
-		Warmup:   sim.Time(o.Scale.WarmupMs) * sim.Millisecond,
-		Measure:  sim.Time(o.Scale.MeasureMs) * sim.Millisecond,
-		Seed:     o.Seed + 1,
-	})
-	return res, tb.Server.Core
-}
-
-// runKVAt runs one load point.
-func runKVAt(o kvOpts, rate float64) loadgen.Result {
-	res, _ := runKVAtCore(o, rate)
-	return res
-}
-
-// capacityOf measures a server's service capacity precisely: it finds a
+// capacity measures a server's service capacity precisely: it finds a
 // stable ~70%-utilization operating point and scales the achieved rate by
 // the measured core utilization. Unlike overload probing, this estimator
 // is insensitive to queueing noise, so it resolves the few-percent
 // differences the ablation experiments report (Fig. 12, Tables 4/5).
-func capacityOf(run func(rate float64) (loadgen.Result, *sim.Core), start float64) loadgen.Result {
+func (p probe) capacity(start float64) loadgen.Result {
 	rate := start
 	var out loadgen.Result
 	for i := 0; i < 6; i++ {
-		res, core := run(rate)
-		u := core.Utilization()
+		res, u := p(rate)
 		if res.Completed == 0 || u <= 0 {
 			rate /= 2
 			continue
@@ -113,26 +51,19 @@ func capacityOf(run func(rate float64) (loadgen.Result, *sim.Core), start float6
 	return out
 }
 
-// kvCapacity is capacityOf for a KV configuration.
-func kvCapacity(o kvOpts) loadgen.Result {
-	return capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
-		return runKVAtCore(o, rate)
-	}, 100_000)
-}
-
 // maxTput escalates the offered load until the server saturates (achieved
 // falls clearly below offered), then refines around the knee, returning the
 // highest achieved result — the paper's "highest achieved throughput across
 // all offered loads". The knee matters: past saturation the deep RX queue
 // inflates the buffer working set and achieved throughput degrades, so the
 // peak sits near (not far past) the capacity.
-func maxTput(run func(rate float64) loadgen.Result, start float64) loadgen.Result {
+func (p probe) maxTput(start float64) loadgen.Result {
 	rate := start
 	lastGood := start / 2
 	var best loadgen.Result
 	saturated := false
 	for i := 0; i < 9; i++ {
-		res := run(rate)
+		res, _ := p(rate)
 		if res.AchievedRps > best.AchievedRps {
 			best = res
 		}
@@ -146,8 +77,7 @@ func maxTput(run func(rate float64) loadgen.Result, start float64) loadgen.Resul
 	if saturated {
 		// Probe between the last underloaded rate and the saturating one.
 		for _, r := range loadgen.GeometricRates(lastGood*1.15, rate*0.85, 3) {
-			res := run(r)
-			if res.AchievedRps > best.AchievedRps {
+			if res, _ := p(r); res.AchievedRps > best.AchievedRps {
 				best = res
 			}
 		}
@@ -155,22 +85,127 @@ func maxTput(run func(rate float64) loadgen.Result, start float64) loadgen.Resul
 	return best
 }
 
-// kvMaxTput measures the highest achieved throughput for one KV config.
-func kvMaxTput(o kvOpts) loadgen.Result {
-	return maxTput(func(rate float64) loadgen.Result { return runKVAt(o, rate) }, 100_000)
-}
-
-// kvSweep runs a ladder of offered loads and returns all points plus the
-// best per the 95% rule. Ladder points are independent (fresh testbed
-// each), so they fan out across the scale's worker budget.
-func kvSweep(o kvOpts, lo, hi float64) ([]loadgen.Result, loadgen.Result) {
-	rates := loadgen.GeometricRates(lo, hi, o.Scale.SweepPoints)
-	return loadgen.SweepN(rates, o.Scale.workers(), func(rate float64) loadgen.Result {
-		return runKVAt(o, rate)
+// sweep measures every rate of a ladder, fanned across the scale's worker
+// budget, and returns the points in ladder order plus the best per the
+// paper's reporting rule: the highest achieved load among points where
+// achieved ≥ 95% of offered. Selection runs over the ordered slice, so the
+// result is identical at any width.
+func (p probe) sweep(sc Scale, rates []float64) (points []loadgen.Result, best loadgen.Result) {
+	points = make([]loadgen.Result, len(rates))
+	forEach(sc.workers(), len(rates), func(i int) {
+		points[i], _ = p(rates[i])
 	})
+	for _, res := range points {
+		if res.AchievedRps >= 0.95*res.OfferedRps && res.AchievedRps > best.AchievedRps {
+			best = res
+		}
+	}
+	// If nothing met the 95% rule (all overloaded), report the highest
+	// achieved load like the paper's "highest achieved throughput across
+	// all offered loads".
+	if best.AchievedRps == 0 {
+		for _, res := range points {
+			if res.AchievedRps > best.AchievedRps {
+				best = res
+			}
+		}
+	}
+	return points, best
 }
 
-// --- Redis runners ---
+// capacityOK records a failing check when the capacity estimator found no
+// usable operating point; experiments that scale their ladders from the
+// estimate return early when it reports false.
+func capacityOK(r *Report, capRps float64) bool {
+	if capRps <= 0 {
+		r.AddCheck("capacity: estimator produced a usable operating point", false,
+			"capacity estimate %.0f rps", capRps)
+		return false
+	}
+	return true
+}
+
+// window returns the scale's warmup and measurement windows.
+func (sc Scale) window() (warmup, measure sim.Time) {
+	return sim.Time(sc.WarmupMs) * sim.Millisecond, sim.Time(sc.MeasureMs) * sim.Millisecond
+}
+
+// withWindow returns cfg with its warmup and measurement windows set from
+// the scale.
+func (sc Scale) withWindow(cfg loadgen.Config) loadgen.Config {
+	cfg.Warmup, cfg.Measure = sc.window()
+	return cfg
+}
+
+// kvOpts configures one KV-server measurement.
+type kvOpts struct {
+	Sys driver.System
+	Gen workloads.Generator
+	// Threshold overrides the zero-copy threshold when ThresholdSet is
+	// true (0 is a meaningful value: scatter-gather everything).
+	Threshold    int
+	ThresholdSet bool
+	UseSGArray   bool
+	Profile      nic.Profile
+	// SmallCache shrinks the modelled L3 (see expCacheConfig) so that
+	// scaled-down stores stay DRAM-resident like the paper's.
+	SmallCache bool
+	// Offload charges (de)serialization to a NIC-side engine instead of
+	// the host core (KVServer.OffloadSer) — the RPCAcc-style deployment.
+	Offload bool
+	// Batch, when ≥ 1, enables the server's batched RX/TX datapath with
+	// this burst cap (KVServer.EnableBatching). 1 is the adaptive floor —
+	// batching "on" but serving every request in its own burst, which the
+	// determinism gate pins as bit-identical to the unbatched path. 0
+	// leaves batching off entirely.
+	Batch int
+	Scale Scale
+	Seed  uint64
+}
+
+func (o kvOpts) profile() nic.Profile {
+	if o.Profile.Name == "" {
+		return nic.MellanoxCX6()
+	}
+	return o.Profile
+}
+
+// newKVTestbed builds the testbed, server and client for the options.
+func newKVTestbed(o kvOpts) (*driver.Testbed, *driver.KVServer, *driver.KVClient) {
+	cacheCfg := cachesim.DefaultConfig()
+	if o.SmallCache {
+		cacheCfg = expCacheConfig()
+	}
+	tb := driver.NewTestbedCfg(o.profile(), cacheCfg)
+	srv := driver.NewKVServer(tb.Server, o.Sys)
+	if o.ThresholdSet {
+		tb.Server.Ctx.Threshold = o.Threshold
+	}
+	srv.UseSGArray = o.UseSGArray
+	srv.OffloadSer = o.Offload
+	if o.Batch > 0 {
+		srv.EnableBatching(o.Batch)
+	}
+	srv.Preload(o.Gen.Records())
+	return tb, srv, driver.NewKVClient(tb.Client, o.Sys)
+}
+
+// probe runs one load point of the KV configuration.
+func (o kvOpts) probe() probe {
+	return func(rate float64) (loadgen.Result, float64) {
+		tb, _, client := newKVTestbed(o)
+		res := loadgen.Run(o.Scale.withWindow(loadgen.Config{
+			Eng: tb.Eng, EP: tb.Client.UDP,
+			Gen: o.Gen, Client: client,
+			RatePerS: rate,
+			Seed:     o.Seed + 1,
+		}))
+		return res, tb.Server.Core.Utilization()
+	}
+}
+
+// kvCapacity is the capacity of a KV configuration.
+func kvCapacity(o kvOpts) loadgen.Result { return o.probe().capacity(100_000) }
 
 type redisOpts struct {
 	Mode  redis.Mode
@@ -179,45 +214,21 @@ type redisOpts struct {
 	Seed  uint64
 }
 
-func runRedisAtCore(o redisOpts, rate float64) (loadgen.Result, *sim.Core) {
-	tb := driver.NewTestbed(nic.MellanoxCX6())
-	srv := driver.NewRedisServer(tb.Server, o.Mode)
-	srv.Preload(o.Gen.Records())
-	res := loadgen.Run(loadgen.Config{
-		Eng: tb.Eng, EP: tb.Client.UDP,
-		Gen: o.Gen, Client: driver.NewRedisClient(tb.Client, o.Mode),
-		RatePerS: rate,
-		Warmup:   sim.Time(o.Scale.WarmupMs) * sim.Millisecond,
-		Measure:  sim.Time(o.Scale.MeasureMs) * sim.Millisecond,
-		Seed:     o.Seed + 2,
-	})
-	return res, tb.Server.Core
+// probe runs one load point of the Redis configuration.
+func (o redisOpts) probe() probe {
+	return func(rate float64) (loadgen.Result, float64) {
+		tb := driver.NewTestbed(nic.MellanoxCX6())
+		srv := driver.NewRedisServer(tb.Server, o.Mode)
+		srv.Preload(o.Gen.Records())
+		res := loadgen.Run(o.Scale.withWindow(loadgen.Config{
+			Eng: tb.Eng, EP: tb.Client.UDP,
+			Gen: o.Gen, Client: driver.NewRedisClient(tb.Client, o.Mode),
+			RatePerS: rate,
+			Seed:     o.Seed + 2,
+		}))
+		return res, tb.Server.Core.Utilization()
+	}
 }
-
-func runRedisAt(o redisOpts, rate float64) loadgen.Result {
-	res, _ := runRedisAtCore(o, rate)
-	return res
-}
-
-// redisCapacity is capacityOf for a Redis configuration.
-func redisCapacity(o redisOpts) loadgen.Result {
-	return capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
-		return runRedisAtCore(o, rate)
-	}, 100_000)
-}
-
-func redisMaxTput(o redisOpts) loadgen.Result {
-	return maxTput(func(rate float64) loadgen.Result { return runRedisAt(o, rate) }, 100_000)
-}
-
-func redisSweep(o redisOpts, lo, hi float64, points int) ([]loadgen.Result, loadgen.Result) {
-	rates := loadgen.GeometricRates(lo, hi, points)
-	return loadgen.SweepN(rates, o.Scale.workers(), func(rate float64) loadgen.Result {
-		return runRedisAt(o, rate)
-	})
-}
-
-// --- Echo runners ---
 
 type echoOpts struct {
 	Mode      driver.EchoMode
@@ -228,35 +239,20 @@ type echoOpts struct {
 	Seed      uint64
 }
 
-func runEchoAtCore(o echoOpts, rate float64) (loadgen.Result, *sim.Core) {
-	tb := driver.NewTestbed(nic.MellanoxCX6())
-	driver.NewEchoServer(tb.Server, o.Mode, o.Sys, o.FieldSize, o.NumFields)
-	client := &driver.EchoClient{Mode: o.Mode, Sys: o.Sys, N: tb.Client, FieldSize: o.FieldSize, NumFields: o.NumFields}
-	res := loadgen.Run(loadgen.Config{
-		Eng: tb.Eng, EP: tb.Client.UDP,
-		Gen: nopGen{}, Client: client,
-		RatePerS: rate,
-		Warmup:   sim.Time(o.Scale.WarmupMs) * sim.Millisecond,
-		Measure:  sim.Time(o.Scale.MeasureMs) * sim.Millisecond,
-		Seed:     o.Seed + 3,
-	})
-	return res, tb.Server.Core
-}
-
-func runEchoAt(o echoOpts, rate float64) loadgen.Result {
-	res, _ := runEchoAtCore(o, rate)
-	return res
-}
-
-// echoCapacity is capacityOf for an echo configuration.
-func echoCapacity(o echoOpts) loadgen.Result {
-	return capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
-		return runEchoAtCore(o, rate)
-	}, 200_000)
-}
-
-func echoMaxTput(o echoOpts) loadgen.Result {
-	return maxTput(func(rate float64) loadgen.Result { return runEchoAt(o, rate) }, 200_000)
+// probe runs one load point of the echo configuration.
+func (o echoOpts) probe() probe {
+	return func(rate float64) (loadgen.Result, float64) {
+		tb := driver.NewTestbed(nic.MellanoxCX6())
+		driver.NewEchoServer(tb.Server, o.Mode, o.Sys, o.FieldSize, o.NumFields)
+		client := &driver.EchoClient{Mode: o.Mode, Sys: o.Sys, N: tb.Client, FieldSize: o.FieldSize, NumFields: o.NumFields}
+		res := loadgen.Run(o.Scale.withWindow(loadgen.Config{
+			Eng: tb.Eng, EP: tb.Client.UDP,
+			Gen: nopGen{}, Client: client,
+			RatePerS: rate,
+			Seed:     o.Seed + 3,
+		}))
+		return res, tb.Server.Core.Utilization()
+	}
 }
 
 // nopGen feeds the echo client, which ignores the request shape.

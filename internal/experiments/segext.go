@@ -7,7 +7,6 @@ import (
 	"cornflakes/internal/loadgen"
 	"cornflakes/internal/netstack"
 	"cornflakes/internal/nic"
-	"cornflakes/internal/sim"
 	"cornflakes/internal/workloads"
 )
 
@@ -45,22 +44,20 @@ func ExtSegment(sc Scale) *Report {
 		})
 	}
 	measureB := func() loadgen.Result {
-		return capacityOf(func(rate float64) (loadgen.Result, *sim.Core) {
+		return probe(func(rate float64) (loadgen.Result, float64) {
 			tb := driver.NewTestbedCfg(nic.MellanoxCX6(), expCacheConfig())
 			srv := driver.NewSegmentedKVServer(tb.Server, driver.SysCornflakes)
 			srv.Preload(cdn.Records())
 			clientSeg := netstack.NewSegmenter(tb.Client.UDP)
-			res := loadgen.Run(loadgen.Config{
+			res := loadgen.Run(sc.withWindow(loadgen.Config{
 				Eng: tb.Eng, EP: clientSeg,
 				Gen:      wholeObjGen{cdn},
 				Client:   driver.NewKVClient(tb.Client, driver.SysCornflakes),
 				RatePerS: rate,
-				Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
-				Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
 				Seed:     182,
-			})
-			return res, tb.Server.Core
-		}, 30_000)
+			}))
+			return res, tb.Server.Core.Utilization()
+		}).capacity(30_000)
 	}
 	forEach(sc.workers(), 2, func(i int) {
 		if i == 0 {

@@ -59,9 +59,11 @@ type TracedRun struct {
 // sends, backoffs and outcomes; the NIC observers mark DMA, wire and
 // delivery instants; the server marks dispatch and shed decisions and
 // attributes per-request receipts; and a gauge registry samples server
-// health at a fixed cadence.
-func TracedOverloadRun(sc Scale, rate float64, tcfg trace.Config) TracedRun {
+// health at a fixed cadence. burst is the server's batching burst cap
+// (kvOpts.Batch; 0 leaves batching off).
+func TracedOverloadRun(sc Scale, burst int, rate float64, tcfg trace.Config) TracedRun {
 	o := overloadOpts(sc)
+	o.Batch = burst
 	tb, srv, client, _, _ := newOverloadTestbed(o)
 
 	tcfg.CPU = tb.Server.Meter.CPU
@@ -76,14 +78,15 @@ func TracedOverloadRun(sc Scale, rate float64, tcfg trace.Config) TracedRun {
 
 	reg := trace.NewRegistry()
 	driver.RegisterServerGauges(reg, tb, srv)
-	reg.SampleUntil(tb.Eng, traceGaugeEvery, sim.Time(sc.WarmupMs+sc.MeasureMs)*sim.Millisecond)
+	w, m := sc.window()
+	reg.SampleUntil(tb.Eng, traceGaugeEvery, w+m)
 
 	out.Res = loadgen.Run(loadgen.Config{
 		Eng: tb.Eng, EP: tb.Client.UDP,
 		Gen: o.Gen, Client: client,
 		RatePerS: rate,
-		Warmup:   sim.Time(sc.WarmupMs) * sim.Millisecond,
-		Measure:  sim.Time(sc.MeasureMs) * sim.Millisecond,
+		Warmup:   w,
+		Measure:  m,
 		Seed:     o.Seed + 1,
 		Retry:    overloadRetry,
 		ShedID:   driver.ShedID,
@@ -145,13 +148,11 @@ func TraceExp(sc Scale) *Report {
 	}
 	o := overloadOpts(sc)
 	capRps := kvCapacity(o).AchievedRps
-	if capRps <= 0 {
-		r.AddCheck("capacity: estimator produced a usable operating point", false,
-			"capacity estimate %.0f rps", capRps)
+	if !capacityOK(r, capRps) {
 		return r
 	}
 	rate := 1.5 * capRps
-	run := TracedOverloadRun(sc, rate, trace.Config{
+	run := TracedOverloadRun(sc, 0, rate, trace.Config{
 		SampleEvery: traceSampleEvery, SlowestK: traceSlowestK,
 	})
 	retained := run.Tracer.Retained()

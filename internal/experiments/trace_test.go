@@ -16,7 +16,7 @@ import (
 // for byte.
 func goldenTraceRun() TracedRun {
 	sc := Scale{StoreKeys: 200, MeasureMs: 1, WarmupMs: 1, SweepPoints: 2, Cores: 1}
-	return TracedOverloadRun(sc, 60_000, trace.Config{SampleEvery: 4, SlowestK: 3})
+	return TracedOverloadRun(sc, 0, 60_000, trace.Config{SampleEvery: 4, SlowestK: 3})
 }
 
 const goldenTracePath = "testdata/trace_golden.json"
@@ -63,7 +63,7 @@ func TestTraceGoldenExport(t *testing.T) {
 // latency, and the slowest completed flow matching the histogram's maximum.
 func TestTraceProperties(t *testing.T) {
 	t.Parallel()
-	run := TracedOverloadRun(Quick(), 150_000, trace.Config{SampleEvery: 1, SlowestK: 8})
+	run := TracedOverloadRun(Quick(), 0, 150_000, trace.Config{SampleEvery: 1, SlowestK: 8})
 	res := run.Res
 	retained := run.Tracer.Retained()
 

@@ -14,8 +14,10 @@ type recNode struct {
 	id  int
 }
 
-func (n *recNode) Crash()   { *n.log = append(*n.log, fmt.Sprintf("%d crash @%d", n.id, n.eng.Now())) }
-func (n *recNode) Recover() { *n.log = append(*n.log, fmt.Sprintf("%d recover @%d", n.id, n.eng.Now())) }
+func (n *recNode) Crash() { *n.log = append(*n.log, fmt.Sprintf("%d crash @%d", n.id, n.eng.Now())) }
+func (n *recNode) Recover() {
+	*n.log = append(*n.log, fmt.Sprintf("%d recover @%d", n.id, n.eng.Now()))
+}
 func (n *recNode) SetGray(k float64) {
 	*n.log = append(*n.log, fmt.Sprintf("%d gray %.1f @%d", n.id, k, n.eng.Now()))
 }
@@ -83,7 +85,7 @@ func TestNodePlanGrayWindow(t *testing.T) {
 
 func TestNodePlanFlapCycles(t *testing.T) {
 	log, ns := runPlan(NodeFaultPlan{
-		Seed: 1,
+		Seed:  1,
 		Flaps: []PortFlap{{Addr: 3, At: 1000, Down: 100, Count: 3, Period: 500}},
 	}, 1)
 	if ns.FlapsDown != 3 || ns.FlapsUp != 3 {

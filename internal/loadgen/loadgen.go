@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"cornflakes/internal/mem"
 	"cornflakes/internal/sim"
@@ -238,6 +236,9 @@ type flow struct {
 	hedged    bool
 	// tr is the flow's trace record (nil when tracing is off).
 	tr *trace.Flow
+	// respBytes sums the flow's answered intermediate steps; it joins the
+	// run's byte count only if the flow completes.
+	respBytes uint64
 }
 
 // Runner is one in-flight load generation run. Start schedules all of a
@@ -506,10 +507,8 @@ func Start(cfg Config) *Runner {
 		resolve(id, f)
 		f.step++
 		if f.step < cfg.Client.Steps(f.req) {
+			f.respBytes += uint64(p.Len())
 			sendStep(f)
-			if f.measured {
-				ru.respBytes += uint64(p.Len())
-			}
 			return
 		}
 		if f.measured && (now <= measureEnd || cfg.Retry.enabled()) {
@@ -518,7 +517,7 @@ func Start(cfg Config) *Runner {
 			// (sent == completed + shed + timed-out). Without it, the
 			// historical window-only semantics are preserved.
 			res.Completed++
-			ru.respBytes += uint64(p.Len())
+			ru.respBytes += f.respBytes + uint64(p.Len())
 			res.Latency.Record(now - f.start)
 			if len(res.BucketCompleted) > 0 && now < measureEnd {
 				i := int(int64(now-cfg.Warmup) * int64(len(res.BucketCompleted)) / int64(cfg.Measure))
@@ -628,63 +627,6 @@ func RunMany(cfgs []Config) []Result {
 		out[i] = ru.Finish()
 	}
 	return out
-}
-
-// Sweep runs the given run function across offered loads and returns every
-// point plus the highest achieved load among points where achieved ≥ 95% of
-// offered (the paper's reporting rule).
-func Sweep(rates []float64, run func(rate float64) Result) (points []Result, best Result) {
-	return SweepN(rates, 1, run)
-}
-
-// SweepN is Sweep with the ladder points measured concurrently on up to
-// workers goroutines. Each call to run must be independent (every
-// experiment runner builds a fresh engine and testbed per point, so they
-// are); points come back in ladder order and the best-point selection runs
-// over that ordered slice, so the result is identical at any width.
-func SweepN(rates []float64, workers int, run func(rate float64) Result) (points []Result, best Result) {
-	points = make([]Result, len(rates))
-	if workers > len(rates) {
-		workers = len(rates)
-	}
-	if workers <= 1 {
-		for i, rate := range rates {
-			points[i] = run(rate)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for k := 0; k < workers; k++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(rates) {
-						return
-					}
-					points[i] = run(rates[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, res := range points {
-		if res.AchievedRps >= 0.95*res.OfferedRps && res.AchievedRps > best.AchievedRps {
-			best = res
-		}
-	}
-	// If nothing met the 95% rule (all overloaded), report the highest
-	// achieved load like the paper's "highest achieved throughput across
-	// all offered loads".
-	if best.AchievedRps == 0 {
-		for _, p := range points {
-			if p.AchievedRps > best.AchievedRps {
-				best = p
-			}
-		}
-	}
-	return points, best
 }
 
 // GeometricRates builds a rate ladder from lo to hi with the given number

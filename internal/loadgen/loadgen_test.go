@@ -215,26 +215,49 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestSweep(t *testing.T) {
-	// Synthetic server with capacity 100: achieved = min(offered, 100).
-	run := func(rate float64) Result {
-		ach := rate
-		if ach > 100 {
-			ach = 100
-		}
-		return Result{OfferedRps: rate, AchievedRps: ach, Latency: NewHistogram()}
+// stepClient is a three-step client: 8-byte id, then the step index.
+type stepClient struct{}
+
+func (stepClient) Steps(workloads.Request) int { return 3 }
+func (stepClient) BuildStep(id uint64, _ workloads.Request, s int) []byte {
+	b := make([]byte, 64)
+	wire.PutU64(b, id)
+	b[8] = byte(s)
+	return b
+}
+func (stepClient) ResponseID(p []byte) (uint64, error) { return idClient{}.ResponseID(p) }
+
+// AchievedGbps counts the response bytes of completed flows only: a
+// multi-step flow whose last step is never answered contributes nothing,
+// however many of its earlier steps were.
+func TestGbpsCountsCompletedFlowsOnly(t *testing.T) {
+	run := func(lastAnswered bool) Result {
+		f := newEchoFixture(1 * sim.Microsecond)
+		f.server.SetRecvHandler(func(p *mem.Buf) {
+			defer p.DecRef()
+			if p.Bytes()[8] == 2 && !lastAnswered {
+				return
+			}
+			data := append([]byte(nil), p.Bytes()...)
+			f.server.SendContiguous(data, mem.UnpinnedSimAddr(data))
+		})
+		return Run(Config{
+			Eng: f.eng, EP: f.client, Gen: genConst{}, Client: stepClient{},
+			RatePerS: 50_000, Warmup: sim.Millisecond, Measure: 5 * sim.Millisecond, Seed: 3,
+		})
 	}
-	points, best := Sweep([]float64{50, 90, 100, 150, 300}, run)
-	if len(points) != 5 {
-		t.Fatal("wrong point count")
+	res := run(false)
+	if res.Sent == 0 || res.Completed != 0 {
+		t.Fatalf("sent=%d completed=%d, want flows sent and none completed", res.Sent, res.Completed)
 	}
-	if best.AchievedRps != 100 {
-		t.Errorf("best achieved = %v, want 100", best.AchievedRps)
+	if res.AchievedGbps != 0 {
+		t.Errorf("AchievedGbps = %v with no completed flow", res.AchievedGbps)
 	}
-	// All overloaded: fall back to max achieved.
-	_, best = Sweep([]float64{300, 400}, run)
-	if best.AchievedRps != 100 {
-		t.Errorf("fallback best = %v", best.AchievedRps)
+	res = run(true)
+	want := float64(res.Completed*3*64) * 8 / (5 * sim.Millisecond).Seconds() / 1e9
+	if res.Completed == 0 || res.AchievedGbps != want {
+		t.Errorf("completed=%d AchievedGbps=%v, want all three steps counted: %v",
+			res.Completed, res.AchievedGbps, want)
 	}
 }
 

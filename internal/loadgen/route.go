@@ -63,9 +63,6 @@ func NewRing(shards, vnodes int) *Ring {
 	return r
 }
 
-// Shards returns the shard count the ring was built over.
-func (r *Ring) Shards() int { return r.shards }
-
 // Shard returns the shard owning key.
 func (r *Ring) Shard(key []byte) int {
 	return r.owner[r.slot(keyPoint(key))]

@@ -148,7 +148,6 @@ func UnpinnedSimAddr(p []byte) uint64 {
 	return SimUnpinnedBase + (h & 0xFF_FFFF_FFFF) // fold into a 1 TiB window
 }
 
-
 // NewAllocator returns an empty pinned allocator.
 func NewAllocator() *Allocator {
 	return &Allocator{

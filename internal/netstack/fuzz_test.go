@@ -16,12 +16,12 @@ import (
 )
 
 func FuzzUDPOnFrame(f *testing.F) {
-	f.Add([]byte{})                                  // empty frame
-	f.Add([]byte{0x42})                              // single byte
-	f.Add(make([]byte, PacketHeaderLen-1))           // one short of the header
-	f.Add(make([]byte, PacketHeaderLen))             // exactly the header: still runt
-	f.Add(make([]byte, PacketHeaderLen+1))           // minimal deliverable frame
-	f.Add(bytes.Repeat([]byte{0xEE}, JumboFrame))    // jumbo shed-marker bytes
+	f.Add([]byte{})                               // empty frame
+	f.Add([]byte{0x42})                           // single byte
+	f.Add(make([]byte, PacketHeaderLen-1))        // one short of the header
+	f.Add(make([]byte, PacketHeaderLen))          // exactly the header: still runt
+	f.Add(make([]byte, PacketHeaderLen+1))        // minimal deliverable frame
+	f.Add(bytes.Repeat([]byte{0xEE}, JumboFrame)) // jumbo shed-marker bytes
 	f.Add(append(make([]byte, PacketHeaderLen), 'x', 'y', 'z'))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, batched := range []bool{false, true} {

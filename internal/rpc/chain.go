@@ -124,19 +124,6 @@ func NewChain(cfg ChainConfig) *Chain {
 	return c
 }
 
-// Hops is the end-to-end tier count of a request's critical path
-// (chain depth plus the fan-out layer if present).
-func (c *Chain) Hops() int {
-	if len(c.Leaves) > 0 {
-		return len(c.Services) - len(c.Leaves) + 1
-	}
-	n := len(c.Services)
-	if c.Sink != nil {
-		n--
-	}
-	return n
-}
-
 // HostReceipt sums the host-core receipts over every tier (not the sink)
 // and the handled-call count; OffloadReceipt does the same for the
 // NIC-side engines. Both feed the serialization-share and offload-benefit

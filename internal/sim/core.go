@@ -115,9 +115,6 @@ func (c *Core) AccountWait(w Time) {
 // counter whichever datapath is active.
 func (c *Core) NoteDrop() { c.Dropped++ }
 
-// Busy reports whether a job is currently in service.
-func (c *Core) Busy() bool { return c.busy }
-
 // busyElapsed is the busy time actually elapsed by now: completed busy
 // periods plus the in-progress one. Unlike the pre-fix accounting (which
 // credited a job's full service time at dispatch), this never counts time

@@ -73,11 +73,3 @@ func (r *Registry) Samples() []Sample {
 	}
 	return r.samples
 }
-
-// Gauges returns the registered gauges in registration order.
-func (r *Registry) Gauges() []Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.gauges
-}

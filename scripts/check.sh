@@ -8,6 +8,15 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l (tracked Go files)"
+# Listing tracked files keeps build output such as .bench_build/ out.
+unformatted=$(git ls-files '*.go' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "not gofmt-clean:"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
