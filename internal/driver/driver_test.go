@@ -238,23 +238,24 @@ func TestEchoModeOrdering(t *testing.T) {
 	}
 }
 
+// TestTCPEchoModes runs Figure 9's three echo servers over TCP-lite.
 func TestTCPEchoModes(t *testing.T) {
-	for _, mode := range []TCPEchoMode{TCPEchoRaw, TCPEchoFlatBuffers, TCPEchoCornflakes} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode EchoMode
+		sys  System
+	}{
+		{"Raw packet echo", EchoOneCopy, SysCornflakes},
+		{"FlatBuffers", EchoLib, SysFlatBuffers},
+		{"Cornflakes", EchoLib, SysCornflakes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			tb := NewTCPTestbed(nic.MellanoxCX6())
-			srv := NewTCPEchoServer(tb.Server, mode)
-			var client loadgen.Client
-			switch mode {
-			case TCPEchoRaw:
-				client = &EchoClient{Mode: EchoNoSer, N: tb.Client, FieldSize: 2048, NumFields: 2}
-			case TCPEchoFlatBuffers:
-				client = &EchoClient{Mode: EchoLib, Sys: SysFlatBuffers, N: tb.Client, FieldSize: 2048, NumFields: 2}
-			default:
-				client = &EchoClient{Mode: EchoLib, Sys: SysCornflakes, N: tb.Client, FieldSize: 2048, NumFields: 2}
-			}
+			srv := NewEchoServer(tb.Server, tc.mode, tc.sys, 2048, 2)
 			res := loadgen.Run(loadgen.Config{
 				Eng: tb.Eng, EP: tb.Client.TCP,
-				Gen: genNop{}, Client: client,
+				Gen:      genNop{},
+				Client:   &EchoClient{Mode: tc.mode, Sys: tc.sys, N: tb.Client, FieldSize: 2048, NumFields: 2},
 				RatePerS: 5_000, Warmup: sim.Millisecond, Measure: 5 * sim.Millisecond, Seed: 5,
 			})
 			if srv.Errors != 0 || res.BadResponses != 0 || res.Completed == 0 {

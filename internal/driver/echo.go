@@ -25,6 +25,7 @@ const (
 	// bookkeeping.
 	EchoZeroCopy
 	// EchoOneCopy copies the payload once, directly into pinned memory.
+	// Over TCP it is Figure 9's "raw packet echo" floor.
 	EchoOneCopy
 	// EchoTwoCopy copies into a contiguous staging buffer and then into
 	// pinned memory — what a copy-based library's datapath does.
@@ -50,7 +51,10 @@ func (m EchoMode) String() string {
 
 // EchoServer is the echo application of §2.2 and §6.1.2: almost no
 // application processing; the server deserializes and reserializes a list
-// of fixed-size fields.
+// of fixed-size fields. It runs over either stack: Figure 9 drives it over
+// TCP-lite (§6.2.3, the Demikernel TCP integration) in the modes that
+// stack supports — EchoOneCopy, EchoTwoCopy, and EchoLib with Cornflakes
+// or FlatBuffers.
 type EchoServer struct {
 	N         *Node
 	Mode      EchoMode
@@ -61,10 +65,10 @@ type EchoServer struct {
 	Handled, Errors uint64
 }
 
-// NewEchoServer attaches an echo server to the node's UDP stack.
+// NewEchoServer attaches an echo server to the node's stack.
 func NewEchoServer(n *Node, mode EchoMode, sys System, fieldSize, numFields int) *EchoServer {
 	s := &EchoServer{N: n, Mode: mode, Sys: sys, FieldSize: fieldSize, NumFields: numFields}
-	n.UDP.SetRecvHandler(s.onPayload)
+	n.stack.SetRecvHandler(s.onPayload)
 	return s
 }
 
@@ -112,7 +116,7 @@ func (s *EchoServer) handle(p *mem.Buf) {
 		p.DecRef()
 
 	case EchoOneCopy:
-		if err := s.N.UDP.SendContiguous(p.Bytes(), p.SimAddr()); err != nil {
+		if err := s.N.stack.SendContiguous(p.Bytes(), p.SimAddr()); err != nil {
 			s.Errors++
 		}
 		p.DecRef()
@@ -125,7 +129,7 @@ func (s *EchoServer) handle(p *mem.Buf) {
 		m.Charge(m.CPU.ArenaAllocCy)
 		m.Copy(p.SimAddr(), staging.Sim, p.Len())
 		copy(staging.Data, p.Bytes())
-		if err := s.N.UDP.SendContiguous(staging.Data, staging.Sim); err != nil {
+		if err := s.N.stack.SendContiguous(staging.Data, staging.Sim); err != nil {
 			s.Errors++
 		}
 		p.DecRef()
@@ -139,7 +143,6 @@ func (s *EchoServer) handle(p *mem.Buf) {
 // the configured library.
 func (s *EchoServer) handleLib(p *mem.Buf) {
 	ctx := s.N.Ctx
-	m := s.N.Meter
 	if s.Sys == SysCornflakes {
 		req, err := msgs.DeserializeGetM(ctx, p)
 		if err != nil {
@@ -155,7 +158,7 @@ func (s *EchoServer) handleLib(p *mem.Buf) {
 			// the threshold recover the RX RcBuf and echo zero-copy.
 			resp.AppendVals(ctx.NewCFPtr(req.Vals(j)))
 		}
-		if err := s.N.UDP.SendObject(resp.Obj()); err != nil {
+		if err := s.N.stack.SendObject(resp.Obj()); err != nil {
 			s.Errors++
 		}
 		resp.Release()
@@ -164,18 +167,7 @@ func (s *EchoServer) handleLib(p *mem.Buf) {
 	}
 
 	defer p.DecRef()
-	var (
-		req *baselines.Doc
-		err error
-	)
-	switch s.Sys {
-	case SysProtobuf:
-		req, err = baselines.ProtoUnmarshal(msgs.GetMSchema, p.Bytes(), p.SimAddr(), m)
-	case SysFlatBuffers:
-		req, err = baselines.FBDecode(msgs.GetMSchema, p.Bytes(), p.SimAddr(), m)
-	default:
-		req, err = baselines.CapnpDecode(msgs.GetMSchema, p.Bytes(), p.SimAddr(), m)
-	}
+	req, err := s.Sys.DecodeDoc(msgs.GetMSchema, p.Bytes(), p.SimAddr(), s.N.Meter)
 	if err != nil {
 		s.Errors++
 		return
@@ -185,21 +177,7 @@ func (s *EchoServer) handleLib(p *mem.Buf) {
 	for j, v := range req.F[2].B {
 		resp.AddBytes(2, v, req.F[2].Sim[j])
 	}
-	switch s.Sys {
-	case SysProtobuf:
-		size := baselines.ProtoSize(resp, m)
-		err = s.N.UDP.SendWith(size, func(dst []byte, dstSim uint64) int {
-			return baselines.ProtoMarshal(resp, dst, dstSim, m)
-		})
-	case SysFlatBuffers:
-		buf, bufSim := baselines.FBBuildSim(resp, m)
-		err = s.N.UDP.SendContiguous(buf, bufSim)
-	default:
-		cm := baselines.CapnpBuild(resp, m)
-		segs, sims := baselines.CapnpFlatten(cm)
-		err = s.N.UDP.SendSegments(segs, sims)
-	}
-	if err != nil {
+	if err := s.Sys.sendDoc(s.N, resp); err != nil {
 		s.Errors++
 	}
 }
@@ -246,23 +224,7 @@ func (c *EchoClient) BuildStep(id uint64, _ workloads.Request, _ int) []byte {
 	for i := 0; i < c.NumFields; i++ {
 		d.AddBytes(2, field, 0)
 	}
-	m := c.N.Meter
-	switch c.Sys {
-	case SysProtobuf:
-		buf := make([]byte, baselines.ProtoSize(d, m))
-		n := baselines.ProtoMarshal(d, buf, m.AllocSimAddr(len(buf)), m)
-		return buf[:n]
-	case SysFlatBuffers:
-		return baselines.FBBuild(d, m)
-	default:
-		cm := baselines.CapnpBuild(d, m)
-		segs, _ := baselines.CapnpFlatten(cm)
-		var out []byte
-		for _, seg := range segs {
-			out = append(out, seg...)
-		}
-		return out
-	}
+	return c.Sys.EncodeDoc(d, c.N.Meter)
 }
 
 // ResponseID implements loadgen.Client.
@@ -273,20 +235,7 @@ func (c *EchoClient) ResponseID(p []byte) (uint64, error) {
 		}
 		return wire.GetU64(p), nil
 	}
-	var (
-		id uint64
-		ok bool
-	)
-	switch c.Sys {
-	case SysCornflakes:
-		id, ok = core.PeekID(p)
-	case SysProtobuf:
-		id, ok = baselines.ProtoPeekID(p)
-	case SysFlatBuffers:
-		id, ok = baselines.FBPeekID(p)
-	default:
-		id, ok = baselines.CapnpPeekID(p)
-	}
+	id, ok := c.Sys.PeekID(p)
 	if !ok {
 		return 0, errShortResponse
 	}

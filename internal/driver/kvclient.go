@@ -55,7 +55,7 @@ func (c *KVClient) BuildStep(id uint64, req workloads.Request, step int) []byte 
 	if c.Sys == SysCornflakes {
 		return append([]byte{ob}, c.buildCF(id, req, step)...)
 	}
-	return append([]byte{ob}, c.buildDoc(id, req, step)...)
+	return append([]byte{ob}, c.Sys.EncodeDoc(buildDoc(id, req, step), c.N.Meter)...)
 }
 
 func (c *KVClient) buildCF(id uint64, req workloads.Request, step int) []byte {
@@ -94,7 +94,8 @@ func (c *KVClient) buildCF(id uint64, req workloads.Request, step int) []byte {
 	}
 }
 
-func (c *KVClient) buildDoc(id uint64, req workloads.Request, step int) []byte {
+// buildDoc is buildCF's request as a baseline document.
+func buildDoc(id uint64, req workloads.Request, step int) *baselines.Doc {
 	var d *baselines.Doc
 	switch req.Op {
 	case workloads.OpGet:
@@ -122,41 +123,12 @@ func (c *KVClient) buildDoc(id uint64, req workloads.Request, step int) []byte {
 		d.SetBytes(1, req.Keys[0], 0)
 		d.SetBytes(2, req.Vals[0], 0)
 	}
-	m := c.N.Meter
-	switch c.Sys {
-	case SysProtobuf:
-		buf := make([]byte, baselines.ProtoSize(d, m))
-		n := baselines.ProtoMarshal(d, buf, m.AllocSimAddr(len(buf)), m)
-		return buf[:n]
-	case SysFlatBuffers:
-		return baselines.FBBuild(d, m)
-	default:
-		cm := baselines.CapnpBuild(d, m)
-		segs, _ := baselines.CapnpFlatten(cm)
-		var out []byte
-		for _, s := range segs {
-			out = append(out, s...)
-		}
-		return out
-	}
+	return d
 }
 
 // ResponseID implements loadgen.Client.
 func (c *KVClient) ResponseID(p []byte) (uint64, error) {
-	var (
-		id uint64
-		ok bool
-	)
-	switch c.Sys {
-	case SysCornflakes:
-		id, ok = core.PeekID(p)
-	case SysProtobuf:
-		id, ok = baselines.ProtoPeekID(p)
-	case SysFlatBuffers:
-		id, ok = baselines.FBPeekID(p)
-	default:
-		id, ok = baselines.CapnpPeekID(p)
-	}
+	id, ok := c.Sys.PeekID(p)
 	if !ok {
 		return 0, fmt.Errorf("driver: cannot extract id from %s response", c.Sys)
 	}

@@ -130,11 +130,7 @@ type batchedReq struct {
 // soak drives the KV workload over lossy TCP links).
 func NewKVServer(n *Node, sys System) *KVServer {
 	s := &KVServer{N: n, Store: kvstore.New(n.Alloc, n.Meter), Sys: sys}
-	if n.TCP != nil {
-		n.TCP.SetRecvHandler(s.onPayload)
-	} else {
-		n.UDP.SetRecvHandler(s.onPayload)
-	}
+	n.stack.SetRecvHandler(s.onPayload)
 	return s
 }
 
@@ -151,13 +147,16 @@ func NewSegmentedKVServer(n *Node, sys System) *KVServer {
 
 // Preload loads records into the store and clears measurement state so
 // preloading work is not billed to any request.
+func (s *KVServer) Preload(recs []workloads.KV) { preload(s.N, s.Store, recs) }
+
+// preload fills a node's store with recs, then drains the node's meter.
 //
 // Allocation is interleaved across records segment-by-segment so that the
 // buffers of one multi-segment value are non-contiguous in memory — the
 // paper's store is explicit that "individual values are allocated
 // non-contiguously" (§5.1), and contiguity would let the prefetcher make
 // both copies and refcount walks unrealistically cheap.
-func (s *KVServer) Preload(recs []workloads.KV) {
+func preload(n *Node, store *kvstore.Store, recs []workloads.KV) {
 	maxSegs := 0
 	for _, r := range recs {
 		if len(r.Vals) > maxSegs {
@@ -171,16 +170,16 @@ func (s *KVServer) Preload(recs []workloads.KV) {
 				continue
 			}
 			v := recs[i].Vals[seg]
-			b := s.N.Alloc.Alloc(len(v))
+			b := n.Alloc.Alloc(len(v))
 			copy(b.Bytes(), v)
 			bufs[i] = append(bufs[i], b)
 		}
 	}
 	for i, r := range recs {
-		s.Store.PutBuf(r.Key, bufs[i]...)
+		store.PutBuf(r.Key, bufs[i]...)
 	}
-	s.N.Meter.Drain()
-	s.N.Meter.TakeReceipt()
+	n.Meter.Drain()
+	n.Meter.TakeReceipt()
 }
 
 // Deliver injects a request payload directly (used by the multi-core
@@ -301,7 +300,7 @@ func (s *KVServer) onPayload(p *mem.Buf) {
 	var tid uint64
 	traced := false
 	if s.Trace != nil {
-		tid, traced = s.reqID(p.Bytes())
+		tid, traced = peekRequestID(s.Sys, p.Bytes())
 	}
 	if s.batched() {
 		s.enqueue(p, tid, traced, src)
@@ -445,19 +444,13 @@ func (s *KVServer) drain() sim.Time {
 	return total
 }
 
-// reqID peeks the request id out of a framed request payload without a
-// full (metered) deserialization — just enough to address a shed reply.
-func (s *KVServer) reqID(p []byte) (uint64, bool) {
-	return peekRequestID(s.Sys, p)
-}
-
 // shed rejects a request with an explicit ShedReply. The check runs at
 // frame-delivery time (before the request consumes a core slot), so the
 // reply costs the server only the peek and a header-sized send — that is
 // the point: shedding must stay cheap when the server cannot afford work.
 func (s *KVServer) shed(p *mem.Buf) {
 	defer p.DecRef()
-	id, ok := s.reqID(p.Bytes())
+	id, ok := peekRequestID(s.Sys, p.Bytes())
 	if !ok {
 		// Unparseable request: no id to address, nothing to reply to.
 		s.Shed++
@@ -559,10 +552,8 @@ func (s *KVServer) sendObj(obj core.Obj) {
 		err = s.Seg.SendObjectSegmented(obj)
 	case s.UseSGArray:
 		err = s.N.UDP.SendObjectViaSGArray(obj)
-	case s.N.TCP != nil:
-		err = s.N.TCP.SendObject(obj)
 	default:
-		err = s.N.UDP.SendObject(obj)
+		err = s.N.stack.SendObject(obj)
 	}
 	if err != nil {
 		s.Errors++
@@ -704,38 +695,8 @@ func reqSchema(op byte) *core.Schema {
 	return nil
 }
 
-func (s *KVServer) decodeDoc(schema *core.Schema, data []byte, sim uint64) (*baselines.Doc, error) {
-	m := s.N.Meter
-	switch s.Sys {
-	case SysProtobuf:
-		return baselines.ProtoUnmarshal(schema, data, sim, m)
-	case SysFlatBuffers:
-		return baselines.FBDecode(schema, data, sim, m)
-	default:
-		return baselines.CapnpDecode(schema, data, sim, m)
-	}
-}
-
 func (s *KVServer) sendDoc(d *baselines.Doc) {
-	m := s.N.Meter
-	var err error
-	switch s.Sys {
-	case SysProtobuf:
-		// Protobuf serializes from its structs directly into DMA-safe
-		// memory (§6.1.3): one copy of field data.
-		size := baselines.ProtoSize(d, m)
-		err = s.N.UDP.SendWith(size, func(dst []byte, dstSim uint64) int {
-			return baselines.ProtoMarshal(d, dst, dstSim, m)
-		})
-	case SysFlatBuffers:
-		buf, bufSim := baselines.FBBuildSim(d, m)
-		err = s.N.UDP.SendContiguous(buf, bufSim)
-	default:
-		cm := baselines.CapnpBuild(d, m)
-		segs, sims := baselines.CapnpFlatten(cm)
-		err = s.N.UDP.SendSegments(segs, sims)
-	}
-	if err != nil {
+	if err := s.Sys.sendDoc(s.N, d); err != nil {
 		s.Errors++
 	}
 }
@@ -759,7 +720,7 @@ func (s *KVServer) handleDoc(op byte, p *mem.Buf) {
 		return
 	}
 	m.SetCategory(costmodel.CatDeserialize)
-	req, err := s.decodeDoc(schema, data, sim)
+	req, err := s.Sys.DecodeDoc(schema, data, sim, m)
 	if err != nil {
 		s.Errors++
 		return

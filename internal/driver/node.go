@@ -17,36 +17,6 @@ import (
 	"cornflakes/internal/wire"
 )
 
-// System identifies a serialization system under test.
-type System int
-
-const (
-	SysCornflakes System = iota
-	SysProtobuf
-	SysFlatBuffers
-	SysCapnProto
-)
-
-func (s System) String() string {
-	switch s {
-	case SysCornflakes:
-		return "Cornflakes"
-	case SysProtobuf:
-		return "Protobuf"
-	case SysFlatBuffers:
-		return "FlatBuffers"
-	case SysCapnProto:
-		return "Cap'n Proto"
-	default:
-		return "unknown"
-	}
-}
-
-// AllSystems lists the four compared systems in the paper's table order.
-func AllSystems() []System {
-	return []System{SysCornflakes, SysProtobuf, SysFlatBuffers, SysCapnProto}
-}
-
 // Request op tags: one framing byte ahead of the serialized request names
 // the operation, like an RPC method id.
 const (
@@ -96,6 +66,17 @@ type Node struct {
 	UDP   *netstack.UDP
 	TCP   *netstack.TCPConn
 	Core  *sim.Core
+
+	// stack is whichever of UDP and TCP the node runs.
+	stack stack
+}
+
+// stack is the transport surface netstack.UDP and netstack.TCPConn share:
+// servers that run over either reach the node's stack through it.
+type stack interface {
+	SetRecvHandler(fn func(payload *mem.Buf))
+	SendObject(obj core.Obj) error
+	SendContiguous(payload []byte, sim uint64) error
 }
 
 // rxRingDepth bounds the server's pending-request queue, modelling the RX
@@ -133,8 +114,10 @@ func newNode(eng *sim.Engine, port *nic.Port, useTCP bool, cache *cachesim.Hiera
 	n.Core.MaxQueue = rxRingDepth
 	if useTCP {
 		n.TCP = netstack.NewTCPConn(eng, port, alloc, meter)
+		n.stack = n.TCP
 	} else {
 		n.UDP = netstack.NewUDP(eng, port, alloc, meter)
+		n.stack = n.UDP
 	}
 	return n
 }

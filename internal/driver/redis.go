@@ -35,33 +35,8 @@ func NewRedisServer(n *Node, mode redis.Mode) *RedisServer {
 	return s
 }
 
-// Preload loads records and clears metering state. Like KVServer.Preload,
-// multi-segment values are allocated non-contiguously.
-func (s *RedisServer) Preload(recs []workloads.KV) {
-	maxSegs := 0
-	for _, r := range recs {
-		if len(r.Vals) > maxSegs {
-			maxSegs = len(r.Vals)
-		}
-	}
-	bufs := make([][]*mem.Buf, len(recs))
-	for seg := 0; seg < maxSegs; seg++ {
-		for i := range recs {
-			if seg >= len(recs[i].Vals) || len(recs[i].Vals[seg]) == 0 {
-				continue
-			}
-			v := recs[i].Vals[seg]
-			b := s.N.Alloc.Alloc(len(v))
-			copy(b.Bytes(), v)
-			bufs[i] = append(bufs[i], b)
-		}
-	}
-	for i, r := range recs {
-		s.Store.PutBuf(r.Key, bufs[i]...)
-	}
-	s.N.Meter.Drain()
-	s.N.Meter.TakeReceipt()
-}
+// Preload loads records and clears metering state, like KVServer.Preload.
+func (s *RedisServer) Preload(recs []workloads.KV) { preload(s.N, s.Store, recs) }
 
 func (s *RedisServer) onPayload(p *mem.Buf) {
 	ok := s.N.Core.Submit(sim.Job{Run: func() sim.Time {

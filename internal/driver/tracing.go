@@ -3,8 +3,6 @@ package driver
 import (
 	"fmt"
 
-	"cornflakes/internal/baselines"
-	"cornflakes/internal/core"
 	"cornflakes/internal/netstack"
 	"cornflakes/internal/nic"
 	"cornflakes/internal/trace"
@@ -22,17 +20,7 @@ func peekRequestID(sys System, p []byte) (uint64, bool) {
 	if len(p) < 2 {
 		return 0, false
 	}
-	body := p[1:]
-	switch sys {
-	case SysCornflakes:
-		return core.PeekID(body)
-	case SysProtobuf:
-		return baselines.ProtoPeekID(body)
-	case SysFlatBuffers:
-		return baselines.FBPeekID(body)
-	default:
-		return baselines.CapnpPeekID(body)
-	}
+	return sys.PeekID(p[1:])
 }
 
 // peekResponseID extracts the request id from a response payload — a
@@ -41,16 +29,7 @@ func peekResponseID(sys System, p []byte) (uint64, bool) {
 	if id, ok := ShedID(p); ok {
 		return id, true
 	}
-	switch sys {
-	case SysCornflakes:
-		return core.PeekID(p)
-	case SysProtobuf:
-		return baselines.ProtoPeekID(p)
-	case SysFlatBuffers:
-		return baselines.FBPeekID(p)
-	default:
-		return baselines.CapnpPeekID(p)
-	}
+	return sys.PeekID(p)
 }
 
 // AttachTracer wires a tracer into a testbed's transport layers, using the

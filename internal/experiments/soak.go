@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 
 	"cornflakes/internal/driver"
@@ -156,7 +157,7 @@ func soakFinish(res *SoakResult, tb *driver.Testbed, clientBase, serverBase int6
 func SoakEcho(seed uint64) SoakResult {
 	res := SoakResult{Workload: "echo", Seed: seed, Total: soakMessages}
 	tb := driver.NewTCPTestbed(nic.MellanoxCX6())
-	driver.NewTCPEchoServer(tb.Server, driver.TCPEchoRaw)
+	driver.NewEchoServer(tb.Server, driver.EchoOneCopy, driver.SysCornflakes, 0, 0)
 	ab, ba := faults.Apply(soakPlan(seed), tb.Client.TCP.Port, tb.Server.TCP.Port)
 
 	clientBase := tb.Client.Alloc.Stats().SlotsInUse
@@ -192,7 +193,7 @@ func SoakEcho(seed uint64) SoakResult {
 			return
 		}
 		id := wire.GetU64(p.Bytes())
-		if !bytesEqual(p.Bytes(), payload(id)) {
+		if !bytes.Equal(p.Bytes(), payload(id)) {
 			res.Mismatches++
 		}
 		res.Completed++
@@ -277,7 +278,7 @@ func SoakKV(seed uint64) SoakResult {
 			res.Mismatches++
 		} else {
 			for j, k := range ks {
-				if !bytesEqual(m.Vals(j), vals[k]) {
+				if !bytes.Equal(m.Vals(j), vals[k]) {
 					res.Mismatches++
 					break
 				}
@@ -293,18 +294,6 @@ func SoakKV(seed uint64) SoakResult {
 	}
 	soakFinish(&res, tb, clientBase, serverBase, ab, ba)
 	return res
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Soak runs the full seeded scenario sweep and reports aggregate fault and

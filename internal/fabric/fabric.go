@@ -40,20 +40,12 @@ type Config struct {
 	// port — its rates divide by zero — so the sentinel costs nothing.)
 	Port nic.Profile
 	// LatencyNs is the fixed store-and-forward switching delay per frame.
-	// Zero selects 300 ns, a typical ToR pipeline plus lookup; ExplicitZero
-	// (any negative value) selects a genuinely zero-latency cut-through
-	// stage, which the zero-as-unset sentinel could not express.
+	// Zero selects 300 ns, a typical ToR pipeline plus lookup.
 	LatencyNs float64
 	// EgressDepth bounds each output queue in frames; beyond it the switch
-	// tail-drops. Zero selects 256; ExplicitZero forwards nothing (every
-	// frame tail-drops), the degenerate bound a backpressure test wants.
+	// tail-drops. Zero selects 256.
 	EgressDepth int
 }
-
-// ExplicitZero marks a Config field as deliberately zero where the zero
-// value means "unset, use the default". Any negative value works; this
-// constant names the intent. New normalizes it to an actual zero.
-const ExplicitZero = -1
 
 // DefaultConfig returns the standard 100 Gbps ToR configuration.
 func DefaultConfig() Config {
@@ -124,23 +116,18 @@ type Switch struct {
 	misrouted uint64
 }
 
-// New builds a switch on eng. Zero-valued Config fields take defaults;
-// negative values (ExplicitZero) normalize to an actual zero.
+// New builds a switch on eng. Zero-valued Config fields take the
+// DefaultConfig values.
 func New(eng *sim.Engine, cfg Config) *Switch {
+	def := DefaultConfig()
 	if cfg.Port.Name == "" {
-		cfg.Port = TorPortProfile(100)
+		cfg.Port = def.Port
 	}
-	switch {
-	case cfg.LatencyNs < 0:
-		cfg.LatencyNs = 0
-	case cfg.LatencyNs == 0:
-		cfg.LatencyNs = 300
+	if cfg.LatencyNs == 0 {
+		cfg.LatencyNs = def.LatencyNs
 	}
-	switch {
-	case cfg.EgressDepth < 0:
-		cfg.EgressDepth = 0
-	case cfg.EgressDepth == 0:
-		cfg.EgressDepth = 256
+	if cfg.EgressDepth == 0 {
+		cfg.EgressDepth = def.EgressDepth
 	}
 	return &Switch{eng: eng, cfg: cfg}
 }
@@ -234,13 +221,7 @@ func (s *Switch) egressDone(q *swPort, rec nic.TxRecord) {
 // port: doorbell + per-entry + DMA occupancy, plus pipeline latency, plus
 // wire serialization — the same terms nic.Port charges, with no queueing.
 func unloadedNs(prof nic.Profile, bytes, entries int) float64 {
-	db := prof.DoorbellNs
-	if db < 0 { // ExplicitZero: genuinely free doorbell
-		db = 0
-	} else if db == 0 {
-		db = prof.PacketOccupancyNs
-	}
-	occ := db + prof.EntryOccupancyNs*float64(entries) + float64(bytes)*8/prof.DMAGbps
+	occ := prof.PacketOccupancyNs + prof.EntryOccupancyNs*float64(entries) + float64(bytes)*8/prof.DMAGbps
 	lat := prof.PerPacketNs + prof.PerEntryDMANs*float64(entries)
 	wire := float64(bytes) * 8 / prof.LinkGbps
 	return occ + lat + wire

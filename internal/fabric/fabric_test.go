@@ -285,43 +285,12 @@ func deliveryTime(t *testing.T, cfg Config) sim.Time {
 	return at
 }
 
-// TestConfigExplicitZeroLatency is the regression test for the explicit-zero
-// config bug: LatencyNs == 0 means "unset, use 300 ns", so a deliberately
-// zero-latency cut-through stage was silently inflated by the default. The
-// ExplicitZero sentinel must yield a switch that is exactly the 300 ns
-// default faster than the zero-value config.
-func TestConfigExplicitZeroLatency(t *testing.T) {
-	def := deliveryTime(t, Config{})                        // zero value → 300 ns default
-	pinned := deliveryTime(t, Config{LatencyNs: 300})       // explicit default
-	cut := deliveryTime(t, Config{LatencyNs: ExplicitZero}) // genuinely zero
+// TestConfigZeroLatencyMeansDefault pins the zero-value convention:
+// LatencyNs == 0 means "unset, use the 300 ns default".
+func TestConfigZeroLatencyMeansDefault(t *testing.T) {
+	def := deliveryTime(t, Config{})                  // zero value → 300 ns default
+	pinned := deliveryTime(t, Config{LatencyNs: 300}) // explicit default
 	if def != pinned {
 		t.Errorf("zero-value LatencyNs delivered at %v, explicit 300 at %v; zero must mean the 300 ns default", def, pinned)
-	}
-	if want := def - sim.FromNanos(300); cut != want {
-		t.Errorf("ExplicitZero latency delivered at %v, want %v (exactly 300 ns ahead of the default)", cut, want)
-	}
-}
-
-// TestConfigExplicitZeroEgressDepth pins the other sentinel: a zero-frame
-// output queue (the degenerate bound a backpressure test wants) must
-// tail-drop everything, while the zero value still means the 256 default.
-func TestConfigExplicitZeroEgressDepth(t *testing.T) {
-	eng := sim.NewEngine()
-	sw := New(eng, Config{EgressDepth: ExplicitZero})
-	epA, addrA := sw.PlugIn(nic.MellanoxCX6(), sim.Microsecond)
-	epB, addrB := sw.PlugIn(nic.MellanoxCX6(), sim.Microsecond)
-	received := 0
-	epB.SetHandler(func(f *nic.Frame) { received++ })
-	for i := 0; i < 3; i++ {
-		if err := epA.Send([]nic.SGEntry{{Data: frame(addrB, addrA, []byte("drop me"))}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run()
-	if received != 0 {
-		t.Errorf("zero-depth egress delivered %d frames, want 0", received)
-	}
-	if st := sw.Stats(addrB); st.EgressDrops != 3 {
-		t.Errorf("EgressDrops = %d, want all 3 frames tail-dropped", st.EgressDrops)
 	}
 }

@@ -45,7 +45,10 @@ type Profile struct {
 	// PacketOccupancyNs and EntryOccupancyNs are the DMA engine's
 	// throughput costs: the pipeline issues a new frame every
 	// PacketOccupancyNs + entries*EntryOccupancyNs + bytes/DMAGbps,
-	// regardless of the end-to-end assembly latency.
+	// regardless of the end-to-end assembly latency. PacketOccupancyNs is
+	// also the per-doorbell cost — fetching a fresh batch of descriptors
+	// after a tail-pointer write — which is exactly what batching
+	// amortizes: only the first frame of a burst pays it.
 	PacketOccupancyNs float64
 	EntryOccupancyNs  float64
 	// DMAGbps is the DMA engine's effective read bandwidth.
@@ -56,19 +59,7 @@ type Profile struct {
 	// doorbell. Zero or one means the NIC takes no amortization: every
 	// frame pays the full per-doorbell cost, as in Send.
 	MaxTxBurst int
-	// DoorbellNs is the DMA engine's per-doorbell occupancy — the fixed
-	// cost of fetching a fresh batch of descriptors after a tail-pointer
-	// write. Zero means PacketOccupancyNs (the default profiles fold the
-	// doorbell into the per-packet cost, which is exactly what batching
-	// amortizes: only the first frame of a burst pays it). ExplicitZero
-	// (any negative value) means a free doorbell.
-	DoorbellNs float64
 }
-
-// ExplicitZero marks a Profile or link knob as deliberately zero where the
-// zero value itself means "unset, use the default". Any negative value
-// works; this constant names the intent.
-const ExplicitZero = -1
 
 // MellanoxCX5Ex models the CloudLab c6525-100g NIC used for the §5
 // measurement study.
@@ -398,22 +389,6 @@ func (e *ErrTooManyEntries) Error() string {
 	return fmt.Sprintf("nic: %d scatter-gather entries exceeds hardware limit %d", e.Entries, e.Max)
 }
 
-// doorbellNs returns the per-doorbell DMA occupancy: the explicit
-// DoorbellNs knob if set, else PacketOccupancyNs (the default profiles fold
-// the doorbell cost into the per-packet cost). A negative DoorbellNs
-// (ExplicitZero) means a genuinely free doorbell — without the sentinel a
-// zero-cost doorbell was indistinguishable from "unset" and silently
-// charged the per-packet fallback.
-func (p *Port) doorbellNs() float64 {
-	if p.prof.DoorbellNs < 0 {
-		return 0
-	}
-	if p.prof.DoorbellNs > 0 {
-		return p.prof.DoorbellNs
-	}
-	return p.prof.PacketOccupancyNs
-}
-
 // Send posts a frame described by a gather list. The NIC asynchronously:
 //  1. gathers the entries over PCIe (DMA engine is a FIFO resource),
 //  2. fires each entry's Release when its data has been read,
@@ -425,7 +400,7 @@ func (p *Port) doorbellNs() float64 {
 // safety model explicitly does not protect against.
 func (p *Port) Send(entries []SGEntry) error {
 	p.TxDoorbells++
-	return p.send(entries, p.doorbellNs())
+	return p.send(entries, p.prof.PacketOccupancyNs)
 }
 
 // SendBatch posts a burst of frames under amortized doorbells: frames are
@@ -447,7 +422,7 @@ func (p *Port) SendBatch(frames [][]SGEntry) (int, error) {
 		db := 0.0
 		if i%burst == 0 {
 			p.TxDoorbells++
-			db = p.doorbellNs()
+			db = p.prof.PacketOccupancyNs
 		}
 		if err := p.send(f, db); err != nil {
 			return i, err
@@ -633,11 +608,4 @@ func (op *rxOp) deliver() {
 	}
 	op.frame = Frame{}
 	p.rxPool = append(p.rxPool, op)
-}
-
-func max(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -207,33 +207,3 @@ func TestProfiles(t *testing.T) {
 		t.Error("E810 must have the 8-entry SG limit from §6.3")
 	}
 }
-
-// TestDoorbellExplicitZero is the profile-audit half of the explicit-zero
-// fix: DoorbellNs == 0 means "unset, fold the doorbell into the per-packet
-// cost", so a genuinely free doorbell (an offloaded or batched-away ring)
-// was silently charged PacketOccupancyNs. The ExplicitZero sentinel must
-// remove exactly that occupancy from the DMA stage.
-func TestDoorbellExplicitZero(t *testing.T) {
-	deliver := func(doorbellNs float64) sim.Time {
-		eng := sim.NewEngine()
-		prof := MellanoxCX6()
-		prof.DoorbellNs = doorbellNs
-		a, b := Link(eng, prof, prof, sim.FromNanos(1000))
-		var at sim.Time
-		b.SetHandler(func(f *Frame) { at = eng.Now() })
-		if err := a.Send([]SGEntry{{Data: make([]byte, 256)}}); err != nil {
-			t.Fatal(err)
-		}
-		eng.Run()
-		return at
-	}
-	unset := deliver(0)                                // folds into PacketOccupancyNs
-	pinned := deliver(MellanoxCX6().PacketOccupancyNs) // explicit fold
-	free := deliver(ExplicitZero)                      // genuinely free
-	if unset != pinned {
-		t.Errorf("unset DoorbellNs delivered at %v, explicit fallback at %v; zero must mean the per-packet fold", unset, pinned)
-	}
-	if want := unset - sim.FromNanos(MellanoxCX6().PacketOccupancyNs); free != want {
-		t.Errorf("ExplicitZero doorbell delivered at %v, want %v (occupancy removed)", free, want)
-	}
-}

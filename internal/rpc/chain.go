@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"strconv"
+
 	"cornflakes/internal/cachesim"
 	"cornflakes/internal/costmodel"
 	"cornflakes/internal/driver"
@@ -89,13 +91,13 @@ func NewChain(cfg ChainConfig) *Chain {
 
 	tiers := make([]*Service, cfg.Depth)
 	for i := 0; i < cfg.Depth; i++ {
-		tiers[i] = mk("t"+string('0'+byte(i+1)), i+1)
+		tiers[i] = mk("t"+strconv.Itoa(i+1), i+1)
 	}
 	for i := 0; i < cfg.Depth-1; i++ {
 		tiers[i].Backends = []byte{tiers[i+1].Addr}
 	}
 	for j := 0; j < cfg.Fanout; j++ {
-		leaf := mk("leaf"+string('0'+byte(j)), cfg.Depth+1)
+		leaf := mk("leaf"+strconv.Itoa(j), cfg.Depth+1)
 		c.Leaves = append(c.Leaves, leaf)
 		tiers[cfg.Depth-1].Backends = append(tiers[cfg.Depth-1].Backends, leaf.Addr)
 	}

@@ -111,7 +111,7 @@ func (c codec) buildCall(h Header, key, val []byte) []byte {
 	d.SetInt(0, h.CallID)
 	d.SetBytes(1, key, 0)
 	d.SetBytes(2, val, 0)
-	return c.buildDoc(h, d)
+	return c.frame(h, c.sys.EncodeDoc(d, c.n.Meter))
 }
 
 // buildReply serializes a reply frame: header + GetResp body.
@@ -128,7 +128,7 @@ func (c codec) buildReply(h Header, val []byte) []byte {
 	d := baselines.NewDoc(msgs.GetRespSchema)
 	d.SetInt(0, h.CallID)
 	d.SetBytes(1, val, 0)
-	return c.buildDoc(h, d)
+	return c.frame(h, c.sys.EncodeDoc(d, c.n.Meter))
 }
 
 func (c codec) frame(h Header, body []byte) []byte {
@@ -136,28 +136,6 @@ func (c codec) frame(h Header, body []byte) []byte {
 	h.EncodeTo(out)
 	copy(out[HeaderLen:], body)
 	return out
-}
-
-func (c codec) buildDoc(h Header, d *baselines.Doc) []byte {
-	m := c.n.Meter
-	switch c.sys {
-	case driver.SysProtobuf:
-		size := baselines.ProtoSize(d, m)
-		out := make([]byte, HeaderLen+size)
-		h.EncodeTo(out)
-		n := baselines.ProtoMarshal(d, out[HeaderLen:], m.AllocSimAddr(size), m)
-		return out[:HeaderLen+n]
-	case driver.SysFlatBuffers:
-		return c.frame(h, baselines.FBBuild(d, m))
-	default:
-		cm := baselines.CapnpBuild(d, m)
-		segs, _ := baselines.CapnpFlatten(cm)
-		var body []byte
-		for _, s := range segs {
-			body = append(body, s...)
-		}
-		return c.frame(h, body)
-	}
 }
 
 // decodeBody deserializes a frame's body through the metered path and
@@ -186,22 +164,11 @@ func (c codec) decodeBody(p *mem.Buf, reply bool) error {
 		return nil
 	}
 	defer p.DecRef()
-	data := p.Bytes()[HeaderLen:]
-	simAddr := p.SimAddr() + HeaderLen
 	schema := msgs.PutReqSchema
 	if reply {
 		schema = msgs.GetRespSchema
 	}
-	var err error
-	switch c.sys {
-	case driver.SysProtobuf:
-		_, err = baselines.ProtoUnmarshal(schema, data, simAddr, c.n.Meter)
-	case driver.SysFlatBuffers:
-		_, err = baselines.FBDecode(schema, data, simAddr, c.n.Meter)
-	default:
-		_, err = baselines.CapnpDecode(schema, data, simAddr, c.n.Meter)
-	}
-	if err != nil {
+	if _, err := c.sys.DecodeDoc(schema, p.Bytes()[HeaderLen:], p.SimAddr()+HeaderLen, c.n.Meter); err != nil {
 		return fmt.Errorf("rpc: decode %s body: %w", c.sys, err)
 	}
 	return nil

@@ -229,3 +229,20 @@ func TestChainDeterminism(t *testing.T) {
 		t.Fatalf("nondeterministic chain run:\n  a=%+v\n  b=%+v", a, b)
 	}
 }
+
+// Names carry multi-digit numbers past nine: tier 10 is "t10" (its name
+// rides every call as the key bytes), leaf 10 is "leaf10", and tier 10's
+// trace phases read "rpc.h10.*".
+func TestChainNamesPastNine(t *testing.T) {
+	c := NewChain(chainCfg(driver.SysCornflakes, 11, 11))
+	t10, leaf10 := c.Services[9], c.Leaves[10]
+	if t10.Name != "t10" || string(t10.keyBuf) != "t10" {
+		t.Errorf("tier 10 named %q with key %q, want t10", t10.Name, t10.keyBuf)
+	}
+	if leaf10.Name != "leaf10" {
+		t.Errorf("leaf 10 named %q, want leaf10", leaf10.Name)
+	}
+	if got := t10.phase("handle"); got != "rpc.h10.handle" {
+		t.Errorf("tier 10 handle phase %q, want rpc.h10.handle", got)
+	}
+}

@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"strconv"
+
 	"cornflakes/internal/costmodel"
 	"cornflakes/internal/driver"
 	"cornflakes/internal/mem"
@@ -130,7 +132,7 @@ func (s *Service) newCallID() uint64 {
 }
 
 func (s *Service) phase(what string) string {
-	return "rpc.h" + string('0'+byte(s.Hop)) + "." + what
+	return "rpc.h" + strconv.Itoa(s.Hop) + "." + what
 }
 
 // onPayload dispatches one delivered frame. Header inspection and fan-in

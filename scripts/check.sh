@@ -17,6 +17,17 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+echo "== one codec per system (library codecs called only via driver.System)"
+# The per-library wire decisions live in internal/driver/codec.go; any other
+# non-test file that calls a baseline codec has copied one back out.
+codec_calls=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e '^internal/baselines/' -e '^internal/driver/codec\.go$' |
+	xargs grep -l -e 'baselines\.Proto' -e 'baselines\.FB' -e 'baselines\.Capnp' || true)
+if [ -n "$codec_calls" ]; then
+	echo "library codec called outside internal/driver/codec.go:"
+	echo "$codec_calls"
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
