@@ -26,7 +26,6 @@ import (
 	"cornflakes/internal/cachesim"
 	"cornflakes/internal/costmodel"
 	"cornflakes/internal/driver"
-	"cornflakes/internal/fabric"
 	"cornflakes/internal/loadgen"
 	"cornflakes/internal/nic"
 	"cornflakes/internal/rpc"
@@ -44,7 +43,7 @@ func (constGen) Next(*rand.Rand) workloads.Request { return workloads.Request{Op
 func run(depth, fanout int, offload bool, rate float64) (loadgen.Result, *rpc.Chain) {
 	c := rpc.NewChain(rpc.ChainConfig{
 		Sys: driver.SysCornflakes, Profile: nic.MellanoxCX6(), Cache: cachesim.DefaultConfig(),
-		Fabric: fabric.Config{}, Depth: depth, Fanout: fanout,
+		Depth: depth, Fanout: fanout,
 		AppCycles: 1500, ReqBytes: 64, FwdBytes: 64, RespBytes: 128,
 		CallTimeout: 250 * sim.Microsecond,
 		Offload:     offload,

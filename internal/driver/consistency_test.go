@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"cornflakes/internal/baselines"
 	"cornflakes/internal/core"
 	"cornflakes/internal/costmodel"
 	"cornflakes/internal/loadgen"
@@ -33,79 +32,64 @@ func TestAllSystemsReturnIdenticalData(t *testing.T) {
 		})
 	}
 
-	fetch := func(sys System, key []byte) [][]byte {
+	// fetch sends one request through sys and returns a copy of each
+	// element of the reply's repeated field.
+	fetch := func(sys System, req workloads.Request, schema *core.Schema, field int) [][]byte {
 		tb := NewTestbed(nic.MellanoxCX6())
 		srv := NewKVServer(tb.Server, sys)
 		srv.Preload(recs)
 		client := NewKVClient(tb.Client, sys)
 		var vals [][]byte
 		tb.Client.UDP.SetRecvHandler(func(p *mem.Buf) {
-			defer p.DecRef()
-			switch sys {
-			case SysCornflakes:
-				m, err := tb.Client.Ctx.DeserializeBytes(msgs.GetListRespSchema, p.Bytes())
-				if err != nil {
-					t.Errorf("%s: decode: %v", sys, err)
-					return
-				}
-				for j := 0; j < m.ListLen(1); j++ {
-					vals = append(vals, append([]byte(nil), m.GetBytesElem(1, j)...))
-				}
-			case SysProtobuf:
-				d, err := baselines.ProtoUnmarshal(msgs.GetListRespSchema, p.Bytes(), 0, tb.Client.Meter)
-				if err != nil {
-					t.Errorf("%s: decode: %v", sys, err)
-					return
-				}
-				for _, b := range d.F[1].B {
-					vals = append(vals, append([]byte(nil), b...))
-				}
-			case SysFlatBuffers:
-				d, err := baselines.FBDecode(msgs.GetListRespSchema, p.Bytes(), 0, tb.Client.Meter)
-				if err != nil {
-					t.Errorf("%s: decode: %v", sys, err)
-					return
-				}
-				for _, b := range d.F[1].B {
-					vals = append(vals, append([]byte(nil), b...))
-				}
-			default:
-				d, err := baselines.CapnpDecode(msgs.GetListRespSchema, p.Bytes(), 0, tb.Client.Meter)
-				if err != nil {
-					t.Errorf("%s: decode: %v", sys, err)
-					return
-				}
-				for _, b := range d.F[1].B {
-					vals = append(vals, append([]byte(nil), b...))
-				}
+			m, err := sys.Decode(tb.Client, schema, p, 0)
+			if err != nil {
+				t.Errorf("%s: decode: %v", sys, err)
+				return
 			}
+			for j := 0; j < m.Len(field); j++ {
+				b, _ := m.Elem(field, j)
+				vals = append(vals, append([]byte(nil), b...))
+			}
+			m.Release()
 		})
-		payload := client.BuildStep(1, workloads.Request{
-			Op: workloads.OpGetList, Keys: [][]byte{key},
-		}, 0)
+		payload := client.BuildStep(1, req, 0)
 		tb.Client.UDP.SendContiguous(payload, mem.UnpinnedSimAddr(payload))
 		tb.Eng.Run()
 		return vals
 	}
 
+	// Inputs: a list get per record (every segment of its value), and one
+	// multi-get over three keys (the first segment of each value).
+	type input struct {
+		name   string
+		req    workloads.Request
+		schema *core.Schema
+		field  int
+		want   [][]byte
+	}
+	var inputs []input
 	for _, rec := range recs {
-		reference := fetch(SysCornflakes, rec.Key)
-		if len(reference) != len(rec.Vals) {
-			t.Fatalf("cornflakes returned %d values for %s, want %d", len(reference), rec.Key, len(rec.Vals))
-		}
-		for j := range rec.Vals {
-			if !bytes.Equal(reference[j], rec.Vals[j]) {
-				t.Fatalf("cornflakes value %d of %s differs from stored data", j, rec.Key)
+		inputs = append(inputs, input{"GetList " + string(rec.Key),
+			workloads.Request{Op: workloads.OpGetList, Keys: [][]byte{rec.Key}},
+			msgs.GetListRespSchema, 1, rec.Vals})
+	}
+	multi := input{name: "GetM", schema: msgs.GetMSchema, field: 2}
+	multi.req.Op = workloads.OpGetM
+	for _, i := range []int{5, 0, 3} {
+		multi.req.Keys = append(multi.req.Keys, recs[i].Key)
+		multi.want = append(multi.want, recs[i].Vals[0])
+	}
+	inputs = append(inputs, multi)
+
+	for _, in := range inputs {
+		for _, sys := range AllSystems() {
+			got := fetch(sys, in.req, in.schema, in.field)
+			if len(got) != len(in.want) {
+				t.Fatalf("%s: %s returned %d values, want %d", in.name, sys, len(got), len(in.want))
 			}
-		}
-		for _, sys := range []System{SysProtobuf, SysFlatBuffers, SysCapnProto} {
-			got := fetch(sys, rec.Key)
-			if len(got) != len(reference) {
-				t.Fatalf("%s returned %d values for %s, want %d", sys, len(got), rec.Key, len(reference))
-			}
-			for j := range reference {
-				if !bytes.Equal(got[j], reference[j]) {
-					t.Fatalf("%s value %d of %s differs from cornflakes", sys, j, rec.Key)
+			for j := range in.want {
+				if !bytes.Equal(got[j], in.want[j]) {
+					t.Fatalf("%s: %s value %d differs from stored data", in.name, sys, j)
 				}
 			}
 		}

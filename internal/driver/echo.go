@@ -1,8 +1,6 @@
 package driver
 
 import (
-	"cornflakes/internal/baselines"
-	"cornflakes/internal/core"
 	"cornflakes/internal/mem"
 	"cornflakes/internal/msgs"
 	"cornflakes/internal/sim"
@@ -140,46 +138,26 @@ func (s *EchoServer) handle(p *mem.Buf) {
 }
 
 // handleLib deserializes the GetM echo message and reserializes it with
-// the configured library.
+// the configured library. A Cornflakes echo sets views into the received
+// pinned buffer: fields at or above the threshold recover the RX RcBuf and
+// echo zero-copy.
 func (s *EchoServer) handleLib(p *mem.Buf) {
-	ctx := s.N.Ctx
-	if s.Sys == SysCornflakes {
-		req, err := msgs.DeserializeGetM(ctx, p)
-		if err != nil {
-			s.Errors++
-			p.DecRef()
-			return
-		}
-		resp := msgs.NewGetM(ctx)
-		resp.SetId(req.Id())
-		n := req.ValsLen()
-		for j := 0; j < n; j++ {
-			// Views into the received pinned buffer: fields at or above
-			// the threshold recover the RX RcBuf and echo zero-copy.
-			resp.AppendVals(ctx.NewCFPtr(req.Vals(j)))
-		}
-		if err := s.N.stack.SendObject(resp.Obj()); err != nil {
-			s.Errors++
-		}
-		resp.Release()
-		req.Release()
-		return
-	}
-
-	defer p.DecRef()
-	req, err := s.Sys.DecodeDoc(msgs.GetMSchema, p.Bytes(), p.SimAddr(), s.N.Meter)
+	req, err := s.Sys.Decode(s.N, msgs.GetMSchema, p, 0)
 	if err != nil {
 		s.Errors++
 		return
 	}
-	resp := baselines.NewDoc(msgs.GetMSchema)
-	resp.SetInt(0, req.F[0].I)
-	for j, v := range req.F[2].B {
-		resp.AddBytes(2, v, req.F[2].Sim[j])
+	resp := s.Sys.NewMsg(s.N, msgs.GetMSchema)
+	resp.SetInt(0, req.Int(0))
+	for j, n := 0, req.Len(2); j < n; j++ {
+		b, sim := req.Elem(2, j)
+		resp.AddBytes(2, b, sim)
 	}
-	if err := s.Sys.sendDoc(s.N, resp); err != nil {
+	if err := s.Sys.send(resp); err != nil {
 		s.Errors++
 	}
+	resp.Release()
+	req.Release()
 }
 
 // EchoClient builds echo requests and extracts response ids.
@@ -209,22 +187,15 @@ func (c *EchoClient) BuildStep(id uint64, _ workloads.Request, _ int) []byte {
 	for i := range field {
 		field[i] = byte(i)
 	}
-	if c.Sys == SysCornflakes {
-		ctx := c.N.Ctx
-		defer c.N.Arena.Reset()
-		msg := msgs.NewGetM(ctx)
-		msg.SetId(id)
-		for i := 0; i < c.NumFields; i++ {
-			msg.AppendVals(ctx.NewCFPtr(field))
-		}
-		return core.Marshal(msg.Obj())
-	}
-	d := baselines.NewDoc(msgs.GetMSchema)
-	d.SetInt(0, id)
+	defer c.N.Arena.Reset()
+	m := c.Sys.NewMsg(c.N, msgs.GetMSchema)
+	m.SetInt(0, id)
 	for i := 0; i < c.NumFields; i++ {
-		d.AddBytes(2, field, 0)
+		m.AddBytes(2, field, 0)
 	}
-	return c.Sys.EncodeDoc(d, c.N.Meter)
+	out := c.Sys.Marshal(m)
+	m.Release()
+	return out
 }
 
 // ResponseID implements loadgen.Client.

@@ -3,9 +3,6 @@ package driver
 import (
 	"fmt"
 
-	"cornflakes/internal/baselines"
-	"cornflakes/internal/core"
-	"cornflakes/internal/msgs"
 	"cornflakes/internal/workloads"
 )
 
@@ -49,81 +46,30 @@ func opByte(op workloads.Op) byte {
 	}
 }
 
-// BuildStep implements loadgen.Client.
+// BuildStep implements loadgen.Client: the op byte, then the request in
+// that op's schema.
 func (c *KVClient) BuildStep(id uint64, req workloads.Request, step int) []byte {
-	ob := opByte(req.Op)
-	if c.Sys == SysCornflakes {
-		return append([]byte{ob}, c.buildCF(id, req, step)...)
-	}
-	return append([]byte{ob}, c.Sys.EncodeDoc(buildDoc(id, req, step), c.N.Meter)...)
-}
-
-func (c *KVClient) buildCF(id uint64, req workloads.Request, step int) []byte {
-	ctx := c.N.Ctx
 	defer c.N.Arena.Reset()
-	switch req.Op {
-	case workloads.OpGet:
-		m := msgs.NewGetReq(ctx)
-		m.SetId(id)
-		m.SetKey(ctx.NewCFPtr(req.Keys[0]))
-		return core.Marshal(m.Obj())
-	case workloads.OpGetM:
-		m := msgs.NewGetM(ctx)
-		m.SetId(id)
+	op := opByte(req.Op)
+	m := c.Sys.NewMsg(c.N, reqSchema(op))
+	m.SetInt(0, id)
+	switch op {
+	case OpByteGetM:
 		for _, k := range req.Keys {
-			m.AppendKeys(ctx.NewCFPtr(k))
+			m.AddBytes(1, k, 0)
 		}
-		return core.Marshal(m.Obj())
-	case workloads.OpGetList:
-		m := msgs.NewGetListReq(ctx)
-		m.SetId(id)
-		m.SetKey(ctx.NewCFPtr(req.Keys[0]))
-		return core.Marshal(m.Obj())
-	case workloads.OpGetIndex:
-		m := msgs.NewGetListReq(ctx)
-		m.SetId(id)
-		m.SetKey(ctx.NewCFPtr(req.Keys[0]))
-		m.SetIndex(uint64(step))
-		return core.Marshal(m.Obj())
-	default: // put
-		m := msgs.NewPutReq(ctx)
-		m.SetId(id)
-		m.SetKey(ctx.NewCFPtr(req.Keys[0]))
-		m.SetVal(ctx.NewCFPtr(req.Vals[0]))
-		return core.Marshal(m.Obj())
-	}
-}
-
-// buildDoc is buildCF's request as a baseline document.
-func buildDoc(id uint64, req workloads.Request, step int) *baselines.Doc {
-	var d *baselines.Doc
-	switch req.Op {
-	case workloads.OpGet:
-		d = baselines.NewDoc(msgs.GetReqSchema)
-		d.SetInt(0, id)
-		d.SetBytes(1, req.Keys[0], 0)
-	case workloads.OpGetM:
-		d = baselines.NewDoc(msgs.GetMSchema)
-		d.SetInt(0, id)
-		for _, k := range req.Keys {
-			d.AddBytes(1, k, 0)
-		}
-	case workloads.OpGetList:
-		d = baselines.NewDoc(msgs.GetListReqSchema)
-		d.SetInt(0, id)
-		d.SetBytes(1, req.Keys[0], 0)
-	case workloads.OpGetIndex:
-		d = baselines.NewDoc(msgs.GetListReqSchema)
-		d.SetInt(0, id)
-		d.SetBytes(1, req.Keys[0], 0)
-		d.SetInt(2, uint64(step))
+	case OpBytePut:
+		m.SetBytes(1, req.Keys[0], 0)
+		m.SetBytes(2, req.Vals[0], 0)
 	default:
-		d = baselines.NewDoc(msgs.PutReqSchema)
-		d.SetInt(0, id)
-		d.SetBytes(1, req.Keys[0], 0)
-		d.SetBytes(2, req.Vals[0], 0)
+		m.SetBytes(1, req.Keys[0], 0)
+		if op == OpByteGetIndex {
+			m.SetInt(2, uint64(step))
+		}
 	}
-	return d
+	out := append([]byte{op}, c.Sys.Marshal(m)...)
+	m.Release()
+	return out
 }
 
 // ResponseID implements loadgen.Client.

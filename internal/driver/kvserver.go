@@ -3,7 +3,6 @@ package driver
 import (
 	"fmt"
 
-	"cornflakes/internal/baselines"
 	"cornflakes/internal/core"
 	"cornflakes/internal/costmodel"
 	"cornflakes/internal/kvstore"
@@ -533,150 +532,97 @@ func (s *KVServer) handle(p *mem.Buf, tid uint64, traced bool) {
 		return
 	}
 	op := p.Bytes()[0]
-	if s.Sys == SysCornflakes {
-		body := p.SubView(1, p.Len()-1)
+	schema := reqSchema(op)
+	if schema == nil {
+		s.Errors++
 		p.DecRef()
-		s.handleCF(op, body)
 		return
 	}
-	s.handleDoc(op, p)
-}
-
-// sendObj transmits a Cornflakes object on the configured path. The
-// segmentation and SG-array ablation paths are UDP-only; a TCP-attached
-// server uses the connection's combined serialize-and-send.
-func (s *KVServer) sendObj(obj core.Obj) {
-	var err error
-	switch {
-	case s.Seg != nil:
-		err = s.Seg.SendObjectSegmented(obj)
-	case s.UseSGArray:
-		err = s.N.UDP.SendObjectViaSGArray(obj)
-	default:
-		err = s.N.stack.SendObject(obj)
-	}
+	m.SetCategory(costmodel.CatDeserialize)
+	req, err := s.Sys.Decode(s.N, schema, p, 1)
 	if err != nil {
 		s.Errors++
+		return
 	}
-}
-
-func (s *KVServer) handleCF(op byte, body *mem.Buf) {
-	m := s.N.Meter
-	ctx := s.N.Ctx
-	m.SetCategory(costmodel.CatDeserialize)
+	id := req.Int(0)
+	var resp Msg
 	switch op {
-	case OpByteGet:
-		req, err := msgs.DeserializeGetReq(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
+	case OpByteGet, OpByteGetIndex:
 		m.SetCategory(costmodel.CatApp)
-		val := s.Store.Get(req.Key())
-		m.SetCategory(costmodel.CatSerialize)
-		resp := msgs.NewGetResp(ctx)
-		resp.SetId(req.Id())
-		if val != nil {
-			resp.SetVal(ctx.NewCFPtr(val.Bytes()))
+		var val *mem.Buf
+		if op == OpByteGet {
+			val = s.Store.Get(req.Bytes(1))
+		} else {
+			val = s.Store.GetIndex(req.Bytes(1), int(req.Int(2)))
 		}
-		s.sendObj(resp.Obj())
-		m.SetCategory(costmodel.CatTx)
-		resp.Release()
-		req.Release()
+		m.SetCategory(costmodel.CatSerialize)
+		resp = s.Sys.NewMsg(s.N, msgs.GetRespSchema)
+		resp.SetInt(0, id)
+		if val != nil {
+			resp.SetBytes(1, val.Bytes(), val.SimAddr())
+		}
 
 	case OpByteGetM:
-		req, err := msgs.DeserializeGetM(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
-		resp := msgs.NewGetM(ctx)
-		resp.SetId(req.Id())
-		n := req.KeysLen()
-		for j := 0; j < n; j++ {
+		resp = s.Sys.NewMsg(s.N, msgs.GetMSchema)
+		resp.SetInt(0, id)
+		for j, n := 0, req.Len(1); j < n; j++ {
 			m.SetCategory(costmodel.CatApp)
-			val := s.Store.Get(req.Keys(j))
+			key, _ := req.Elem(1, j)
+			val := s.Store.Get(key)
 			m.SetCategory(costmodel.CatSerialize)
 			if val != nil {
-				resp.AppendVals(ctx.NewCFPtr(val.Bytes()))
+				resp.AddBytes(2, val.Bytes(), val.SimAddr())
 			}
 		}
 		m.SetCategory(costmodel.CatSerialize)
-		s.sendObj(resp.Obj())
-		m.SetCategory(costmodel.CatTx)
-		resp.Release()
-		req.Release()
 
 	case OpByteGetList:
-		req, err := msgs.DeserializeGetListReq(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
 		m.SetCategory(costmodel.CatApp)
-		vals := s.Store.GetList(req.Key())
+		vals := s.Store.GetList(req.Bytes(1))
 		m.SetCategory(costmodel.CatSerialize)
-		resp := msgs.NewGetListResp(ctx)
-		resp.SetId(req.Id())
+		resp = s.Sys.NewMsg(s.N, msgs.GetListRespSchema)
+		resp.SetInt(0, id)
 		for _, v := range vals {
-			resp.AppendVals(ctx.NewCFPtr(v.Bytes()))
+			resp.AddBytes(1, v.Bytes(), v.SimAddr())
 		}
-		s.sendObj(resp.Obj())
-		m.SetCategory(costmodel.CatTx)
-		resp.Release()
-		req.Release()
 
-	case OpByteGetIndex:
-		req, err := msgs.DeserializeGetListReq(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
+	default: // OpBytePut
 		m.SetCategory(costmodel.CatApp)
-		val := s.Store.GetIndex(req.Key(), int(req.Index()))
-		m.SetCategory(costmodel.CatSerialize)
-		resp := msgs.NewGetResp(ctx)
-		resp.SetId(req.Id())
-		if val != nil {
-			resp.SetVal(ctx.NewCFPtr(val.Bytes()))
-		}
-		s.sendObj(resp.Obj())
-		m.SetCategory(costmodel.CatTx)
-		resp.Release()
-		req.Release()
-
-	case OpBytePut:
-		req, err := msgs.DeserializePutReq(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
-		m.SetCategory(costmodel.CatApp)
-		if err := s.Store.TryPut(req.Key(), req.Val()); err != nil {
+		if err := s.Store.TryPut(req.Bytes(1), req.Bytes(2)); err != nil {
 			// Pinned pool full: the store is unchanged; tell the client
 			// explicitly instead of dropping the request.
 			m.SetCategory(costmodel.CatTx)
-			s.shedReplyTo(req.Id())
+			s.shedReplyTo(id)
 			req.Release()
 			return
 		}
 		m.SetCategory(costmodel.CatSerialize)
-		resp := msgs.NewPutResp(ctx)
-		resp.SetId(req.Id())
-		resp.SetOk(1)
-		s.sendObj(resp.Obj())
-		m.SetCategory(costmodel.CatTx)
-		resp.Release()
-		req.Release()
+		resp = s.Sys.NewMsg(s.N, msgs.PutRespSchema)
+		resp.SetInt(0, id)
+		resp.SetInt(1, 1)
+	}
+	s.send(resp)
+	m.SetCategory(costmodel.CatTx)
+	resp.Release()
+	req.Release()
+}
 
+// send transmits a reply on the system's own datapath. The segmentation
+// and SG-array ablation paths exist for Cornflakes objects only and are
+// UDP-only; a TCP-attached server uses the connection's combined
+// serialize-and-send.
+func (s *KVServer) send(resp Msg) {
+	var err error
+	switch {
+	case resp.cf != nil && s.Seg != nil:
+		err = s.Seg.SendObjectSegmented(resp.cf)
+	case resp.cf != nil && s.UseSGArray:
+		err = s.N.UDP.SendObjectViaSGArray(resp.cf)
 	default:
+		err = s.Sys.send(resp)
+	}
+	if err != nil {
 		s.Errors++
-		body.DecRef()
 	}
 }
 
@@ -693,102 +639,4 @@ func reqSchema(op byte) *core.Schema {
 		return msgs.PutReqSchema
 	}
 	return nil
-}
-
-func (s *KVServer) sendDoc(d *baselines.Doc) {
-	if err := s.Sys.sendDoc(s.N, d); err != nil {
-		s.Errors++
-	}
-}
-
-// docBytes safely extracts a scalar bytes field from a decoded request.
-func docBytes(d *baselines.Doc, i int) []byte {
-	if i < len(d.F) && len(d.F[i].B) > 0 {
-		return d.F[i].B[0]
-	}
-	return nil
-}
-
-func (s *KVServer) handleDoc(op byte, p *mem.Buf) {
-	m := s.N.Meter
-	defer p.DecRef()
-	data := p.Bytes()[1:]
-	sim := p.SimAddr() + 1
-	schema := reqSchema(op)
-	if schema == nil {
-		s.Errors++
-		return
-	}
-	m.SetCategory(costmodel.CatDeserialize)
-	req, err := s.Sys.DecodeDoc(schema, data, sim, m)
-	if err != nil {
-		s.Errors++
-		return
-	}
-	id := req.F[0].I
-
-	switch op {
-	case OpByteGet:
-		m.SetCategory(costmodel.CatApp)
-		val := s.Store.Get(docBytes(req, 1))
-		m.SetCategory(costmodel.CatSerialize)
-		resp := baselines.NewDoc(msgs.GetRespSchema)
-		resp.SetInt(0, id)
-		if val != nil {
-			resp.SetBytes(1, val.Bytes(), val.SimAddr())
-		}
-		s.sendDoc(resp)
-
-	case OpByteGetM:
-		resp := baselines.NewDoc(msgs.GetMSchema)
-		resp.SetInt(0, id)
-		for _, k := range req.F[1].B {
-			m.SetCategory(costmodel.CatApp)
-			val := s.Store.Get(k)
-			m.SetCategory(costmodel.CatSerialize)
-			if val != nil {
-				resp.AddBytes(2, val.Bytes(), val.SimAddr())
-			}
-		}
-		s.sendDoc(resp)
-
-	case OpByteGetList:
-		m.SetCategory(costmodel.CatApp)
-		vals := s.Store.GetList(docBytes(req, 1))
-		m.SetCategory(costmodel.CatSerialize)
-		resp := baselines.NewDoc(msgs.GetListRespSchema)
-		resp.SetInt(0, id)
-		for _, v := range vals {
-			resp.AddBytes(1, v.Bytes(), v.SimAddr())
-		}
-		s.sendDoc(resp)
-
-	case OpByteGetIndex:
-		m.SetCategory(costmodel.CatApp)
-		val := s.Store.GetIndex(docBytes(req, 1), int(req.F[2].I))
-		m.SetCategory(costmodel.CatSerialize)
-		resp := baselines.NewDoc(msgs.GetRespSchema)
-		resp.SetInt(0, id)
-		if val != nil {
-			resp.SetBytes(1, val.Bytes(), val.SimAddr())
-		}
-		s.sendDoc(resp)
-
-	case OpBytePut:
-		m.SetCategory(costmodel.CatApp)
-		if err := s.Store.TryPut(docBytes(req, 1), docBytes(req, 2)); err != nil {
-			m.SetCategory(costmodel.CatTx)
-			s.shedReplyTo(id)
-			return
-		}
-		m.SetCategory(costmodel.CatSerialize)
-		resp := baselines.NewDoc(msgs.PutRespSchema)
-		resp.SetInt(0, id)
-		resp.SetInt(1, 1)
-		s.sendDoc(resp)
-
-	default:
-		s.Errors++
-	}
-	m.SetCategory(costmodel.CatTx)
 }

@@ -8,7 +8,6 @@ import (
 	"cornflakes/internal/cachesim"
 	"cornflakes/internal/costmodel"
 	"cornflakes/internal/driver"
-	"cornflakes/internal/fabric"
 	"cornflakes/internal/loadgen"
 	"cornflakes/internal/nic"
 	"cornflakes/internal/rpc"
@@ -303,8 +302,7 @@ const rpcFanInTimeout = 250 * sim.Microsecond
 func rpcAt(sc Scale, o rpcOpts) rpcPoint {
 	cfg := rpc.ChainConfig{
 		Sys: driver.SysCornflakes, Profile: nic.MellanoxCX6(), Cache: cachesim.DefaultConfig(),
-		Fabric: fabric.Config{},
-		Depth:  o.Depth, Fanout: o.Fanout,
+		Depth: o.Depth, Fanout: o.Fanout,
 		AppCycles: 1500, ReqBytes: 64, FwdBytes: 64, RespBytes: 128,
 		CallTimeout: rpcFanInTimeout,
 		Offload:     o.Offload,

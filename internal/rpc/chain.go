@@ -14,14 +14,13 @@ import (
 
 // ChainConfig describes a service-chain topology: a client calling a
 // linear chain of Depth tiers, with the last tier optionally fanning out
-// to Fanout leaf backends, plus an optional one-way notification sink fed
-// by the frontend. The shape models the client → frontend → backends call
-// graphs of datacenter microservices.
+// to Fanout leaf backends. The shape models the client → frontend →
+// backends call graphs of datacenter microservices. The tiers sit behind a
+// default fabric (fabric.Config{}).
 type ChainConfig struct {
 	Sys     driver.System
 	Profile nic.Profile
 	Cache   cachesim.Config
-	Fabric  fabric.Config
 
 	// Depth is the number of chained tiers (≥ 1). Fanout adds that many
 	// leaf backends under the deepest tier (0 = the deepest tier is the
@@ -39,45 +38,38 @@ type ChainConfig struct {
 	// CallTimeout is each tier's fan-in deadline (zero disables —
 	// sensible only when the client's retry deadline bounds the wait).
 	CallTimeout sim.Time
-	// ShedQueue arms per-tier admission control (zero disables).
-	ShedQueue int
 
 	// Offload gives every tier a NIC-side serialization engine: reply and
 	// forward marshalling leaves the host cores.
 	Offload bool
-	// Notify makes the frontend emit a one-way completion event to a
-	// dedicated sink node per reply.
-	Notify bool
 
 	// Tracer receives per-hop phase marks on all tiers.
 	Tracer *trace.Tracer
 }
 
 // Chain is a built topology: the rack, the tiers in hop order (chain tiers
-// first, then the fan-out leaves), the optional sink, and the client.
+// first, then the fan-out leaves), and the client.
 type Chain struct {
 	*driver.Rack
 	Services []*Service // chain tiers then leaves, in hop order
 	Leaves   []*Service // the fan-out subset of Services (if any)
-	Sink     *Service   // notification sink (nil unless cfg.Notify)
 	Client   *Client
 }
 
 // NewChain builds the call graph on a fresh Rack. Plug-in order — tiers,
-// leaves, sink, client — is part of the deterministic identity of a run,
-// exactly like ClusterTestbed's servers-then-clients order.
+// leaves, client — is part of the deterministic identity of a run, exactly
+// like ClusterTestbed's servers-then-clients order.
 func NewChain(cfg ChainConfig) *Chain {
 	if cfg.Depth < 1 {
 		cfg.Depth = 1
 	}
-	c := &Chain{Rack: driver.NewRack(cfg.Fabric)}
+	c := &Chain{Rack: driver.NewRack(fabric.Config{})}
 
 	mk := func(name string, hop int) *Service {
 		n, addr := c.AddNode(cfg.Profile, cfg.Cache)
 		s := NewService(n, cfg.Sys, name, hop, addr)
 		s.CallTimeout = cfg.CallTimeout
 		s.AppCycles = cfg.AppCycles
-		s.ShedQueue = cfg.ShedQueue
 		s.Tracer = cfg.Tracer
 		if cfg.FwdBytes > 0 {
 			s.FwdBytes = cfg.FwdBytes
@@ -101,15 +93,8 @@ func NewChain(cfg ChainConfig) *Chain {
 		c.Leaves = append(c.Leaves, leaf)
 		tiers[cfg.Depth-1].Backends = append(tiers[cfg.Depth-1].Backends, leaf.Addr)
 	}
-	if cfg.Notify {
-		c.Sink = mk("sink", cfg.Depth+2)
-		tiers[0].NotifyAddr = c.Sink.Addr
-	}
 	if cfg.Offload {
 		for _, s := range c.Services {
-			if s == c.Sink {
-				continue // the sink only consumes; nothing to offload
-			}
 			// The offload engine is part of the tier's NIC, so it runs on
 			// the tier's engine.
 			off := sim.NewCore(s.N.Eng)
@@ -126,9 +111,9 @@ func NewChain(cfg ChainConfig) *Chain {
 	return c
 }
 
-// HostReceipt sums the host-core receipts over every tier (not the sink)
-// and the handled-call count; OffloadReceipt does the same for the
-// NIC-side engines. Both feed the serialization-share and offload-benefit
+// HostReceipt sums the host-core receipts over every tier and the
+// handled-call count; OffloadReceipt does the same for the NIC-side
+// engines. Both feed the serialization-share and offload-benefit
 // observables.
 func (c *Chain) HostReceipt() (costmodel.Receipt, uint64) { return c.receipts(false) }
 
@@ -139,9 +124,6 @@ func (c *Chain) receipts(off bool) (costmodel.Receipt, uint64) {
 	var rec costmodel.Receipt
 	var n uint64
 	for _, s := range c.Services {
-		if s == c.Sink {
-			continue
-		}
 		if off {
 			rec.Add(s.OffRec)
 		} else {

@@ -1,30 +1,28 @@
 // Package rpc layers a small remote-procedure-call protocol over the
-// generated serializers: request/response framing with per-call wire ids,
-// one-way notifications, and fan-out/fan-in — the building blocks of the
-// microservice call graphs where, at microsecond scale, (de)serialization
-// and stack overhead stop being noise and start dominating end-to-end
-// latency (Dagger, arXiv:2106.01482). Services compose behind the fabric
-// switch on a driver.Rack exactly like ClusterTestbed shards do, and every
-// hop marshals and unmarshals its frames through internal/costmodel, so
+// generated serializers: request/response framing with per-call wire ids
+// and fan-out/fan-in — the building blocks of the microservice call graphs
+// where, at microsecond scale, (de)serialization and stack overhead stop
+// being noise and start dominating end-to-end latency (Dagger,
+// arXiv:2106.01482). Services compose behind the fabric switch on a
+// driver.Rack exactly like ClusterTestbed shards do, and every hop
+// marshals and unmarshals its frames through internal/costmodel, so
 // serialization cost compounds per hop of a chain.
 //
-// Wire format: a 19-byte plain header — kind, method, hop, call id, root
-// id — followed by a body serialized with the system under test (a PutReq
-// shape for calls and notifications, a GetResp shape for replies). The
-// root id is the originating client's wire id: it rides every hop
-// unchanged, so replies resolve the client's flow and per-hop trace marks
-// attribute to it, while each hop's calls get fresh call ids for their own
-// pending tables. Admission rejections and downstream failures reuse the
-// 9-byte driver.ShedReply framing (distinguishable by length and leading
-// byte), so a mid-chain shed propagates upstream hop by hop until the
-// client classifies it exactly like a single-server shed.
+// Wire format: a 19-byte plain header — kind (call or reply), method, hop,
+// call id, root id — followed by a body serialized with the system under
+// test (a PutReq shape for calls, a GetResp shape for replies). The root
+// id is the originating client's wire id: it rides every hop unchanged, so
+// replies resolve the client's flow and per-hop trace marks attribute to
+// it, while each hop's calls get fresh call ids for their own pending
+// tables. Admission rejections and downstream failures reuse the 9-byte
+// driver.ShedReply framing (distinguishable by length and leading byte),
+// so a mid-chain shed propagates upstream hop by hop until the client
+// classifies it exactly like a single-server shed.
 package rpc
 
 import (
 	"fmt"
 
-	"cornflakes/internal/baselines"
-	"cornflakes/internal/core"
 	"cornflakes/internal/driver"
 	"cornflakes/internal/mem"
 	"cornflakes/internal/msgs"
@@ -34,9 +32,8 @@ import (
 // Frame kinds. Values stay clear of driver.ShedByte (0xEE) so a shed
 // frame's leading byte can never alias a kind.
 const (
-	KindCall   byte = 0x01 // expects a KindReply or a shed frame back
-	KindReply  byte = 0x02 // resolves the caller's pending call id
-	KindNotify byte = 0x03 // one-way: processed, never answered
+	KindCall  byte = 0x01 // expects a KindReply or a shed frame back
+	KindReply byte = 0x02 // resolves the caller's pending call id
 )
 
 // HeaderLen is the fixed framing prefix ahead of the serialized body:
@@ -88,50 +85,34 @@ func PeekRootID(p []byte) (uint64, bool) {
 
 // codec builds and decodes RPC frames for one serialization system on one
 // node, charging that node's meter — serialization is modelled work here,
-// not bookkeeping. Calls and notifications carry a PutReq-shaped body
-// (id, key, val); replies carry a GetResp-shaped body (id, val).
+// not bookkeeping. Calls carry a PutReq-shaped body (id, key, val);
+// replies carry a GetResp-shaped body (id, val).
 type codec struct {
 	sys driver.System
 	n   *driver.Node
 }
 
-// buildCall serializes a call or notify frame: header + PutReq body.
+// buildCall serializes a call frame: header + PutReq body.
 func (c codec) buildCall(h Header, key, val []byte) []byte {
-	if c.sys == driver.SysCornflakes {
-		ctx := c.n.Ctx
-		m := msgs.NewPutReq(ctx)
-		m.SetId(h.CallID)
-		m.SetKey(ctx.NewCFPtr(key))
-		m.SetVal(ctx.NewCFPtr(val))
-		body := core.Marshal(m.Obj())
-		m.Release()
-		return c.frame(h, body)
-	}
-	d := baselines.NewDoc(msgs.PutReqSchema)
-	d.SetInt(0, h.CallID)
-	d.SetBytes(1, key, 0)
-	d.SetBytes(2, val, 0)
-	return c.frame(h, c.sys.EncodeDoc(d, c.n.Meter))
+	m := c.sys.NewMsg(c.n, msgs.PutReqSchema)
+	m.SetInt(0, h.CallID)
+	m.SetBytes(1, key, 0)
+	m.SetBytes(2, val, 0)
+	return c.frame(h, m)
 }
 
 // buildReply serializes a reply frame: header + GetResp body.
 func (c codec) buildReply(h Header, val []byte) []byte {
-	if c.sys == driver.SysCornflakes {
-		ctx := c.n.Ctx
-		m := msgs.NewGetResp(ctx)
-		m.SetId(h.CallID)
-		m.SetVal(ctx.NewCFPtr(val))
-		body := core.Marshal(m.Obj())
-		m.Release()
-		return c.frame(h, body)
-	}
-	d := baselines.NewDoc(msgs.GetRespSchema)
-	d.SetInt(0, h.CallID)
-	d.SetBytes(1, val, 0)
-	return c.frame(h, c.sys.EncodeDoc(d, c.n.Meter))
+	m := c.sys.NewMsg(c.n, msgs.GetRespSchema)
+	m.SetInt(0, h.CallID)
+	m.SetBytes(1, val, 0)
+	return c.frame(h, m)
 }
 
-func (c codec) frame(h Header, body []byte) []byte {
+// frame marshals and releases the body m behind the header h.
+func (c codec) frame(h Header, m driver.Msg) []byte {
+	body := c.sys.Marshal(m)
+	m.Release()
 	out := make([]byte, HeaderLen+len(body))
 	h.EncodeTo(out)
 	copy(out[HeaderLen:], body)
@@ -143,33 +124,14 @@ func (c codec) frame(h Header, body []byte) []byte {
 // modelled services have no application state to keep. reply selects the
 // GetResp shape over the PutReq shape. Consumes p.
 func (c codec) decodeBody(p *mem.Buf, reply bool) error {
-	if c.sys == driver.SysCornflakes {
-		body := p.SubView(HeaderLen, p.Len()-HeaderLen)
-		p.DecRef()
-		if reply {
-			r, err := msgs.DeserializeGetResp(c.n.Ctx, body)
-			if err != nil {
-				body.DecRef()
-				return err
-			}
-			r.Release()
-			return nil
-		}
-		r, err := msgs.DeserializePutReq(c.n.Ctx, body)
-		if err != nil {
-			body.DecRef()
-			return err
-		}
-		r.Release()
-		return nil
-	}
-	defer p.DecRef()
 	schema := msgs.PutReqSchema
 	if reply {
 		schema = msgs.GetRespSchema
 	}
-	if _, err := c.sys.DecodeDoc(schema, p.Bytes()[HeaderLen:], p.SimAddr()+HeaderLen, c.n.Meter); err != nil {
+	m, err := c.sys.Decode(c.n, schema, p, HeaderLen)
+	if err != nil {
 		return fmt.Errorf("rpc: decode %s body: %w", c.sys, err)
 	}
+	m.Release()
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"cornflakes/internal/cachesim"
 	"cornflakes/internal/costmodel"
 	"cornflakes/internal/driver"
-	"cornflakes/internal/fabric"
 	"cornflakes/internal/loadgen"
 	"cornflakes/internal/nic"
 	"cornflakes/internal/sim"
@@ -23,8 +22,7 @@ func (genConst) Next(*rand.Rand) workloads.Request { return workloads.Request{Op
 func chainCfg(sys driver.System, depth, fanout int) ChainConfig {
 	return ChainConfig{
 		Sys: sys, Profile: nic.MellanoxCX6(), Cache: cachesim.DefaultConfig(),
-		Fabric: fabric.Config{},
-		Depth:  depth, Fanout: fanout,
+		Depth: depth, Fanout: fanout,
 		AppCycles: 1500, ReqBytes: 64, FwdBytes: 64, RespBytes: 128,
 	}
 }
@@ -149,28 +147,6 @@ func TestShedPropagatesUpstream(t *testing.T) {
 	}
 	assertDisposalExact(t, res)
 	assertLedgers(t, c)
-}
-
-// One-way notifications: the frontend emits one per reply, the sink
-// processes every one that the fabric delivered, and nobody answers them.
-func TestNotifySink(t *testing.T) {
-	cfg := chainCfg(driver.SysCornflakes, 1, 0)
-	cfg.Notify = true
-	c := NewChain(cfg)
-	res := runChain(t, c, 30_000, loadgen.RetryPolicy{}, loadgen.HedgePolicy{})
-	if res.Completed == 0 {
-		t.Fatal("nothing completed")
-	}
-	front := c.Services[0]
-	if front.NotifiesSent == 0 {
-		t.Fatal("frontend sent no notifies")
-	}
-	if c.Sink.NotifiesRecv != front.NotifiesSent {
-		t.Fatalf("sink processed %d of %d notifies", c.Sink.NotifiesRecv, front.NotifiesSent)
-	}
-	if c.Sink.RepliesSent != 0 {
-		t.Fatal("sink answered a one-way frame")
-	}
 }
 
 // The RPCAcc-style offload engine must move serialization cycles off the

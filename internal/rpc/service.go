@@ -43,11 +43,6 @@ type Service struct {
 	// ShedQueue is the admission bound on the host core's queue depth
 	// (driver.KVServer's ShedQueue, applied to RPC calls). Zero disables.
 	ShedQueue int
-	// NotifyAddr, when nonzero, makes this tier emit a one-way KindNotify
-	// frame (NotifyBytes of payload) to that address after every reply it
-	// sends — completion events feeding a logging/metrics sink.
-	NotifyAddr  byte
-	NotifyBytes int
 	// Offload, when set, is a NIC-side serialization engine (its own
 	// sim.Core on the same engine): the host core still pays RX, header
 	// dispatch, deserialize, and app work, but reply/forward marshalling
@@ -78,8 +73,6 @@ type Service struct {
 	Errors           uint64 // malformed frames, decode/send failures
 	RepliesSent      uint64 // KindReply frames sent upstream
 	FailsSent        uint64 // shed frames sent upstream (timeout/backend failure)
-	NotifiesSent     uint64
-	NotifiesRecv     uint64 // one-way frames processed as a sink
 	ChildCalls       uint64
 	ChildReplies     uint64 // backend replies fanned in while still wanted
 	ChildSheds       uint64 // backend rejections/failures fanned in
@@ -96,7 +89,6 @@ type Service struct {
 
 	fwdBuf  []byte
 	respBuf []byte
-	noteBuf []byte
 	keyBuf  []byte
 }
 
@@ -116,7 +108,7 @@ type inflight struct {
 func NewService(n *driver.Node, sys driver.System, name string, hop int, addr byte) *Service {
 	s := &Service{
 		N: n, Sys: sys, Name: name, Hop: hop, Addr: addr,
-		FwdBytes: 64, RespBytes: 64, NotifyBytes: 32,
+		FwdBytes: 64, RespBytes: 64,
 		codec:   codec{sys: sys, n: n},
 		pend:    make(map[uint64]*inflight),
 		expired: make(map[uint64]struct{}),
@@ -158,8 +150,6 @@ func (s *Service) onPayload(p *mem.Buf) {
 		s.onCall(h, p, src)
 	case KindReply:
 		s.onChildReply(h, p)
-	case KindNotify:
-		s.onNotify(p)
 	default:
 		s.Errors++
 		p.DecRef()
@@ -212,10 +202,10 @@ func (s *Service) serveCall(h Header, p *mem.Buf, src byte) sim.Time {
 	return d
 }
 
-// finishCall sends the upstream reply (and the optional one-way notify).
-// With an offload engine configured, the marshalling runs there instead of
-// on the host core — the host's receipt for this call is already closed by
-// the time the offload job executes, so the cycles land in OffRec.
+// finishCall sends the upstream reply. With an offload engine configured,
+// the marshalling runs there instead of on the host core — the host's
+// receipt for this call is already closed by the time the offload job
+// executes, so the cycles land in OffRec.
 func (s *Service) finishCall(h Header, src byte) {
 	if s.Offload == nil {
 		s.emitReply(h, src)
@@ -254,21 +244,6 @@ func (s *Service) emitReply(h Header, src byte) {
 	}
 	if s.Tracer != nil {
 		s.Tracer.Mark(h.RootID, s.N.Eng.Now(), s.phase("reply"))
-	}
-	if s.NotifyAddr != 0 {
-		if s.noteBuf == nil {
-			s.noteBuf = make([]byte, s.NotifyBytes)
-		}
-		m.SetCategory(costmodel.CatSerialize)
-		nh := Header{Kind: KindNotify, Method: h.Method, Hop: byte(s.Hop), CallID: s.newCallID(), RootID: h.RootID}
-		nf := s.codec.buildCall(nh, s.keyBuf, s.noteBuf)
-		m.SetCategory(costmodel.CatTx)
-		s.N.UDP.DstAddr = s.NotifyAddr
-		if err := s.N.UDP.SendContiguous(nf, mem.UnpinnedSimAddr(nf)); err != nil {
-			s.Errors++
-		} else {
-			s.NotifiesSent++
-		}
 	}
 	s.N.Arena.Reset()
 }
@@ -433,27 +408,6 @@ func (s *Service) failTo(callID, rootID uint64, src byte, why string) {
 		s.Errors++
 	} else {
 		s.FailsSent++
-	}
-}
-
-// onNotify processes a one-way frame as a sink: the decode still costs host
-// cycles (a metered core job), there is just nothing to answer.
-func (s *Service) onNotify(p *mem.Buf) {
-	ok := s.N.Core.Submit(sim.Job{Run: func() sim.Time {
-		m := s.N.Meter
-		m.SetCategory(costmodel.CatDeserialize)
-		if err := s.codec.decodeBody(p, false); err != nil {
-			s.Errors++
-		}
-		s.NotifiesRecv++
-		s.N.Arena.Reset()
-		d := m.DrainTime()
-		s.HostRec.Add(m.TakeReceipt())
-		m.SetCategory(costmodel.CatRx)
-		return d
-	}})
-	if !ok {
-		p.DecRef()
 	}
 }
 

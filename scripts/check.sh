@@ -17,14 +17,24 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== one codec per system (library codecs called only via driver.System)"
+echo "== one codec per system (library codecs and Cornflakes forks only in driver.System)"
 # The per-library wire decisions live in internal/driver/codec.go; any other
-# non-test file that calls a baseline codec has copied one back out.
+# non-test file that calls a baseline codec has copied one back out, and any
+# other non-test file under internal/ that compares against SysCornflakes
+# has forked a request or reply into a Cornflakes twin and a baseline twin.
 codec_calls=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e '^internal/baselines/' -e '^internal/driver/codec\.go$' |
 	xargs grep -l -e 'baselines\.Proto' -e 'baselines\.FB' -e 'baselines\.Capnp' || true)
 if [ -n "$codec_calls" ]; then
 	echo "library codec called outside internal/driver/codec.go:"
 	echo "$codec_calls"
+	exit 1
+fi
+cf_forks=$(git ls-files 'internal/*.go' | grep -v -e '_test\.go$' -e '^internal/driver/codec\.go$' |
+	xargs grep -l -E -e '(==|!=)[[:space:]]*(driver\.)?SysCornflakes\b' \
+		-e '\bSysCornflakes[[:space:]]*(==|!=)' -e '\bcase\b.*\bSysCornflakes\b' || true)
+if [ -n "$cf_forks" ]; then
+	echo "SysCornflakes compared outside internal/driver/codec.go:"
+	echo "$cf_forks"
 	exit 1
 fi
 
