@@ -226,13 +226,14 @@ func New(cfg Config) *Hierarchy {
 	}
 }
 
-// NewShared builds a hierarchy whose L3 is shared with base (both cores hit
-// and fill the same L3 state). base must have been built by New.
-func NewShared(cfg Config, base *Hierarchy) *Hierarchy {
+// NewShared builds a sibling core's hierarchy: private L1 and L2 of
+// base's configuration over base's L3 (both cores hit and fill the same L3
+// state). base must have been built by New.
+func NewShared(base *Hierarchy) *Hierarchy {
 	return &Hierarchy{
-		cfg: cfg,
-		l1:  newLevel(cfg.L1),
-		l2:  newLevel(cfg.L2),
+		cfg: base.cfg,
+		l1:  newLevel(base.cfg.L1),
+		l2:  newLevel(base.cfg.L2),
 		l3:  base.l3,
 	}
 }

@@ -164,7 +164,7 @@ func TestWorkingSetSmallerThanL1Hits(t *testing.T) {
 func TestSharedL3(t *testing.T) {
 	cfg := smallConfig()
 	c0 := New(cfg)
-	c1 := NewShared(cfg, c0)
+	c1 := NewShared(c0)
 	c0.Access(0x7000)
 	// Core 1 misses its private L1/L2 but hits the shared L3.
 	lvl, cost := c1.Access(0x7000)
@@ -176,7 +176,7 @@ func TestSharedL3(t *testing.T) {
 func TestFlushOwnership(t *testing.T) {
 	cfg := smallConfig()
 	c0 := New(cfg)
-	c1 := NewShared(cfg, c0)
+	c1 := NewShared(c0)
 	c0.Access(0x8000)
 	c1.Flush() // must NOT flush the shared L3 it doesn't own
 	if c0.Contains(0x8000) == HitDRAM {

@@ -270,7 +270,7 @@ func TestStampLRUEquivalenceShared(t *testing.T) {
 			universe[i] = uint64(1+rng.Intn(4096)) * LineSize
 		}
 		base, refBase := New(cfg), newRef(cfg)
-		shared, refShared := NewShared(cfg, base), newRefShared(cfg, refBase)
+		shared, refShared := NewShared(base), newRefShared(cfg, refBase)
 		for step := 0; step < 20000; step++ {
 			if rng.Intn(2) == 0 {
 				drive(t, rng, base, refBase, universe)

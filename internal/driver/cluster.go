@@ -28,9 +28,8 @@ type ClusterTestbed struct {
 	// Servers[i] is the KV shard reachable at ServerAddrs[i].
 	Servers     []*KVServer
 	ServerAddrs []byte
-	// Clients[i] is a load-generator endpoint at ClientAddrs[i].
-	Clients     []*Node
-	ClientAddrs []byte
+	// Clients[i] is a load-generator endpoint.
+	Clients []*Node
 	// Ring maps keys to server indexes; clients and Preload share it, so
 	// routing and placement always agree.
 	Ring *loadgen.Ring
@@ -52,9 +51,8 @@ func NewClusterTestbed(nServers, nClients int, sys System, profile nic.Profile, 
 		c.ServerAddrs = append(c.ServerAddrs, addr)
 	}
 	for i := 0; i < nClients; i++ {
-		n, addr := c.AddNode(profile, cachesim.DefaultConfig())
+		n, _ := c.AddNode(profile, cachesim.DefaultConfig())
 		c.Clients = append(c.Clients, n)
-		c.ClientAddrs = append(c.ClientAddrs, addr)
 	}
 	return c
 }

@@ -40,11 +40,6 @@ type KVServer struct {
 	// extension).
 	Adaptive *core.AdaptiveThreshold
 
-	// Seg, when set, routes requests and responses through the
-	// segmentation layer, lifting the one-jumbo-frame object limit
-	// (the §3.2.3 segmentation extension).
-	Seg *netstack.Segmenter
-
 	// Admission control: beyond these thresholds the server sheds incoming
 	// requests with an explicit ShedReply instead of queueing them. Zero
 	// disables a check. ShedQueue bounds Core.QueueLen (keep the RX ring
@@ -134,14 +129,13 @@ func NewKVServer(n *Node, sys System) *KVServer {
 }
 
 // NewSegmentedKVServer attaches a KV server whose requests and responses
-// travel through the segmentation layer: responses of any size are
-// supported, so e.g. a whole CDN object ships in one exchange instead of
-// one request per jumbo-frame sub-object.
+// travel through the segmentation layer (the §3.2.3 extension): the node's
+// stack becomes a Segmenter over its UDP stack, so responses of any size
+// are supported, and e.g. a whole CDN object ships in one exchange instead
+// of one request per jumbo-frame sub-object.
 func NewSegmentedKVServer(n *Node, sys System) *KVServer {
-	s := &KVServer{N: n, Store: kvstore.New(n.Alloc, n.Meter), Sys: sys}
-	s.Seg = netstack.NewSegmenter(n.UDP)
-	s.Seg.SetRecvHandler(s.onPayload)
-	return s
+	n.stack = netstack.NewSegmenter(n.UDP)
+	return NewKVServer(n, sys)
 }
 
 // Preload loads records into the store and clears measurement state so
@@ -196,11 +190,12 @@ func (s *KVServer) EnableBatching(maxBurst int) {
 	}
 }
 
-// batched reports whether the batched datapath is active. TCP and
-// segmented servers always use the legacy path: their replies flow through
-// connection state the TX batch bracket does not cover.
+// batched reports whether the batched datapath is active. Only a server on
+// the plain UDP stack batches: TCP and segmented replies flow through
+// connection or fragment state the TX batch bracket does not cover.
 func (s *KVServer) batched() bool {
-	return s.MaxBurst >= 2 && s.N.TCP == nil && s.Seg == nil
+	_, udp := s.N.stack.(*netstack.UDP)
+	return s.MaxBurst >= 2 && udp
 }
 
 // Crash kills the node: the netstack starts discarding arriving frames
@@ -478,15 +473,12 @@ func (s *KVServer) shedReplyTo(id uint64) {
 	reply := ShedReply(id)
 	sim := mem.UnpinnedSimAddr(reply)
 	var err error
-	switch {
-	case s.Seg != nil:
-		err = s.Seg.SendContiguous(reply, sim)
-	case s.N.TCP != nil:
-		err = s.N.TCP.SendContiguous(reply, sim)
-	default:
+	if u, ok := s.N.stack.(*netstack.UDP); ok {
 		// The UDP fast path: prebuilt reply, batched posting. Shedding has
 		// to cost far less than serving or it cannot relieve the core.
-		err = s.N.UDP.SendPrebuilt(reply, sim)
+		err = u.SendPrebuilt(reply, sim)
+	} else {
+		err = s.N.stack.SendContiguous(reply, sim)
 	}
 	if err != nil {
 		s.ShedReplyErrs++
@@ -607,18 +599,14 @@ func (s *KVServer) handle(p *mem.Buf, tid uint64, traced bool) {
 	req.Release()
 }
 
-// send transmits a reply on the system's own datapath. The segmentation
-// and SG-array ablation paths exist for Cornflakes objects only and are
-// UDP-only; a TCP-attached server uses the connection's combined
-// serialize-and-send.
+// send transmits a reply on the system's own datapath, through whichever
+// stack the node runs. The SG-array ablation path exists for Cornflakes
+// objects only and is UDP-only.
 func (s *KVServer) send(resp Msg) {
 	var err error
-	switch {
-	case resp.cf != nil && s.Seg != nil:
-		err = s.Seg.SendObjectSegmented(resp.cf)
-	case resp.cf != nil && s.UseSGArray:
+	if resp.cf != nil && s.UseSGArray {
 		err = s.N.UDP.SendObjectViaSGArray(resp.cf)
-	default:
+	} else {
 		err = s.Sys.send(resp)
 	}
 	if err != nil {

@@ -1,10 +1,8 @@
 package driver
 
 import (
-	"cornflakes/internal/cachesim"
 	"cornflakes/internal/netstack"
 	"cornflakes/internal/nic"
-	"cornflakes/internal/sim"
 	"cornflakes/internal/workloads"
 )
 
@@ -24,25 +22,17 @@ import (
 // MultiKVServer runs one KVServer per core behind a shared port.
 type MultiKVServer struct {
 	Cores []*KVServer
-	port  *nic.Port
 }
 
-// NewMultiKVServer builds nCores servers. Each core gets its own node
-// resources; caches share one L3 (§6.6's topology).
-func NewMultiKVServer(eng *sim.Engine, port *nic.Port, nCores int, sys System, cacheCfg cachesim.Config) *MultiKVServer {
-	m := &MultiKVServer{port: port}
-	base := cachesim.New(cacheCfg)
-	for i := 0; i < nCores; i++ {
-		cache := base
-		if i > 0 {
-			cache = cachesim.NewShared(cacheCfg, base)
-		}
-		// Each core owns a UDP transmit context on the shared port. The
-		// receive handler it installs is immediately superseded by the
-		// dispatcher below.
-		m.Cores = append(m.Cores, NewKVServer(newNode(eng, port, false, cache), sys))
+// NewMultiKVServer runs nCores servers on the testbed's server and its
+// sibling cores (Rack.Cores): per-core node resources, caches sharing one
+// L3 (§6.6's topology), and the RSS dispatcher on the shared port.
+func NewMultiKVServer(tb *Testbed, nCores int, sys System) *MultiKVServer {
+	m := &MultiKVServer{}
+	for _, n := range tb.Cores(tb.Server, nCores) {
+		m.Cores = append(m.Cores, NewKVServer(n, sys))
 	}
-	port.SetHandler(m.onFrame)
+	tb.Server.Port.SetHandler(m.onFrame)
 	return m
 }
 

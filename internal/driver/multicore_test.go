@@ -3,7 +3,6 @@ package driver
 import (
 	"testing"
 
-	"cornflakes/internal/cachesim"
 	"cornflakes/internal/loadgen"
 	"cornflakes/internal/nic"
 	"cornflakes/internal/sim"
@@ -13,17 +12,14 @@ import (
 func runMulti(t *testing.T, nCores int, rate float64) (loadgen.Result, *MultiKVServer) {
 	t.Helper()
 	gen := workloads.NewTwitter(800, 20)
-	eng := sim.NewEngine()
-	prof := nic.MellanoxCX6()
-	pc, ps := nic.Link(eng, prof, prof, 1500*sim.Nanosecond)
-	clientNode := NewNode(eng, pc, false)
-	srv := NewMultiKVServer(eng, ps, nCores, SysCornflakes, cachesim.DefaultConfig())
+	tb := NewTestbed(nic.MellanoxCX6())
+	srv := NewMultiKVServer(tb, nCores, SysCornflakes)
 	srv.Preload(gen.Records())
 	res := loadgen.Run(loadgen.Config{
-		Eng: eng, EP: clientNode.UDP,
+		Eng: tb.Eng, EP: tb.Client.UDP,
 		Gen: gen,
 		Client: &MultiKVClient{
-			Inner:  NewKVClient(clientNode, SysCornflakes),
+			Inner:  NewKVClient(tb.Client, SysCornflakes),
 			NCores: nCores,
 		},
 		RatePerS: rate, Warmup: sim.Millisecond, Measure: 10 * sim.Millisecond, Seed: 21,

@@ -1,9 +1,10 @@
-// Package driver composes the substrate into runnable client/server
-// testbeds: per-node resource bundles (allocator, arena, cache, meter,
-// stack, core), key-value servers and client codecs for Cornflakes and
-// every baseline serializer, and echo servers for the §2 motivation and
-// Figure 9 TCP experiments. The experiments package builds every table and
-// figure from these pieces.
+// Package driver composes the substrate into runnable topologies: one
+// builder (Rack) for every node's resource bundle (allocator, arena,
+// cache, meter, stack, core) and every topology, from a back-to-back
+// Testbed to a switched rack, plus key-value servers and client codecs for
+// Cornflakes and every baseline serializer, and echo servers for the §2
+// motivation and Figure 9 TCP experiments. The experiments package builds
+// every table and figure from these pieces.
 package driver
 
 import (
@@ -55,9 +56,12 @@ func ShedID(p []byte) (uint64, bool) {
 	return wire.GetU64(p[1:]), true
 }
 
-// Node bundles one machine's resources.
+// Node bundles one machine's resources. Rack builds every node.
 type Node struct {
-	Eng   *sim.Engine
+	Eng *sim.Engine
+	// Port is the node's NIC port: one end of a direct link, a switch
+	// link, or a port shared with sibling cores (Rack.Cores).
+	Port  *nic.Port
 	Alloc *mem.Allocator
 	Arena *mem.Arena
 	Cache *cachesim.Hierarchy
@@ -67,95 +71,16 @@ type Node struct {
 	TCP   *netstack.TCPConn
 	Core  *sim.Core
 
-	// stack is whichever of UDP and TCP the node runs.
+	// stack is the transport the node's server runs over: UDP or TCP,
+	// whichever the node was built with, or a Segmenter over its UDP.
 	stack stack
 }
 
-// stack is the transport surface netstack.UDP and netstack.TCPConn share:
-// servers that run over either reach the node's stack through it.
+// stack is the transport surface netstack.UDP, netstack.TCPConn and
+// netstack.Segmenter share: servers that run over any of them reach the
+// node's stack through it.
 type stack interface {
 	SetRecvHandler(fn func(payload *mem.Buf))
 	SendObject(obj core.Obj) error
 	SendContiguous(payload []byte, sim uint64) error
-}
-
-// rxRingDepth bounds the server's pending-request queue, modelling the RX
-// descriptor ring: overload drops packets instead of queueing unboundedly.
-const rxRingDepth = 1024
-
-// NewNode builds a node on the given NIC port. Pass useTCP to attach the
-// TCP-lite stack instead of UDP.
-func NewNode(eng *sim.Engine, port *nic.Port, useTCP bool) *Node {
-	return NewNodeCfg(eng, port, useTCP, cachesim.DefaultConfig())
-}
-
-// NewNodeCfg is NewNode with an explicit cache configuration; experiments
-// shrink the modelled L3 so scaled-down stores keep the paper's
-// working-set-vs-cache ratios.
-func NewNodeCfg(eng *sim.Engine, port *nic.Port, useTCP bool, cacheCfg cachesim.Config) *Node {
-	return newNode(eng, port, useTCP, cachesim.New(cacheCfg))
-}
-
-// newNode assembles a node around a given cache hierarchy; the multicore
-// server passes per-core hierarchies that share one L3.
-func newNode(eng *sim.Engine, port *nic.Port, useTCP bool, cache *cachesim.Hierarchy) *Node {
-	alloc := mem.NewAllocator()
-	arena := mem.NewArena(256 << 10)
-	meter := costmodel.NewMeter(costmodel.DefaultCPU(), cache)
-	n := &Node{
-		Eng:   eng,
-		Alloc: alloc,
-		Arena: arena,
-		Cache: cache,
-		Meter: meter,
-		Ctx:   core.NewCtx(alloc, arena, meter),
-		Core:  sim.NewCore(eng),
-	}
-	n.Core.MaxQueue = rxRingDepth
-	if useTCP {
-		n.TCP = netstack.NewTCPConn(eng, port, alloc, meter)
-		n.stack = n.TCP
-	} else {
-		n.UDP = netstack.NewUDP(eng, port, alloc, meter)
-		n.stack = n.UDP
-	}
-	return n
-}
-
-// Testbed is a client and server pair joined by one link, mirroring the
-// back-to-back machine pairs of §6.1.1.
-type Testbed struct {
-	Eng    *sim.Engine
-	Client *Node
-	Server *Node
-}
-
-// propagation models wire plus switch latency one way.
-const propagation = 1500 * sim.Nanosecond
-
-// NewTestbed builds a UDP testbed with the given NIC profile on both ends.
-func NewTestbed(profile nic.Profile) *Testbed {
-	return NewTestbedCfg(profile, cachesim.DefaultConfig())
-}
-
-// NewTestbedCfg builds a UDP testbed with an explicit server cache config.
-func NewTestbedCfg(profile nic.Profile, cacheCfg cachesim.Config) *Testbed {
-	eng := sim.NewEngine()
-	pc, ps := nic.Link(eng, profile, profile, propagation)
-	return &Testbed{
-		Eng:    eng,
-		Client: NewNode(eng, pc, false),
-		Server: NewNodeCfg(eng, ps, false, cacheCfg),
-	}
-}
-
-// NewTCPTestbed builds a TCP testbed.
-func NewTCPTestbed(profile nic.Profile) *Testbed {
-	eng := sim.NewEngine()
-	pc, ps := nic.Link(eng, profile, profile, propagation)
-	return &Testbed{
-		Eng:    eng,
-		Client: NewNode(eng, pc, true),
-		Server: NewNode(eng, ps, true),
-	}
 }

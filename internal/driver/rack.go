@@ -2,30 +2,36 @@ package driver
 
 import (
 	"cornflakes/internal/cachesim"
+	"cornflakes/internal/core"
+	"cornflakes/internal/costmodel"
 	"cornflakes/internal/fabric"
+	"cornflakes/internal/mem"
 	"cornflakes/internal/netstack"
 	"cornflakes/internal/nic"
 	"cornflakes/internal/sim"
 )
 
-// Rack is the pluggable topology composer under every multi-node testbed:
-// N nodes, each on its own NIC, plugged into one simulated ToR switch on
-// one engine. It owns nothing KV-shaped — a node becomes a KV shard, an
-// RPC service, a cache tier, or a load generator by what its owner attaches
-// to it, so new scenario families (service chains, tiered delivery) compose
-// here instead of re-deriving switch plumbing. ClusterTestbed builds its
-// sharded rack on top; internal/rpc builds call graphs the same way.
+// Rack is the one topology builder: an engine, its ToR switch and its
+// nodes. Nodes join through the switch (AddNode), as a pair on a direct
+// link (Testbed), or as sibling cores behind one port (Cores). It owns
+// nothing KV-shaped — a node becomes a KV shard, an RPC service, a cache
+// tier, or a load generator by what its owner attaches to it, so new
+// scenario families compose here instead of re-deriving node and switch
+// plumbing. ClusterTestbed builds its sharded rack on top; internal/rpc
+// builds call graphs the same way.
 type Rack struct {
 	// Eng is the rack's one engine: the switch and every node run on it.
 	Eng    *sim.Engine
 	Switch *fabric.Switch
 	// Exec is the handle the harness drives the run through; it is Eng.
 	Exec sim.Runner
-	// Nodes[i] sits at fabric address Addrs[i], in AddNode order. The
-	// switch hands out addresses 1..n in plug-in order, so topology
-	// construction order is part of a scenario's deterministic identity.
-	Nodes []*Node
-	Addrs []byte
+	// Nodes lists every node in build order. Addrs lists the switched
+	// nodes' fabric addresses, which the switch hands out as 1..n in
+	// AddNode order, so construction order is part of a scenario's
+	// deterministic identity. switched[i] is the node at Addrs[i].
+	Nodes    []*Node
+	Addrs    []byte
+	switched []*Node
 }
 
 // NewRack builds an empty rack: one engine, one ToR switch. A zero
@@ -36,15 +42,95 @@ func NewRack(fcfg fabric.Config) *Rack {
 	return &Rack{Eng: eng, Exec: eng, Switch: fabric.New(eng, fcfg)}
 }
 
+// rxRingDepth bounds the server's pending-request queue, modelling the RX
+// descriptor ring: overload drops packets instead of queueing unboundedly.
+const rxRingDepth = 1024
+
+// propagation models wire plus switch latency one way.
+const propagation = 1500 * sim.Nanosecond
+
+// addNode builds a node on port around the given cache hierarchy and
+// appends it to Nodes. Pass useTCP to attach the TCP-lite stack instead of
+// UDP.
+func (r *Rack) addNode(port *nic.Port, useTCP bool, cache *cachesim.Hierarchy) *Node {
+	alloc := mem.NewAllocator()
+	arena := mem.NewArena(256 << 10)
+	meter := costmodel.NewMeter(costmodel.DefaultCPU(), cache)
+	n := &Node{
+		Eng:   r.Eng,
+		Port:  port,
+		Alloc: alloc,
+		Arena: arena,
+		Cache: cache,
+		Meter: meter,
+		Ctx:   core.NewCtx(alloc, arena, meter),
+		Core:  sim.NewCore(r.Eng),
+	}
+	n.Core.MaxQueue = rxRingDepth
+	if useTCP {
+		n.TCP = netstack.NewTCPConn(r.Eng, port, alloc, meter)
+		n.stack = n.TCP
+	} else {
+		n.UDP = netstack.NewUDP(r.Eng, port, alloc, meter)
+		n.stack = n.UDP
+	}
+	r.Nodes = append(r.Nodes, n)
+	return n
+}
+
 // AddNode plugs a fresh UDP node into the switch and returns it with its
 // fabric address.
 func (r *Rack) AddNode(profile nic.Profile, cacheCfg cachesim.Config) (*Node, byte) {
 	port, addr := r.Switch.PlugIn(profile, propagation)
-	n := NewNodeCfg(r.Eng, port, false, cacheCfg)
+	n := r.addNode(port, false, cachesim.New(cacheCfg))
 	n.UDP.LocalAddr = addr
-	r.Nodes = append(r.Nodes, n)
 	r.Addrs = append(r.Addrs, addr)
+	r.switched = append(r.switched, n)
 	return n, addr
+}
+
+// Cores returns n followed by k−1 sibling UDP nodes on n's port, each with
+// its own allocator, arena, meter, core and L1/L2 over n's L3 (§6.6). The
+// caller installs the port handler that steers frames between them.
+func (r *Rack) Cores(n *Node, k int) []*Node {
+	cores := []*Node{n}
+	for i := 1; i < k; i++ {
+		cores = append(cores, r.addNode(n.Port, false, cachesim.NewShared(n.Cache)))
+	}
+	return cores
+}
+
+// Testbed is a client and server pair joined by one direct link,
+// mirroring the back-to-back machine pairs of §6.1.1: a two-node Rack
+// whose switch stays idle.
+type Testbed struct {
+	*Rack
+	Client, Server *Node
+}
+
+// NewTestbed builds a UDP testbed with the given NIC profile on both ends.
+func NewTestbed(profile nic.Profile) *Testbed {
+	return newTestbed(profile, cachesim.DefaultConfig(), false)
+}
+
+// NewTestbedCfg builds a UDP testbed with an explicit server cache config;
+// experiments shrink the modelled L3 so scaled-down stores keep the
+// paper's working-set-vs-cache ratios.
+func NewTestbedCfg(profile nic.Profile, cacheCfg cachesim.Config) *Testbed {
+	return newTestbed(profile, cacheCfg, false)
+}
+
+// NewTCPTestbed builds a TCP testbed.
+func NewTCPTestbed(profile nic.Profile) *Testbed {
+	return newTestbed(profile, cachesim.DefaultConfig(), true)
+}
+
+func newTestbed(profile nic.Profile, cacheCfg cachesim.Config, useTCP bool) *Testbed {
+	r := NewRack(fabric.Config{})
+	pc, ps := nic.Link(r.Eng, profile, profile, propagation)
+	client := r.addNode(pc, useTCP, cachesim.New(cachesim.DefaultConfig()))
+	server := r.addNode(ps, useTCP, cachesim.New(cacheCfg))
+	return &Testbed{Rack: r, Client: client, Server: server}
 }
 
 // FrameLedger sums every frame counter in the topology, stage by stage, so
@@ -77,21 +163,22 @@ type FrameLedger struct {
 	HostDownDrops uint64 // frames that arrived at a crashed host
 }
 
-// Ledger gathers the FrameLedger over every node in the rack. Call it only
-// after the engine has quiesced (Eng.Run()): frames still inside the switch
-// pipeline or on a wire would read as conservation gaps.
+// Ledger gathers the FrameLedger over every switched node in the rack (a
+// Testbed's direct link has none). Call it only after the engine has
+// quiesced (Eng.Run()): frames still inside the switch pipeline or on a
+// wire would read as conservation gaps.
 func (r *Rack) Ledger() FrameLedger {
 	var l FrameLedger
-	for i, n := range r.Nodes {
-		l.add(r.Addrs[i], n.UDP, r.Switch)
+	for i, addr := range r.Addrs {
+		l.add(addr, r.switched[i], r.Switch)
 	}
 	l.Misrouted = r.Switch.Misrouted()
 	return l
 }
 
-func (l *FrameLedger) add(addr byte, u *netstack.UDP, sw *fabric.Switch) {
-	ep := u.Port
-	lp := sw.LinkPort(addr)
+func (l *FrameLedger) add(addr byte, n *Node, sw *fabric.Switch) {
+	ep, u := n.Port, n.UDP
+	lp := ep.Peer()
 	ps := sw.Stats(addr)
 	l.EndpointTx += ep.TxFrames
 	l.UpDelivered += ep.DeliveredFrames

@@ -74,92 +74,79 @@ func (s *RedisServer) handle(p *mem.Buf) {
 }
 
 func (s *RedisServer) handleCF(p *mem.Buf) {
-	ctx := s.N.Ctx
 	m := s.N.Meter
-	if p.Len() < 2 {
+	var op byte
+	if p.Len() >= 2 {
+		op = p.Bytes()[0]
+	}
+	schema := redisReqSchema(op)
+	if schema == nil {
 		s.Errors++
 		p.DecRef()
 		return
 	}
-	op := p.Bytes()[0]
-	body := p.SubView(1, p.Len()-1)
-	p.DecRef()
-
-	var req redis.CFRequest
 	m.SetCategory(costmodel.CatDeserialize)
-	switch op {
-	case redis.CmdGet, redis.CmdLRange:
-		msg, err := msgs.DeserializeGetReq(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
-		req = redis.CFRequest{ID: msg.Id(), Key: msg.Key()}
-		defer msg.Release()
-	case redis.CmdMGet:
-		msg, err := msgs.DeserializeGetM(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
-		req = redis.CFRequest{ID: msg.Id()}
-		for j := 0; j < msg.KeysLen(); j++ {
-			req.Keys = append(req.Keys, msg.Keys(j))
-		}
-		defer msg.Release()
-	case redis.CmdSet:
-		msg, err := msgs.DeserializePutReq(ctx, body)
-		if err != nil {
-			s.Errors++
-			body.DecRef()
-			return
-		}
-		req = redis.CFRequest{ID: msg.Id(), Key: msg.Key(), Val: msg.Val()}
-		defer msg.Release()
-	default:
+	msg, err := SysCornflakes.Decode(s.N, schema, p, 1)
+	if err != nil {
 		s.Errors++
-		body.DecRef()
 		return
+	}
+	defer msg.Release()
+	req := redis.CFRequest{ID: msg.Int(0)}
+	switch op {
+	case redis.CmdMGet:
+		for j, n := 0, msg.Len(1); j < n; j++ {
+			key, _ := msg.Elem(1, j)
+			req.Keys = append(req.Keys, key)
+		}
+	case redis.CmdSet:
+		req.Key, req.Val = msg.Bytes(1), msg.Bytes(2)
+	default:
+		req.Key = msg.Bytes(1)
 	}
 
 	m.SetCategory(costmodel.CatApp)
 	reply := s.R.HandleCF(op, req)
 	m.SetCategory(costmodel.CatSerialize)
+	var resp Msg
 	switch {
 	case reply.OK:
-		resp := msgs.NewPutResp(ctx)
-		resp.SetId(reply.ID)
-		resp.SetOk(1)
-		s.send(resp.Obj())
-		resp.Release()
+		resp = SysCornflakes.NewMsg(s.N, msgs.PutRespSchema)
+		resp.SetInt(0, reply.ID)
+		resp.SetInt(1, 1)
 	case reply.Multi:
-		resp := msgs.NewGetListResp(ctx)
-		resp.SetId(reply.ID)
+		resp = SysCornflakes.NewMsg(s.N, msgs.GetListRespSchema)
+		resp.SetInt(0, reply.ID)
 		for _, v := range reply.Vals {
 			if v != nil {
-				resp.AppendVals(ctx.NewCFPtr(v.Bytes()))
+				resp.AddBytes(1, v.Bytes(), v.SimAddr())
 			}
 		}
-		s.send(resp.Obj())
-		resp.Release()
 	default:
-		resp := msgs.NewGetResp(ctx)
-		resp.SetId(reply.ID)
+		resp = SysCornflakes.NewMsg(s.N, msgs.GetRespSchema)
+		resp.SetInt(0, reply.ID)
 		if len(reply.Vals) == 1 && reply.Vals[0] != nil {
-			resp.SetVal(ctx.NewCFPtr(reply.Vals[0].Bytes()))
+			resp.SetBytes(1, reply.Vals[0].Bytes(), reply.Vals[0].SimAddr())
 		}
-		s.send(resp.Obj())
-		resp.Release()
 	}
+	if err := SysCornflakes.send(resp); err != nil {
+		s.Errors++
+	}
+	resp.Release()
 	m.SetCategory(costmodel.CatTx)
 }
 
-func (s *RedisServer) send(obj core.Obj) {
-	if err := s.N.UDP.SendObject(obj); err != nil {
-		s.Errors++
+// redisReqSchema maps a Cornflakes-mode command byte to its request schema.
+func redisReqSchema(cmd byte) *core.Schema {
+	switch cmd {
+	case redis.CmdGet, redis.CmdLRange:
+		return msgs.GetReqSchema
+	case redis.CmdMGet:
+		return msgs.GetMSchema
+	case redis.CmdSet:
+		return msgs.PutReqSchema
 	}
+	return nil
 }
 
 // RedisClient encodes workload requests as Redis commands for either mode.
@@ -192,33 +179,34 @@ func (c *RedisClient) BuildStep(id uint64, req workloads.Request, _ int) []byte 
 			return redis.EncodeRESPRequest(m, id, []byte("SET"), req.Keys[0], req.Vals[0])
 		}
 	}
-	ctx := c.N.Ctx
 	defer c.N.Arena.Reset()
+	var cmd byte
 	switch req.Op {
 	case workloads.OpGet:
-		msg := msgs.NewGetReq(ctx)
-		msg.SetId(id)
-		msg.SetKey(ctx.NewCFPtr(req.Keys[0]))
-		return append([]byte{redis.CmdGet}, core.Marshal(msg.Obj())...)
+		cmd = redis.CmdGet
 	case workloads.OpGetM:
-		msg := msgs.NewGetM(ctx)
-		msg.SetId(id)
-		for _, k := range req.Keys {
-			msg.AppendKeys(ctx.NewCFPtr(k))
-		}
-		return append([]byte{redis.CmdMGet}, core.Marshal(msg.Obj())...)
+		cmd = redis.CmdMGet
 	case workloads.OpGetList:
-		msg := msgs.NewGetReq(ctx)
-		msg.SetId(id)
-		msg.SetKey(ctx.NewCFPtr(req.Keys[0]))
-		return append([]byte{redis.CmdLRange}, core.Marshal(msg.Obj())...)
+		cmd = redis.CmdLRange
 	default:
-		msg := msgs.NewPutReq(ctx)
-		msg.SetId(id)
-		msg.SetKey(ctx.NewCFPtr(req.Keys[0]))
-		msg.SetVal(ctx.NewCFPtr(req.Vals[0]))
-		return append([]byte{redis.CmdSet}, core.Marshal(msg.Obj())...)
+		cmd = redis.CmdSet
 	}
+	msg := SysCornflakes.NewMsg(c.N, redisReqSchema(cmd))
+	msg.SetInt(0, id)
+	switch cmd {
+	case redis.CmdMGet:
+		for _, k := range req.Keys {
+			msg.AddBytes(1, k, 0)
+		}
+	case redis.CmdSet:
+		msg.SetBytes(1, req.Keys[0], 0)
+		msg.SetBytes(2, req.Vals[0], 0)
+	default:
+		msg.SetBytes(1, req.Keys[0], 0)
+	}
+	out := append([]byte{cmd}, SysCornflakes.Marshal(msg)...)
+	msg.Release()
+	return out
 }
 
 // ResponseID implements loadgen.Client.
@@ -229,7 +217,7 @@ func (c *RedisClient) ResponseID(p []byte) (uint64, error) {
 		}
 		return wire.GetU64(p), nil
 	}
-	id, ok := core.PeekID(p)
+	id, ok := SysCornflakes.PeekID(p)
 	if !ok {
 		return 0, fmt.Errorf("driver: bad cornflakes redis response")
 	}

@@ -1,8 +1,6 @@
 package driver
 
 import (
-	"fmt"
-
 	"cornflakes/internal/netstack"
 	"cornflakes/internal/nic"
 	"cornflakes/internal/trace"
@@ -59,7 +57,7 @@ func AttachTracer(tb *Testbed, tr *trace.Tracer,
 		return frame[hdrLen:], true
 	}
 
-	clientPort(tb).Observer = func(r nic.TxRecord) {
+	tb.Client.Port.Observer = func(r nic.TxRecord) {
 		p, ok := payloadOf(r.Data)
 		if !ok {
 			return
@@ -76,7 +74,7 @@ func AttachTracer(tb *Testbed, tr *trace.Tracer,
 		tr.Mark(id, r.TxDone, trace.PhaseReqProp)
 		tr.Mark(id, r.DeliverAt, trace.PhaseQueue)
 	}
-	serverPort(tb).Observer = func(r nic.TxRecord) {
+	tb.Server.Port.Observer = func(r nic.TxRecord) {
 		p, ok := payloadOf(r.Data)
 		if !ok {
 			return
@@ -139,10 +137,10 @@ func AttachKVTracer(tb *Testbed, srv *KVServer, tr *trace.Tracer) {
 // registry, in a fixed deterministic order: pinned-memory occupancy, core
 // load and queueing, admission-control and fallback activity, and stack
 // drop counters.
-func RegisterServerGauges(reg *trace.Registry, tb *Testbed, srv *KVServer) {
-	alloc := tb.Server.Alloc
-	c := tb.Server.Core
-	ctx := tb.Server.Ctx
+func RegisterServerGauges(reg *trace.Registry, srv *KVServer) {
+	alloc := srv.N.Alloc
+	c := srv.N.Core
+	ctx := srv.N.Ctx
 	reg.Register("server.mem.slots", func() float64 { return float64(alloc.Stats().SlotsInUse) })
 	reg.Register("server.mem.peak", func() float64 { return float64(alloc.Stats().PeakSlotsInUse) })
 	reg.Register("server.mem.occupancy", func() float64 { return alloc.Occupancy() })
@@ -154,22 +152,8 @@ func RegisterServerGauges(reg *trace.Registry, tb *Testbed, srv *KVServer) {
 	reg.Register("server.core.dropped", func() float64 { return float64(c.Dropped) })
 	reg.Register("server.shed", func() float64 { return float64(srv.Shed) })
 	reg.Register("server.fallbacks", func() float64 { return float64(ctx.Fallbacks) })
-	if u := tb.Server.UDP; u != nil {
+	if u := srv.N.UDP; u != nil {
 		reg.Register("server.udp.rx_nomem", func() float64 { return float64(u.RxNoMem) })
 		reg.Register("server.udp.tx_nomem", func() float64 { return float64(u.TxNoMem) })
 	}
-}
-
-// clientPort and serverPort reach through whichever stack a node runs.
-func clientPort(tb *Testbed) *nic.Port { return nodePort(tb.Client) }
-func serverPort(tb *Testbed) *nic.Port { return nodePort(tb.Server) }
-
-func nodePort(n *Node) *nic.Port {
-	if n.TCP != nil {
-		return n.TCP.Port
-	}
-	if n.UDP != nil {
-		return n.UDP.Port
-	}
-	panic(fmt.Sprintf("driver: node %p has no stack", n))
 }

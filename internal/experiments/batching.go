@@ -93,7 +93,7 @@ func BatchingAt(sc Scale, burst int, rate float64) BatchPoint {
 	}))
 	// Run the engine dry so queued bursts finish and the RX ring empties.
 	tb.Eng.Run()
-	port := tb.Server.UDP.Port
+	port := tb.Server.Port
 	return BatchPoint{
 		Res: res, Burst: burst,
 		Batches: srv.Batches, BatchedReqs: srv.BatchedReqs, MaxBatch: srv.MaxBatch,

@@ -150,8 +150,8 @@ func runChaos(cc chaosCfg) ChaosPoint {
 	if cc.linkFault != nil {
 		// Satellite: the link-level adversary attached *inside* the fabric —
 		// client 0's endpoint port and the switch-side port of its link.
-		injUp, injDown = faults.Apply(*cc.linkFault,
-			c.Clients[0].UDP.Port, c.Switch.LinkPort(c.ClientAddrs[0]))
+		p := c.Clients[0].Port
+		injUp, injDown = faults.Apply(*cc.linkFault, p, p.Peer())
 	}
 	sched := faults.ScheduleNodePlan(c.Eng, cc.plan, c.FaultNodes(), c.Switch)
 

@@ -5,6 +5,7 @@ import (
 
 	"cornflakes/internal/cachesim"
 	"cornflakes/internal/costmodel"
+	"cornflakes/internal/driver"
 	"cornflakes/internal/loadgen"
 	"cornflakes/internal/mem"
 	"cornflakes/internal/netstack"
@@ -54,11 +55,9 @@ func expCacheConfig() cachesim.Config {
 // (shard, start) and the port handler demultiplexes to the owning core,
 // each with private L1/L2 and a shared L3 (§6.6).
 type microServer struct {
-	eng     *sim.Engine
 	port    *nic.Port
 	alloc   *mem.Allocator
-	cores   []*sim.Core
-	meters  []*costmodel.Meter
+	cores   []*driver.Node
 	shards  [][]*mem.Buf
 	mode    microMode
 	segSize int
@@ -137,27 +136,16 @@ var microRaw microRawRel
 // request layout (UDP payload): u64 id | u32 shard | u32 start.
 const microReqLen = 16
 
-func newMicroServer(eng *sim.Engine, port *nic.Port, nCores int, mode microMode,
-	segSize, count, workingSet int, cacheCfg cachesim.Config) *microServer {
-
+// newMicroServer serves one shard per core of tb.Cores(tb.Server, nCores),
+// with the server's allocator holding every buffer and response.
+func newMicroServer(tb *driver.Testbed, nCores int, mode microMode, segSize, count, workingSet int) *microServer {
 	s := &microServer{
-		eng: eng, port: port, alloc: mem.NewAllocator(),
+		port: tb.Server.Port, alloc: tb.Server.Alloc, cores: tb.Cores(tb.Server, nCores),
 		mode: mode, segSize: segSize, count: count,
 	}
-	base := cachesim.New(cacheCfg)
-	for i := 0; i < nCores; i++ {
-		cache := base
-		if i > 0 {
-			cache = cachesim.NewShared(cacheCfg, base)
-		}
-		s.meters = append(s.meters, costmodel.NewMeter(costmodel.DefaultCPU(), cache))
-		core := sim.NewCore(eng)
-		core.MaxQueue = 1024
-		s.cores = append(s.cores, core)
-	}
-	for i := 0; i < nCores; i++ {
-		s.safeRels = append(s.safeRels, microSafeRel{m: s.meters[i]})
-		s.copyRels = append(s.copyRels, microCopyRel{m: s.meters[i]})
+	for _, n := range s.cores {
+		s.safeRels = append(s.safeRels, microSafeRel{m: n.Meter})
+		s.copyRels = append(s.copyRels, microCopyRel{m: n.Meter})
 	}
 	s.segs = make([]*mem.Buf, count)
 	perShard := workingSet / nCores / segSize
@@ -175,7 +163,7 @@ func newMicroServer(eng *sim.Engine, port *nic.Port, nCores int, mode microMode,
 		}
 		s.shards = append(s.shards, shard)
 	}
-	port.SetHandler(s.onFrame)
+	s.port.SetHandler(s.onFrame)
 	return s
 }
 
@@ -190,9 +178,9 @@ func (s *microServer) onFrame(f *nic.Frame) {
 	shard := int(wire.GetU32(req[8:])) % len(s.shards)
 	start := int(wire.GetU32(req[12:])) % len(s.shards[shard])
 	j := s.getJob()
-	j.m = s.meters[shard]
+	j.m = s.cores[shard].Meter
 	j.shard, j.start, j.id = shard, start, id
-	s.cores[shard].Submit(sim.Job{Run: j.run})
+	s.cores[shard].Core.Submit(sim.Job{Run: j.run})
 }
 
 // serve builds and posts the response, charging the owning core's meter.
@@ -300,15 +288,10 @@ func splitmix(x uint64) uint64 {
 // also the one with the highest Gbps.
 func microMaxGbps(mode microMode, nCores, segSize, count, workingSet int, sc Scale, seed uint64) float64 {
 	return probe(func(rate float64) (loadgen.Result, float64) {
-		eng := sim.NewEngine()
-		prof := nic.MellanoxCX5Ex()
-		pc, ps := nic.Link(eng, prof, prof, 1500*sim.Nanosecond)
-		clientAlloc := mem.NewAllocator()
-		clientMeter := costmodel.NewMeter(costmodel.DefaultCPU(), cachesim.New(cachesim.DefaultConfig()))
-		clientUDP := netstack.NewUDP(eng, pc, clientAlloc, clientMeter)
-		srv := newMicroServer(eng, ps, nCores, mode, segSize, count, workingSet, expCacheConfig())
+		tb := driver.NewTestbedCfg(nic.MellanoxCX5Ex(), expCacheConfig())
+		srv := newMicroServer(tb, nCores, mode, segSize, count, workingSet)
 		res := loadgen.Run(sc.withWindow(loadgen.Config{
-			Eng: eng, EP: clientUDP,
+			Eng: tb.Eng, EP: tb.Client.UDP,
 			Gen:      nopGen{},
 			Client:   &microClient{shards: nCores, perShard: srv.perShard()},
 			RatePerS: rate,

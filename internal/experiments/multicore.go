@@ -6,7 +6,6 @@ import (
 	"cornflakes/internal/driver"
 	"cornflakes/internal/loadgen"
 	"cornflakes/internal/nic"
-	"cornflakes/internal/sim"
 	"cornflakes/internal/workloads"
 )
 
@@ -26,17 +25,14 @@ func ExtMulticore(sc Scale) *Report {
 		gen := workloads.NewTwitter(8*sc.StoreKeys, 190)
 		// Capacity via the utilization method, generalized to K cores.
 		return probe(func(rate float64) (loadgen.Result, float64) {
-			eng := sim.NewEngine()
-			prof := nic.MellanoxCX6()
-			pc, ps := nic.Link(eng, prof, prof, 1500*sim.Nanosecond)
-			clientNode := driver.NewNode(eng, pc, false)
-			srv := driver.NewMultiKVServer(eng, ps, nCores, driver.SysCornflakes, expCacheConfig())
+			tb := driver.NewTestbedCfg(nic.MellanoxCX6(), expCacheConfig())
+			srv := driver.NewMultiKVServer(tb, nCores, driver.SysCornflakes)
 			srv.Preload(gen.Records())
 			res := loadgen.Run(sc.withWindow(loadgen.Config{
-				Eng: eng, EP: clientNode.UDP,
+				Eng: tb.Eng, EP: tb.Client.UDP,
 				Gen: gen,
 				Client: &driver.MultiKVClient{
-					Inner:  driver.NewKVClient(clientNode, driver.SysCornflakes),
+					Inner:  driver.NewKVClient(tb.Client, driver.SysCornflakes),
 					NCores: nCores,
 				},
 				RatePerS: rate,

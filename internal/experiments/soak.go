@@ -139,7 +139,7 @@ func soakFinish(res *SoakResult, tb *driver.Testbed, clientBase, serverBase int6
 	res.Stalled = !quiesced
 	res.LeakedClient = tb.Client.Alloc.Stats().SlotsInUse - clientBase
 	res.LeakedServer = tb.Server.Alloc.Stats().SlotsInUse - serverBase
-	cp, sp := tb.Client.TCP.Port, tb.Server.TCP.Port
+	cp, sp := tb.Client.Port, tb.Server.Port
 	res.Retransmits = tb.Client.TCP.Retransmits + tb.Server.TCP.Retransmits
 	res.WireDrops = cp.DroppedFrames + sp.DroppedFrames
 	res.FCSDrops = cp.RxFCSErrors + sp.RxFCSErrors
@@ -158,7 +158,7 @@ func SoakEcho(seed uint64) SoakResult {
 	res := SoakResult{Workload: "echo", Seed: seed, Total: soakMessages}
 	tb := driver.NewTCPTestbed(nic.MellanoxCX6())
 	driver.NewEchoServer(tb.Server, driver.EchoOneCopy, driver.SysCornflakes, 0, 0)
-	ab, ba := faults.Apply(soakPlan(seed), tb.Client.TCP.Port, tb.Server.TCP.Port)
+	ab, ba := faults.Apply(soakPlan(seed), tb.Client.Port, tb.Server.Port)
 
 	clientBase := tb.Client.Alloc.Stats().SlotsInUse
 	serverBase := tb.Server.Alloc.Stats().SlotsInUse
@@ -232,7 +232,7 @@ func SoakKV(seed uint64) SoakResult {
 		vals[i] = v
 	}
 	srv.Preload(recs)
-	ab, ba := faults.Apply(soakPlan(seed), tb.Client.TCP.Port, tb.Server.TCP.Port)
+	ab, ba := faults.Apply(soakPlan(seed), tb.Client.Port, tb.Server.Port)
 
 	clientBase := tb.Client.Alloc.Stats().SlotsInUse
 	serverBase := tb.Server.Alloc.Stats().SlotsInUse

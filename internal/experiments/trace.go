@@ -77,7 +77,7 @@ func TracedOverloadRun(sc Scale, burst int, rate float64, tcfg trace.Config) Tra
 	}
 
 	reg := trace.NewRegistry()
-	driver.RegisterServerGauges(reg, tb, srv)
+	driver.RegisterServerGauges(reg, srv)
 	w, m := sc.window()
 	reg.SampleUntil(tb.Eng, traceGaugeEvery, w+m)
 

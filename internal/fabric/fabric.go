@@ -258,17 +258,6 @@ func (s *Switch) PortAdminUp(addr byte) bool {
 	return true
 }
 
-// LinkPort exposes the switch-side nic.Port of the link to the endpoint at
-// addr, so link-level adversaries (faults.Apply) can attach per-port loss,
-// corruption or reordering inside a fabric topology instead of only on
-// point-to-point pairs. Nil for unknown addresses.
-func (s *Switch) LinkPort(addr byte) *nic.Port {
-	if p := s.byAddr[addr]; p != nil {
-		return p.link
-	}
-	return nil
-}
-
 // Stats returns the counters of the port at addr (zero stats for an
 // unknown address).
 func (s *Switch) Stats(addr byte) PortStats {

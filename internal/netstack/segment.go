@@ -16,7 +16,7 @@ import (
 // iterators for each message frame until the entire object has been
 // written". This file implements that extension.
 //
-// SendObjectSegmented serializes an object of any size across multiple
+// Segmenter.SendObject serializes an object of any size across multiple
 // frames. The first fragment carries the object header region and copied
 // fields in the DMA buffer; zero-copy fields are posted as scatter-gather
 // entries, sliced at frame boundaries with refcounted sub-views — so even
@@ -72,10 +72,11 @@ func (s *Segmenter) SetRecvHandler(fn func(payload *mem.Buf)) { s.recv = fn }
 // fragPayloadBudget is the object bytes carried per fragment.
 const fragPayloadBudget = MaxPayload - FragHeaderLen
 
-// SendObjectSegmented serializes obj across as many frames as needed.
-// Objects that fit one frame still use the single-fragment format so the
-// receiver path is uniform.
-func (s *Segmenter) SendObjectSegmented(obj core.Obj) error {
+// SendObject serializes obj across as many frames as needed. Objects that
+// fit one frame still use the single-fragment format so the receiver path
+// is uniform. With SendContiguous and SetRecvHandler it gives a Segmenter
+// the same surface as UDP and TCPConn, so a server can run over it.
+func (s *Segmenter) SendObject(obj core.Obj) error {
 	m := s.U.Meter
 	l := obj.Layout()
 	total := l.ObjectLen()

@@ -27,7 +27,7 @@ func TestSegmentedSmallObjectSingleFragment(t *testing.T) {
 		}
 		got = m
 	})
-	if err := sa.SendObjectSegmented(msg); err != nil {
+	if err := sa.SendObject(msg); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -66,7 +66,7 @@ func TestSegmentedLargeObjectZeroCopy(t *testing.T) {
 		}
 		got = m
 	})
-	if err := sa.SendObjectSegmented(msg); err != nil {
+	if err := sa.SendObject(msg); err != nil {
 		t.Fatal(err)
 	}
 	msg.Release() // immediate free: fragments hold their own references
@@ -118,7 +118,7 @@ func TestSegmentedLossDiscardsMessage(t *testing.T) {
 	msg.AppendBytes(2, na.ctx.NewCFPtr(val.Bytes()))
 	delivered := 0
 	sb.SetRecvHandler(func(p *mem.Buf) { delivered++; p.DecRef() })
-	if err := sa.SendObjectSegmented(msg); err != nil {
+	if err := sa.SendObject(msg); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -149,7 +149,7 @@ func TestSegmenterEviction(t *testing.T) {
 		val := na.alloc.Alloc(20 << 10)
 		msg := core.NewMessage(s, na.ctx)
 		msg.AppendBytes(2, na.ctx.NewCFPtr(val.Bytes()))
-		if err := sa.SendObjectSegmented(msg); err != nil {
+		if err := sa.SendObject(msg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +184,7 @@ func TestSegmentedManySizesRoundTrip(t *testing.T) {
 			}
 			got = m
 		})
-		if err := sa.SendObjectSegmented(msg); err != nil {
+		if err := sa.SendObject(msg); err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
 		eng.Run()

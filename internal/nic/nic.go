@@ -376,6 +376,10 @@ func Link(eng *sim.Engine, a, b Profile, propagation sim.Time) (*Port, *Port) {
 // Profile returns the port's NIC profile.
 func (p *Port) Profile() Profile { return p.prof }
 
+// Peer returns the port at the far end of the link: the other endpoint of
+// a direct link, or the switch-side port of a fabric link.
+func (p *Port) Peer() *Port { return p.peer }
+
 // SetHandler installs the receive callback. Frames arriving with no handler
 // are dropped.
 func (p *Port) SetHandler(h Handler) { p.handler = h }

@@ -34,6 +34,9 @@ func TestSendDeliversGatheredBytes(t *testing.T) {
 	if a.TxSGEntries != 3 {
 		t.Errorf("TxSGEntries = %d, want 3", a.TxSGEntries)
 	}
+	if a.Peer() != b || b.Peer() != a {
+		t.Error("Peer does not return the far end of the link")
+	}
 }
 
 func TestSendEntryLimit(t *testing.T) {

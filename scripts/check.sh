@@ -17,7 +17,7 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== one codec per system (library codecs and Cornflakes forks only in driver.System)"
+echo "== one codec per system (library codecs and Cornflakes forks only in driver.System, no msgs codec in driver)"
 # The per-library wire decisions live in internal/driver/codec.go; any other
 # non-test file that calls a baseline codec has copied one back out, and any
 # other non-test file under internal/ that compares against SysCornflakes
@@ -35,6 +35,27 @@ cf_forks=$(git ls-files 'internal/*.go' | grep -v -e '_test\.go$' -e '^internal/
 if [ -n "$cf_forks" ]; then
 	echo "SysCornflakes compared outside internal/driver/codec.go:"
 	echo "$cf_forks"
+	exit 1
+fi
+# The generated msgs API is a second Cornflakes codec: driver code builds and
+# decodes every message through driver.Msg instead.
+msgs_calls=$(git ls-files 'internal/driver/*.go' | grep -v '_test\.go$' |
+	xargs grep -l -E 'msgs\.(New|Deserialize)' || true)
+if [ -n "$msgs_calls" ]; then
+	echo "generated msgs constructors or decoders called in internal/driver (use driver.Msg):"
+	echo "$msgs_calls"
+	exit 1
+fi
+
+echo "== one topology builder (links and node stacks only in driver.Rack and fabric)"
+# driver.Rack builds every node and direct link and the fabric builds switch
+# links; any other non-test file that links ports or attaches a stack has
+# hand-wired a topology. The examples show the raw substrate on purpose.
+topo_calls=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e '^internal/driver/' -e '^internal/fabric/' -e '^examples/' |
+	xargs grep -l -e 'nic\.Link(' -e 'netstack\.NewUDP(' -e 'netstack\.NewTCPConn(' || true)
+if [ -n "$topo_calls" ]; then
+	echo "topology hand-wired outside internal/driver/ and internal/fabric/:"
+	echo "$topo_calls"
 	exit 1
 fi
 
