@@ -11,16 +11,16 @@ import (
 // buffer and lets the NIC gather the zero-copy entries (§3.2.3) — but tests,
 // tools, and the non-scatter-gather fallback path use it, and its output is
 // byte-identical to what a receiver sees after NIC gather.
-func Marshal(obj Obj) []byte {
-	l := obj.Layout()
+func Marshal(m *Message) []byte {
+	l := m.Layout()
 	out := make([]byte, l.ObjectLen())
-	obj.WriteHeader(out)
+	m.WriteHeader(out)
 	cur := l.HeaderLen
-	obj.IterateCopyEntries(func(data []byte, sim uint64) {
+	m.IterateCopyEntries(func(data []byte, sim uint64) {
 		copy(out[cur:], data)
 		cur += len(data)
 	})
-	obj.IterateZCEntries(func(buf *mem.Buf) {
+	m.IterateZCEntries(func(buf *mem.Buf) {
 		copy(out[cur:], buf.Bytes())
 		cur += buf.Len()
 	})

@@ -27,23 +27,6 @@ type Layout struct {
 // ObjectLen is the total serialized size.
 func (l Layout) ObjectLen() int { return l.HeaderLen + l.CopyLen + l.ZCLen }
 
-// Obj is the CornflakesObj protocol (Listing 1): instead of a serialize
-// call producing a buffer, objects expose their layout, write their header
-// region, and iterate copy and zero-copy entries so the co-designed
-// networking stack can serialize directly into transmit descriptors.
-type Obj interface {
-	Layout() Layout
-	// WriteHeader writes the complete header region into dst (which has at
-	// least Layout().HeaderLen bytes and represents object offset 0).
-	WriteHeader(dst []byte)
-	// IterateCopyEntries yields each copied payload in layout order; the
-	// stack copies them contiguously after the header region.
-	IterateCopyEntries(fn func(data []byte, sim uint64))
-	// IterateZCEntries yields each zero-copy buffer in layout order; the
-	// stack posts one scatter-gather entry per buffer.
-	IterateZCEntries(fn func(buf *mem.Buf))
-}
-
 // fieldVal holds one field's send-side value.
 type fieldVal struct {
 	set  bool
@@ -225,7 +208,15 @@ func (m *Message) numPresent() int {
 	return n
 }
 
-// Layout implements Obj by walking the object tree (send-mode only).
+// Layout, WriteHeader, IterateCopyEntries and IterateZCEntries are the
+// CornflakesObj protocol (Listing 1): instead of a serialize call producing
+// a buffer, a message exposes its layout, writes its header region, and
+// iterates its copy and zero-copy entries, so the co-designed networking
+// stack serializes it directly into transmit descriptors. The stack takes
+// the concrete *Message: it is the protocol's only implementation, and a
+// call through an interface would move every iterator callback to the heap.
+//
+// Layout walks the object tree (send-mode only).
 func (m *Message) Layout() Layout {
 	m.mustSend()
 	var l Layout
@@ -310,7 +301,8 @@ func (s *serializer) place(p CFPtr) uint32 {
 	return uint32(off)
 }
 
-// WriteHeader implements Obj.
+// WriteHeader writes the complete header region into dst, which has at
+// least Layout().HeaderLen bytes and represents object offset 0.
 func (m *Message) WriteHeader(dst []byte) {
 	m.mustSend()
 	l := m.Layout()
@@ -380,7 +372,9 @@ func (m *Message) writeMsg(s *serializer, base int) {
 	}
 }
 
-// IterateCopyEntries implements Obj. The walk order matches place().
+// IterateCopyEntries yields each copied payload in layout order; the stack
+// copies them contiguously after the header region. The walk order
+// matches place().
 func (m *Message) IterateCopyEntries(fn func(data []byte, sim uint64)) {
 	m.walkPtrs(func(p CFPtr) {
 		if !p.IsZeroCopy() {
@@ -389,7 +383,9 @@ func (m *Message) IterateCopyEntries(fn func(data []byte, sim uint64)) {
 	})
 }
 
-// IterateZCEntries implements Obj. The walk order matches place().
+// IterateZCEntries yields each zero-copy buffer in layout order; the stack
+// posts one scatter-gather entry per buffer. The walk order matches
+// place().
 func (m *Message) IterateZCEntries(fn func(buf *mem.Buf)) {
 	m.walkPtrs(func(p CFPtr) {
 		if p.IsZeroCopy() {
@@ -463,5 +459,3 @@ func (m *Message) Reset() {
 		m.vals[i].clear()
 	}
 }
-
-var _ Obj = (*Message)(nil)

@@ -81,6 +81,6 @@ type Node struct {
 // node's stack through it.
 type stack interface {
 	SetRecvHandler(fn func(payload *mem.Buf))
-	SendObject(obj core.Obj) error
+	SendObject(obj *core.Message) error
 	SendContiguous(payload []byte, sim uint64) error
 }

@@ -102,6 +102,17 @@ type swPort struct {
 	outstanding int       // frames posted but not yet off the wire
 	adminDown   bool      // administratively downed (port flap)
 	stats       PortStats
+	// drained is the drain callback, bound once in PlugIn so a forwarded
+	// frame leaving the wire schedules no new closure.
+	drained func()
+}
+
+func (p *swPort) drain() { p.outstanding-- }
+
+// fwdFrame is one frame in its switching delay, bound for port out.
+type fwdFrame struct {
+	out  *swPort
+	data []byte
 }
 
 // Switch is the ToR component.
@@ -110,6 +121,15 @@ type Switch struct {
 	cfg    Config
 	ports  []*swPort
 	byAddr [256]*swPort
+
+	// fwd[fwdHead:] holds the frames in their switching delay, in arrival
+	// order. Every frame waits the same LatencyNs and arrivals never go
+	// back in time, so the forward events fire in arrival order and each
+	// takes the head. forwardHead is bound once in New, so ingress
+	// schedules no closure per frame.
+	fwd         []fwdFrame
+	fwdHead     int
+	forwardHead func()
 
 	// misrouted counts frames whose destination byte matched no attached
 	// port (or runt frames too short to carry an address).
@@ -129,7 +149,9 @@ func New(eng *sim.Engine, cfg Config) *Switch {
 	if cfg.EgressDepth == 0 {
 		cfg.EgressDepth = def.EgressDepth
 	}
-	return &Switch{eng: eng, cfg: cfg}
+	s := &Switch{eng: eng, cfg: cfg}
+	s.forwardHead = s.forwardNext
+	return s
 }
 
 // PlugIn attaches one endpoint: it creates a link between a fresh
@@ -146,6 +168,7 @@ func (s *Switch) PlugIn(prof nic.Profile, propagation sim.Time) (*nic.Port, byte
 	addr := byte(len(s.ports) + 1)
 	ep, sw := nic.Link(s.eng, prof, s.cfg.Port, propagation)
 	p := &swPort{addr: addr, link: sw}
+	p.drained = p.drain
 	sw.SetHandler(func(f *nic.Frame) { s.ingress(p, f) })
 	// The switch queues f.Data for egress (store-and-forward); the sending
 	// NIC must not recycle delivered frame buffers.
@@ -173,8 +196,27 @@ func (s *Switch) ingress(p *swPort, f *nic.Frame) {
 		s.misrouted++
 		return
 	}
-	data := f.Data
-	s.eng.After(sim.FromNanos(s.cfg.LatencyNs), func() { s.forward(out, data) })
+	if len(s.fwd) == cap(s.fwd) && s.fwdHead > 0 {
+		// Full with a spent prefix: slide the waiting frames down instead
+		// of growing, so the FIFO stays as long as the frames in flight.
+		n := copy(s.fwd, s.fwd[s.fwdHead:])
+		clear(s.fwd[n:])
+		s.fwd, s.fwdHead = s.fwd[:n], 0
+	}
+	s.fwd = append(s.fwd, fwdFrame{out: out, data: f.Data})
+	s.eng.After(sim.FromNanos(s.cfg.LatencyNs), s.forwardHead)
+}
+
+// forwardNext forwards the frame at the head of the switching-delay FIFO.
+func (s *Switch) forwardNext() {
+	f := s.fwd[s.fwdHead]
+	s.fwd[s.fwdHead] = fwdFrame{}
+	s.fwdHead++
+	if s.fwdHead == len(s.fwd) {
+		s.fwd = s.fwd[:0]
+		s.fwdHead = 0
+	}
+	s.forward(f.out, f.data)
 }
 
 // forward posts one frame on the egress port q, or tail-drops it when the
@@ -214,7 +256,7 @@ func (s *Switch) egressDone(q *swPort, rec nic.TxRecord) {
 	if wait > 0 {
 		q.stats.ContentionNs += wait
 	}
-	s.eng.At(rec.TxDone, func() { q.outstanding-- })
+	s.eng.At(rec.TxDone, q.drained)
 }
 
 // unloadedNs returns the post-to-wire-exit time of a lone frame on an idle

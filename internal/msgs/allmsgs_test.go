@@ -10,7 +10,7 @@ import (
 // Round-trip every generated message type through the real wire format,
 // exercising the full generated accessor surface.
 
-func marshalInto(t *testing.T, ctx *core.Ctx, obj core.Obj, schema *core.Schema) *core.Message {
+func marshalInto(t *testing.T, ctx *core.Ctx, obj *core.Message, schema *core.Schema) *core.Message {
 	t.Helper()
 	data := core.Marshal(obj)
 	buf := ctx.Alloc.Alloc(len(data))

@@ -76,7 +76,7 @@ const fragPayloadBudget = MaxPayload - FragHeaderLen
 // fit one frame still use the single-fragment format so the receiver path
 // is uniform. With SendContiguous and SetRecvHandler it gives a Segmenter
 // the same surface as UDP and TCPConn, so a server can run over it.
-func (s *Segmenter) SendObject(obj core.Obj) error {
+func (s *Segmenter) SendObject(obj *core.Message) error {
 	m := s.U.Meter
 	l := obj.Layout()
 	total := l.ObjectLen()

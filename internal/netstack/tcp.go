@@ -147,7 +147,7 @@ func (c *TCPConn) writeTCPHeader(hdr []byte, seq, ack uint32, flags byte) {
 // SendObject serializes obj into one TCP segment using the same combined
 // serialize-and-send layout as the UDP stack, and retains buffer references
 // until the segment is acknowledged.
-func (c *TCPConn) SendObject(obj core.Obj) error {
+func (c *TCPConn) SendObject(obj *core.Message) error {
 	m := c.Meter
 	l := obj.Layout()
 	if TCPHeaderLen+l.ObjectLen() > JumboFrame {

@@ -3,7 +3,7 @@
 // over the simulated scatter-gather NIC.
 //
 // The UDP stack is co-designed with the serialization library: SendObject
-// accepts a core.Obj directly and serializes it straight into transmit
+// accepts a *core.Message directly and serializes it straight into transmit
 // descriptors — the combined serialize-and-send API of §3.2.3. The
 // SendObjectViaSGArray path materialises the intermediate scatter-gather
 // array instead, reproducing the "without serialize-and-send" ablation of
@@ -347,7 +347,7 @@ var rawRel rawReleaser
 // header, object header and copied fields share the first scatter-gather
 // entry; each zero-copy field adds one entry pointing directly at pinned
 // application memory, with the refcount held until DMA completion.
-func (u *UDP) SendObject(obj core.Obj) error {
+func (u *UDP) SendObject(obj *core.Message) error {
 	m := u.Meter
 	l := obj.Layout()
 	if PacketHeaderLen+l.ObjectLen() > JumboFrame {
@@ -449,7 +449,7 @@ func (u *UDP) SendObject(obj core.Obj) error {
 // element, zero-copy fields after), and the stack prepends its own packet
 // header entry and re-walks the array. Costs: one vector allocation, one
 // extra scatter-gather entry, and a second pass over the array.
-func (u *UDP) SendObjectViaSGArray(obj core.Obj) error {
+func (u *UDP) SendObjectViaSGArray(obj *core.Message) error {
 	m := u.Meter
 	l := obj.Layout()
 	if PacketHeaderLen+l.ObjectLen() > JumboFrame {

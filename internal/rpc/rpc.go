@@ -90,10 +90,14 @@ func PeekRootID(p []byte) (uint64, bool) {
 type codec struct {
 	sys driver.System
 	n   *driver.Node
+	// out is the frame scratch buffer: a built frame is valid until this
+	// codec's next build. Senders copy a frame into a DMA buffer before
+	// they return, and loadgen builds every attempt afresh.
+	out []byte
 }
 
 // buildCall serializes a call frame: header + PutReq body.
-func (c codec) buildCall(h Header, key, val []byte) []byte {
+func (c *codec) buildCall(h Header, key, val []byte) []byte {
 	m := c.sys.NewMsg(c.n, msgs.PutReqSchema)
 	m.SetInt(0, h.CallID)
 	m.SetBytes(1, key, 0)
@@ -102,7 +106,7 @@ func (c codec) buildCall(h Header, key, val []byte) []byte {
 }
 
 // buildReply serializes a reply frame: header + GetResp body.
-func (c codec) buildReply(h Header, val []byte) []byte {
+func (c *codec) buildReply(h Header, val []byte) []byte {
 	m := c.sys.NewMsg(c.n, msgs.GetRespSchema)
 	m.SetInt(0, h.CallID)
 	m.SetBytes(1, val, 0)
@@ -110,10 +114,14 @@ func (c codec) buildReply(h Header, val []byte) []byte {
 }
 
 // frame marshals and releases the body m behind the header h.
-func (c codec) frame(h Header, m driver.Msg) []byte {
+func (c *codec) frame(h Header, m driver.Msg) []byte {
 	body := c.sys.Marshal(m)
 	m.Release()
-	out := make([]byte, HeaderLen+len(body))
+	n := HeaderLen + len(body)
+	if cap(c.out) < n {
+		c.out = make([]byte, n)
+	}
+	out := c.out[:n]
 	h.EncodeTo(out)
 	copy(out[HeaderLen:], body)
 	return out
@@ -123,7 +131,7 @@ func (c codec) frame(h Header, m driver.Msg) []byte {
 // discards the result: an RPC hop pays the full parse cost even though the
 // modelled services have no application state to keep. reply selects the
 // GetResp shape over the PutReq shape. Consumes p.
-func (c codec) decodeBody(p *mem.Buf, reply bool) error {
+func (c *codec) decodeBody(p *mem.Buf, reply bool) error {
 	schema := msgs.PutReqSchema
 	if reply {
 		schema = msgs.GetRespSchema

@@ -64,6 +64,11 @@ type Service struct {
 	expired  map[uint64]struct{}
 	nextCall uint64
 
+	// jobs and infs are free lists of job and fan-in records, so a
+	// steady-state call allocates neither.
+	jobs []*job
+	infs []*inflight
+
 	// Stats. The child-call ledger is exact after the engine quiesces:
 	// ChildCalls == ChildReplies + ChildSheds + ChildAbandoned, and
 	// LateChildReplies ≤ ChildAbandoned (a late reply is the wasted work
@@ -93,6 +98,10 @@ type Service struct {
 }
 
 // inflight is the fan-in state for one upstream call awaiting backends.
+// Records cycle through the service's free list. One returns there after
+// the last reply's job has run finishCall, or after a child failure or
+// the fan-in timeout has failed the call upstream. By then the timer has
+// fired or been cancelled, and no pend entry still points at the record.
 type inflight struct {
 	h        Header // the upstream call being served
 	src      byte   // who to answer
@@ -100,6 +109,103 @@ type inflight struct {
 	failed   bool
 	timer    sim.Timer
 	children []uint64
+	// onTimer is the fan-in deadline callback, bound once when the record
+	// is created.
+	onTimer func()
+}
+
+func (s *Service) getInflight() *inflight {
+	if n := len(s.infs); n > 0 {
+		inf := s.infs[n-1]
+		s.infs[n-1] = nil
+		s.infs = s.infs[:n-1]
+		return inf
+	}
+	inf := &inflight{}
+	inf.onTimer = func() { s.onFanInTimeout(inf) }
+	return inf
+}
+
+// putInflight clears inf, keeping its children slice, and returns it to
+// the free list.
+func (s *Service) putInflight(inf *inflight) {
+	inf.h, inf.src, inf.await, inf.failed = Header{}, 0, 0, false
+	inf.timer = sim.Timer{}
+	inf.children = inf.children[:0]
+	s.infs = append(s.infs, inf)
+}
+
+// job is the state of one host-core job: a call to serve (onCall) or a
+// child reply to fan in (onChildReply). Records cycle through the
+// service's free list and bind their method values once, when created, so
+// submitting a job builds no closure.
+type job struct {
+	s   *Service
+	h   Header
+	p   *mem.Buf
+	src byte
+	// inf and done are a reply job's fan-in record and whether this reply
+	// completed it.
+	inf  *inflight
+	done bool
+
+	start func(sim.Time)
+	call  func() sim.Time
+	reply func() sim.Time
+}
+
+func (s *Service) getJob() *job {
+	if n := len(s.jobs); n > 0 {
+		j := s.jobs[n-1]
+		s.jobs[n-1] = nil
+		s.jobs = s.jobs[:n-1]
+		return j
+	}
+	j := &job{s: s}
+	j.start, j.call, j.reply = j.startCall, j.runCall, j.runReply
+	return j
+}
+
+// putJob clears j's references and returns it to the free list.
+func (s *Service) putJob(j *job) {
+	j.p, j.inf = nil, nil
+	s.jobs = append(s.jobs, j)
+}
+
+func (j *job) startCall(sim.Time) {
+	s := j.s
+	if s.Tracer != nil {
+		s.Tracer.Mark(j.h.RootID, s.N.Eng.Now(), s.phase("handle"))
+	}
+}
+
+// runCall serves the call. It recycles the record before serving, since
+// serving may submit another job.
+func (j *job) runCall() sim.Time {
+	s, h, p, src := j.s, j.h, j.p, j.src
+	s.putJob(j)
+	return s.serveCall(h, p, src)
+}
+
+// runReply decodes one child reply and, when it completed the fan-in,
+// answers upstream and recycles the fan-in record.
+func (j *job) runReply() sim.Time {
+	s, p, inf, done := j.s, j.p, j.inf, j.done
+	s.putJob(j)
+	m := s.N.Meter
+	m.SetCategory(costmodel.CatDeserialize)
+	if err := s.codec.decodeBody(p, true); err != nil {
+		s.Errors++
+	}
+	if done {
+		s.finishCall(inf.h, inf.src)
+		s.putInflight(inf)
+	}
+	s.N.Arena.Reset()
+	d := m.DrainTime()
+	s.HostRec.Add(m.TakeReceipt())
+	m.SetCategory(costmodel.CatRx)
+	return d
 }
 
 // NewService wires a Service onto a node's UDP stack. The node must come
@@ -164,15 +270,10 @@ func (s *Service) onCall(h Header, p *mem.Buf, src byte) {
 		p.DecRef()
 		return
 	}
-	ok := s.N.Core.Submit(sim.Job{
-		Start: func(sim.Time) {
-			if s.Tracer != nil {
-				s.Tracer.Mark(h.RootID, s.N.Eng.Now(), s.phase("handle"))
-			}
-		},
-		Run: func() sim.Time { return s.serveCall(h, p, src) },
-	})
-	if !ok {
+	j := s.getJob()
+	j.h, j.p, j.src = h, p, src
+	if !s.N.Core.Submit(sim.Job{Start: j.start, Run: j.call}) {
+		s.putJob(j)
 		p.DecRef()
 	}
 }
@@ -276,7 +377,8 @@ func (s *Service) dispatchChildren(h Header, src byte) {
 	if s.fwdBuf == nil {
 		s.fwdBuf = make([]byte, s.FwdBytes)
 	}
-	inf := &inflight{h: h, src: src, await: len(s.Backends)}
+	inf := s.getInflight()
+	inf.h, inf.src, inf.await = h, src, len(s.Backends)
 	for _, addr := range s.Backends {
 		cid := s.newCallID()
 		inf.children = append(inf.children, cid)
@@ -293,7 +395,7 @@ func (s *Service) dispatchChildren(h Header, src byte) {
 	}
 	s.N.Arena.Reset()
 	if s.CallTimeout > 0 {
-		inf.timer = s.N.Eng.After(s.CallTimeout, func() { s.onFanInTimeout(inf) })
+		inf.timer = s.N.Eng.After(s.CallTimeout, inf.onTimer)
 	}
 }
 
@@ -320,24 +422,12 @@ func (s *Service) onChildReply(h Header, p *mem.Buf) {
 	if done {
 		inf.timer.Cancel()
 	}
-	submitted := s.N.Core.Submit(sim.Job{Run: func() sim.Time {
-		m := s.N.Meter
-		m.SetCategory(costmodel.CatDeserialize)
-		if err := s.codec.decodeBody(p, true); err != nil {
-			s.Errors++
-		}
-		if done {
-			s.finishCall(inf.h, inf.src)
-		}
-		s.N.Arena.Reset()
-		d := m.DrainTime()
-		s.HostRec.Add(m.TakeReceipt())
-		m.SetCategory(costmodel.CatRx)
-		return d
-	}})
-	if !submitted {
+	j := s.getJob()
+	j.p, j.inf, j.done = p, inf, done
+	if !s.N.Core.Submit(sim.Job{Run: j.reply}) {
 		// Host ring overflow at fan-in: the reply is lost after being
 		// counted; the upstream caller's own deadline covers the call.
+		s.putJob(j)
 		p.DecRef()
 	}
 }
@@ -366,6 +456,7 @@ func (s *Service) onChildFailure(id uint64) {
 	inf.timer.Cancel()
 	s.abandonSiblings(inf)
 	s.failTo(inf.h.CallID, inf.h.RootID, inf.src, "fail")
+	s.putInflight(inf)
 }
 
 // onFanInTimeout fires when backends are too slow: every still-pending
@@ -379,6 +470,7 @@ func (s *Service) onFanInTimeout(inf *inflight) {
 	s.ChildTimeouts++
 	s.abandonSiblings(inf)
 	s.failTo(inf.h.CallID, inf.h.RootID, inf.src, "timeout")
+	s.putInflight(inf)
 }
 
 func (s *Service) abandonSiblings(inf *inflight) {

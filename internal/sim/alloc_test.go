@@ -111,6 +111,30 @@ func BenchmarkEngineScheduleDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineTimerMix models the rpc-fanout event mix: 512 standing
+// deadline timers, one cancelled and re-armed 800 µs out per iteration
+// (loadgen and rpc cancel most deadlines on completion), plus 8 ns-scale
+// link, DMA and core events run to completion.
+func BenchmarkEngineTimerMix(b *testing.B) {
+	e := NewEngine()
+	fn := func() {}
+	timers := make([]Timer, 512)
+	for i := range timers {
+		timers[i] = e.After(800*Microsecond+Time(i)*Nanosecond, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(timers)
+		timers[k].Cancel()
+		timers[k] = e.After(800*Microsecond, fn)
+		for j := 1; j <= 8; j++ {
+			e.After(Time(j)*Nanosecond, fn)
+		}
+		e.RunUntil(e.Now() + 8*Nanosecond)
+	}
+}
+
 // BenchmarkCoreServeJob measures submit→serve→complete for one job.
 func BenchmarkCoreServeJob(b *testing.B) {
 	e := NewEngine()

@@ -83,8 +83,8 @@ go test -short ./internal/rpc -run 'TestSingleHopAllSystems|TestShedPropagatesUp
 echo "== parallel-harness fingerprint gate (serial == parallel across every experiment, rpc included)"
 go test ./internal/experiments -run 'TestSerialParallelFingerprints|TestFingerprintSensitivity'
 
-echo "== zero-alloc hot-path pins (DES engine, core, meter, cache fill, frame path, range walk, message pool)"
-go test ./internal/sim ./internal/costmodel ./internal/nic ./internal/cachesim ./internal/core -run 'AllocFree|TestTimerStaleAfterRecycle'
+echo "== zero-alloc hot-path pins (DES engine, core, meter, cache fill, frame path, range walk, message pool, switch forward, serialize-and-send)"
+go test ./internal/sim ./internal/costmodel ./internal/nic ./internal/cachesim ./internal/core ./internal/fabric ./internal/netstack -run 'AllocFree|TestTimerStaleAfterRecycle'
 
 echo "== go test -race ./... (includes the parallel sweep smoke)"
 # The experiments package runs every reproduction at Quick scale; under the
