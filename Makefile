@@ -1,4 +1,4 @@
-.PHONY: check check-fast test bench bench-raw trace-demo profile full-results
+.PHONY: check check-fast test bench trace-demo profile full-results
 
 # Experiment to profile with `make profile` (any id from cf-bench -list).
 PROFILE_EXP ?= fig3
@@ -33,15 +33,11 @@ full-results:
 	sed '/^([a-z0-9-]* took [0-9.]*s)$$/d' artifacts/full_results.raw | cat -s > full_results.txt; \
 	exit $$status
 
-# Serial + parallel benchmark passes folded into the next BENCH_<n>.json
-# (index derived from the committed BENCH_*.json sequence; see
-# scripts/bench.sh for the gap check and BENCHTIME/OUT env knobs).
-# `make bench-raw` keeps the old direct run.
+# The repository benchmark: every workload in BENCHMARK.json, untraced
+# then traced, into artifacts/bench/ (see bench/README.md; SEED and
+# RUN_SECONDS override the defaults).
 bench:
-	./scripts/bench.sh
-
-bench-raw:
-	go test -bench=. -benchmem
+	bash bench/run.sh
 
 # Profile one experiment's serial hot loop (default fig3; override with
 # PROFILE_EXP=fig5 etc.). Writes artifacts/<exp>-{cpu,mem}.prof and prints

@@ -1,15 +1,13 @@
-// Benchmark harness: one testing.B benchmark per table and figure in the
-// paper's evaluation (each regenerates the result at Quick scale and fails
-// if a shape check breaks), plus micro-benchmarks of the serialization
-// library itself.
+// Library micro-benchmarks: the wall-clock cost of the serialization
+// library, the baseline codecs and the pinned allocator themselves (the
+// virtual-time substrate measures the modelled system; these measure the
+// code). Run them with:
 //
-// Run everything with:
+//	go test -run '^$' -bench . -benchmem .
 //
-//	go test -bench=. -benchmem
-//
-// Regenerate a single figure's data with more detail via:
-//
-//	go run ./cmd/cf-bench -exp fig7
+// End-to-end host cost per simulated request is measured by the benchmark
+// in bench/ (see bench/README.md); every experiment's shape checks run in
+// go test ./internal/experiments.
 package cornflakes_test
 
 import (
@@ -19,62 +17,9 @@ import (
 	"cornflakes/internal/cachesim"
 	"cornflakes/internal/core"
 	"cornflakes/internal/costmodel"
-	"cornflakes/internal/experiments"
 	"cornflakes/internal/mem"
 	"cornflakes/internal/msgs"
 )
-
-// benchExperiment regenerates one table/figure per iteration and reports
-// its wall-clock cost. Shape-check failures fail the benchmark: the
-// benchmark suite doubles as the reproduction gate.
-//
-// Sweep fan-out follows CF_PARALLEL: unset (or 0) uses GOMAXPROCS workers,
-// CF_PARALLEL=1 forces the serial path. scripts/bench.sh runs the suite
-// both ways and records the ratio in the BENCH_*.json record; the reports
-// themselves are byte-identical either way (see determinism_test.go).
-func benchExperiment(b *testing.B, id string) {
-	fn, ok := experiments.All()[id]
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	sc := experiments.Quick()
-	sc.Workers = experiments.WorkersFromEnv()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep := fn(sc)
-		if fails := rep.Failed(); len(fails) > 0 {
-			b.Fatalf("experiment %s shape checks failed: %v", id, fails)
-		}
-	}
-}
-
-func BenchmarkFig2EchoApproaches(b *testing.B)     { benchExperiment(b, "fig2") }
-func BenchmarkFig3SGMicrobench(b *testing.B)       { benchExperiment(b, "fig3") }
-func BenchmarkFig5ThresholdHeatmap(b *testing.B)   { benchExperiment(b, "fig5") }
-func BenchmarkFig6GoogleCurves(b *testing.B)       { benchExperiment(b, "fig6") }
-func BenchmarkFig7TwitterKV(b *testing.B)          { benchExperiment(b, "fig7") }
-func BenchmarkFig8RedisTwitter(b *testing.B)       { benchExperiment(b, "fig8") }
-func BenchmarkFig9TCPEcho(b *testing.B)            { benchExperiment(b, "fig9") }
-func BenchmarkFig10NICGenerality(b *testing.B)     { benchExperiment(b, "fig10") }
-func BenchmarkFig11CycleBreakdown(b *testing.B)    { benchExperiment(b, "fig11") }
-func BenchmarkFig12HybridTwitter(b *testing.B)     { benchExperiment(b, "fig12") }
-func BenchmarkFig13MulticoreScaling(b *testing.B)  { benchExperiment(b, "fig13") }
-func BenchmarkTable1GoogleThroughput(b *testing.B) { benchExperiment(b, "tab1") }
-func BenchmarkTable2CDNThroughput(b *testing.B)    { benchExperiment(b, "tab2") }
-func BenchmarkTable3RedisCommands(b *testing.B)    { benchExperiment(b, "tab3") }
-func BenchmarkTable4HybridVsSGOnly(b *testing.B)   { benchExperiment(b, "tab4") }
-func BenchmarkTable5SerializeAndSend(b *testing.B) { benchExperiment(b, "tab5") }
-func BenchmarkExtAdaptiveThreshold(b *testing.B)   { benchExperiment(b, "ext-adaptive") }
-func BenchmarkExtArenaAblation(b *testing.B)       { benchExperiment(b, "ext-arena") }
-func BenchmarkExtSegmentation(b *testing.B)        { benchExperiment(b, "ext-segment") }
-func BenchmarkExtMulticoreKV(b *testing.B)         { benchExperiment(b, "ext-multicore") }
-func BenchmarkClusterScaleout(b *testing.B)        { benchExperiment(b, "cluster") }
-func BenchmarkChaosFaults(b *testing.B)            { benchExperiment(b, "chaos") }
-func BenchmarkRpcChains(b *testing.B)              { benchExperiment(b, "rpc") }
-
-// --- Library micro-benchmarks: real wall-clock cost of this Go
-// implementation (the virtual-time substrate measures the modelled system;
-// these measure the code itself). ---
 
 func benchCtx() *core.Ctx {
 	alloc := mem.NewAllocator()

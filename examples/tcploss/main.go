@@ -37,14 +37,17 @@ func main() {
 	sctx, sTCP := newNode(pa)
 	rctx, rTCP := newNode(pb)
 
-	// Drop every third data frame.
+	// Drop every third data frame: an interceptor that returns no
+	// deliveries loses the frame on the wire.
 	n := 0
-	pa.InjectLoss = func(data []byte) bool {
+	pa.Interceptor = func(data []byte) []nic.Delivery {
 		if len(data) > netstack.TCPHeaderLen {
 			n++
-			return n%3 == 0
+			if n%3 == 0 {
+				return nil
+			}
 		}
-		return false
+		return []nic.Delivery{{Data: data}}
 	}
 
 	const messages = 10

@@ -63,12 +63,16 @@ type microServer struct {
 	segSize int
 	count   int // buffers per request
 
-	// Per-core completion releasers (see microSafeRel/microCopyRel) and the
-	// serve-path scratch. The engine is serial, and serve runs to completion
-	// inside one core job, so one scratch per server never aliases; the NIC
-	// copies the gather list at post time.
-	safeRels []microSafeRel
-	copyRels []microCopyRel
+	// Per-core completion hooks and the serve-path scratch. The safe mode's
+	// hook charges CompletionCy and the refcount line on the owning core's
+	// meter (§2.3), the copy mode's only CompletionCy (there is no shared
+	// buffer to protect), and the raw mode's nothing (§2.4). The engine is
+	// serial, and serve runs to completion inside one core job, so one
+	// scratch per server never aliases; the NIC copies the gather list at
+	// post time.
+	safeRels []netstack.Releaser
+	copyRels []netstack.Releaser
+	rawRel   netstack.Releaser
 	segs     []*mem.Buf
 	entries  []nic.SGEntry
 	jobPool  []*microJob
@@ -103,36 +107,6 @@ func (s *microServer) getJob() *microJob {
 	return j
 }
 
-// microSafeRel is the DMA-completion hook of the safe scatter-gather mode:
-// completion charge, refcount metadata access, decref — on the owning
-// core's meter (§2.3).
-type microSafeRel struct{ m *costmodel.Meter }
-
-func (r *microSafeRel) ReleaseSG(arg any) {
-	b := arg.(*mem.Buf)
-	r.m.Charge(r.m.CPU.CompletionCy)
-	r.m.MetadataAccess(b.RefcountSimAddr())
-	b.DecRef()
-}
-
-// microCopyRel is the copy mode's completion hook: the completion charge
-// without safety metadata (there is no shared buffer to protect).
-type microCopyRel struct{ m *costmodel.Meter }
-
-func (r *microCopyRel) ReleaseSG(arg any) {
-	b := arg.(*mem.Buf)
-	r.m.Charge(r.m.CPU.CompletionCy)
-	b.DecRef()
-}
-
-// microRawRel drops the in-flight reference with no charges: the raw
-// scatter-gather upper bound (§2.4) pays for nothing it can avoid.
-type microRawRel struct{}
-
-func (microRawRel) ReleaseSG(arg any) { arg.(*mem.Buf).DecRef() }
-
-var microRaw microRawRel
-
 // request layout (UDP payload): u64 id | u32 shard | u32 start.
 const microReqLen = 16
 
@@ -144,8 +118,8 @@ func newMicroServer(tb *driver.Testbed, nCores int, mode microMode, segSize, cou
 		mode: mode, segSize: segSize, count: count,
 	}
 	for _, n := range s.cores {
-		s.safeRels = append(s.safeRels, microSafeRel{m: n.Meter})
-		s.copyRels = append(s.copyRels, microCopyRel{m: n.Meter})
+		s.safeRels = append(s.safeRels, netstack.Releaser{Meter: n.Meter, Refcount: true})
+		s.copyRels = append(s.copyRels, netstack.Releaser{Meter: n.Meter})
 	}
 	s.segs = make([]*mem.Buf, count)
 	perShard := workingSet / nCores / segSize
@@ -222,7 +196,7 @@ func (s *microServer) serve(m *costmodel.Meter, shard, start int, id uint64) {
 	wire.PutU64(hdr.Bytes()[netstack.PacketHeaderLen:], id)
 	entries := append(s.entries[:0], nic.SGEntry{
 		Data: hdr.Bytes(), Sim: hdr.SimAddr(),
-		Rel: microRaw, RelArg: hdr,
+		Rel: &s.rawRel, RelArg: hdr,
 	})
 	m.Charge(cpu.TxDescCy)
 	for _, b := range segs {
@@ -236,7 +210,7 @@ func (s *microServer) serve(m *costmodel.Meter, shard, start int, id uint64) {
 			m.MetadataAccess(b.RefcountSimAddr())
 			e.Rel = &s.safeRels[shard]
 		} else {
-			e.Rel = microRaw // raw: physics only, no charges
+			e.Rel = &s.rawRel // raw: physics only, no charges
 		}
 		entries = append(entries, e)
 	}

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"os"
-	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -34,19 +31,6 @@ func (sc Scale) workers() int {
 		return 1
 	}
 	return sc.Workers
-}
-
-// WorkersFromEnv resolves a fan-out width from the CF_PARALLEL environment
-// variable: unset or 0 means GOMAXPROCS, 1 forces serial, anything else is
-// the explicit width. bench_test.go and scripts/bench.sh use it to compare
-// serial and parallel runs of the same suite.
-func WorkersFromEnv() int {
-	if v := os.Getenv("CF_PARALLEL"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // forEach runs fn(i) for every i in [0, n), fanning the calls across up to

@@ -3,8 +3,7 @@
 // returns a Report: the table/series data in the same shape the paper
 // presents, plus shape checks asserting the paper's qualitative claims
 // (who wins, rough factors, where crossovers fall). cmd/cf-bench prints
-// reports; bench_test.go wraps each one in a testing.B benchmark; and the
-// integration tests assert the checks pass.
+// reports, and the package's tests assert the checks pass.
 package experiments
 
 import (

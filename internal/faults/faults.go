@@ -1,17 +1,14 @@
 // Package faults is a seeded, deterministic link-fault model for the
-// simulated NIC. It turns the single hand-rolled nic.Port.InjectLoss hook
-// into a composable adversary: per-direction random loss, bursty
-// (Gilbert-style) loss, reordering, duplication, delay jitter, and
-// payload corruption, all driven by a sim.Rand so a scenario is replayable
-// from its seed alone.
+// simulated NIC: per-direction random loss, bursty (Gilbert-style) loss,
+// reordering, duplication, delay jitter, and payload corruption, all
+// driven by a sim.Rand so a scenario is replayable from its seed alone.
 //
-// The model attaches to the wire path via nic.Port's Interceptor hook, so
-// it composes with an existing InjectLoss function (a frame must survive
-// both) and never interferes with buffer release: by the time the
-// interceptor sees a frame the DMA engine has read and released the
-// transmit buffers, which is exactly the window in which Cornflakes'
-// use-after-free guarantee must hold the application's data alive for
-// retransmission (§3).
+// The model attaches to the wire path via nic.Port's Interceptor hook, the
+// port's one wire-fault hook, and never interferes with buffer release: by
+// the time the interceptor sees a frame the DMA engine has read and
+// released the transmit buffers, which is exactly the window in which
+// Cornflakes' use-after-free guarantee must hold the application's data
+// alive for retransmission (§3).
 //
 // Corrupted copies are detected and dropped by the receiving NIC's frame
 // check sequence (see nic.Port.RxFCSErrors), so from the transport's point
@@ -84,9 +81,8 @@ type Injector struct {
 }
 
 // Apply installs the plan on a port pair (as returned by nic.Link) and
-// returns the two per-direction injectors for stats inspection. Any
-// InjectLoss hook already present on either port keeps working: the NIC
-// consults it before the injector.
+// returns the two per-direction injectors for stats inspection. It
+// replaces any Interceptor already set on either port.
 func Apply(plan Plan, a, b *nic.Port) (ab, ba *Injector) {
 	root := sim.NewRand(plan.Seed)
 	ab = &Injector{dir: plan.AtoB, rng: root.Fork(0)}

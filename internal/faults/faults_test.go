@@ -122,21 +122,6 @@ func TestCorruptionDroppedByNIC(t *testing.T) {
 	}
 }
 
-func TestComposesWithInjectLoss(t *testing.T) {
-	eng, a, b := linkPair()
-	// InjectLoss drops every even frame before the injector runs.
-	n := 0
-	a.InjectLoss = func([]byte) bool { n++; return n%2 == 1 }
-	ab, _ := Apply(Plan{Seed: 17, AtoB: Dir{}}, a, b)
-	got := blast(eng, a, b, 100)
-	if ab.Stats.Frames != 50 {
-		t.Errorf("injector saw %d frames, want 50 (InjectLoss runs first)", ab.Stats.Frames)
-	}
-	if got != 50 {
-		t.Errorf("delivered %d, want 50", got)
-	}
-}
-
 func TestDirectionsIndependent(t *testing.T) {
 	eng, a, b := linkPair()
 	ab, ba := Apply(Plan{Seed: 21, AtoB: Dir{Loss: 1.0}}, a, b)

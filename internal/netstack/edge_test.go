@@ -95,13 +95,13 @@ func TestTCPRTOBackoffAndRecovery(t *testing.T) {
 	// Drop the first three data transmissions: two RTO doublings, then
 	// success.
 	drops := 0
-	pa.InjectLoss = func(data []byte) bool {
+	pa.Interceptor = dropIf(func(data []byte) bool {
 		if len(data) > TCPHeaderLen && drops < 3 {
 			drops++
 			return true
 		}
 		return false
-	}
+	})
 	msg := core.NewMessage(testSchema(), na.ctx)
 	msg.SetInt(0, 1)
 	if err := ca.SendObject(msg); err != nil {
@@ -132,13 +132,13 @@ func TestTCPManyMessagesWithRandomLoss(t *testing.T) {
 	})
 	// Deterministic pseudo-random ~20% loss on data frames.
 	n := uint64(0)
-	pa.InjectLoss = func(data []byte) bool {
+	pa.Interceptor = dropIf(func(data []byte) bool {
 		if len(data) <= TCPHeaderLen {
 			return false
 		}
 		n = n*6364136223846793005 + 1442695040888963407
 		return n>>60 < 3
-	}
+	})
 	const msgs = 40
 	for i := 0; i < msgs; i++ {
 		m := core.NewMessage(testSchema(), na.ctx)

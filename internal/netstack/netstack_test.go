@@ -12,6 +12,17 @@ import (
 	"cornflakes/internal/sim"
 )
 
+// dropIf is a port Interceptor that loses the frames drop selects and
+// delivers the rest unchanged.
+func dropIf(drop func(data []byte) bool) nic.Interceptor {
+	return func(data []byte) []nic.Delivery {
+		if drop(data) {
+			return nil
+		}
+		return []nic.Delivery{{Data: data}}
+	}
+}
+
 type node struct {
 	alloc *mem.Allocator
 	arena *mem.Arena
@@ -373,13 +384,13 @@ func TestTCPRetransmitOnLoss(t *testing.T) {
 	})
 	// Drop the first data frame only.
 	drops := 0
-	pa.InjectLoss = func(data []byte) bool {
+	pa.Interceptor = dropIf(func(data []byte) bool {
 		if drops == 0 && len(data) > TCPHeaderLen {
 			drops++
 			return true
 		}
 		return false
-	}
+	})
 	val := na.alloc.Alloc(2048)
 	for i := range val.Bytes() {
 		val.Bytes()[i] = 0x3C
@@ -439,13 +450,13 @@ func TestTCPDuplicateDataReAcked(t *testing.T) {
 	pb := pa // sender side loss only affects data frames
 	_ = pb
 	cbPort := cb.Port
-	cbPort.InjectLoss = func(data []byte) bool {
+	cbPort.Interceptor = dropIf(func(data []byte) bool {
 		if ackDrops == 0 && len(data) >= TCPHeaderLen && data[tcpOffFlags]&flagData == 0 {
 			ackDrops++
 			return true
 		}
 		return false
-	}
+	})
 	msg := core.NewMessage(testSchema(), na.ctx)
 	msg.SetInt(0, 1)
 	ca.SendObject(msg)
@@ -485,5 +496,44 @@ func TestTCPTooLarge(t *testing.T) {
 	msg.AppendBytes(2, na.ctx.NewCFPtr(val.Bytes()))
 	if _, ok := ca.SendObject(msg).(*ErrTooLarge); !ok {
 		t.Error("oversized TCP object accepted")
+	}
+}
+
+// TestReleaserModes pins the three completion behaviours of Releaser: the
+// zero value only drops the NIC's reference, a Meter adds CompletionCy,
+// and Refcount also touches the buffer's refcount line.
+func TestReleaserModes(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		meter, refcount bool
+		touches         uint64
+	}{
+		{"raw", false, false, 0},
+		{"charged", true, false, 0},
+		{"charged+refcount", true, true, 1},
+	} {
+		n := newNode()
+		buf := n.alloc.Alloc(64)
+		buf.IncRef() // the NIC's reference
+		r := Releaser{Refcount: c.refcount}
+		if c.meter {
+			r.Meter = n.meter
+		}
+		r.ReleaseSG(buf)
+		if got := buf.Refcount(); got != 1 {
+			t.Errorf("%s: refcount %d after release, want 1", c.name, got)
+		}
+		cy := n.meter.Drain()
+		switch {
+		case !c.meter && cy != 0:
+			t.Errorf("%s: charged %v cycles, want 0", c.name, cy)
+		case c.meter && !c.refcount && cy != n.meter.CPU.CompletionCy:
+			t.Errorf("%s: charged %v cycles, want CompletionCy %v", c.name, cy, n.meter.CPU.CompletionCy)
+		case c.refcount && cy <= n.meter.CPU.CompletionCy:
+			t.Errorf("%s: charged %v cycles, want CompletionCy plus a refcount-line access", c.name, cy)
+		}
+		if n.meter.MetadataTouch != c.touches {
+			t.Errorf("%s: %d metadata touches, want %d", c.name, n.meter.MetadataTouch, c.touches)
+		}
 	}
 }

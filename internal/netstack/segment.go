@@ -139,7 +139,7 @@ func (s *Segmenter) SendObject(obj *core.Message) error {
 		m.Access(head.SimAddr()+PacketHeaderLen, FragHeaderLen)
 
 		entries := []nic.SGEntry{{
-			Data: head.Bytes(), Sim: head.SimAddr(), Rel: s.U, RelArg: head,
+			Data: head.Bytes(), Sim: head.SimAddr(), Rel: &s.U.rel, RelArg: head,
 		}}
 		for budget > 0 {
 			p := pieces[pieceIdx].buf
@@ -157,7 +157,7 @@ func (s *Segmenter) SendObject(obj *core.Message) error {
 				m.MetadataAccess(p.RefcountSimAddr())
 			}
 			entries = append(entries, nic.SGEntry{
-				Data: view.Bytes(), Sim: view.SimAddr(), Rel: s.U, RelArg: view,
+				Data: view.Bytes(), Sim: view.SimAddr(), Rel: &s.U.rel, RelArg: view,
 			})
 			budget -= n
 			pieceOff += n
@@ -198,7 +198,7 @@ func (s *Segmenter) SendContiguous(payload []byte, sim uint64) error {
 	copy(buf.Bytes()[PacketHeaderLen+FragHeaderLen:], payload)
 	s.TxFragments++
 	s.U.txEntries = append(s.U.txEntries[:0], nic.SGEntry{
-		Data: buf.Bytes(), Sim: buf.SimAddr(), Rel: s.U, RelArg: buf,
+		Data: buf.Bytes(), Sim: buf.SimAddr(), Rel: &s.U.rel, RelArg: buf,
 	})
 	return s.U.post(s.U.txEntries)
 }

@@ -106,13 +106,13 @@ func TestSegmentedLossDiscardsMessage(t *testing.T) {
 
 	// Drop exactly one data fragment.
 	dropped := false
-	ua.Port.InjectLoss = func(data []byte) bool {
+	ua.Port.Interceptor = dropIf(func(data []byte) bool {
 		if !dropped && len(data) > PacketHeaderLen+FragHeaderLen+1000 {
 			dropped = true
 			return true
 		}
 		return false
-	}
+	})
 	val := na.alloc.Alloc(32 << 10)
 	msg := core.NewMessage(s, na.ctx)
 	msg.AppendBytes(2, na.ctx.NewCFPtr(val.Bytes()))
@@ -140,11 +140,11 @@ func TestSegmenterEviction(t *testing.T) {
 	s := testSchema()
 
 	// Drop the LAST fragment of every message: reassemblies pile up.
-	ua.Port.InjectLoss = func(data []byte) bool {
+	ua.Port.Interceptor = dropIf(func(data []byte) bool {
 		// Fragment index is in the payload; drop small (final, partial)
 		// fragments heuristically by size.
 		return len(data) < PacketHeaderLen+FragHeaderLen+8000 && len(data) > PacketHeaderLen+FragHeaderLen
-	}
+	})
 	for i := 0; i < 5; i++ {
 		val := na.alloc.Alloc(20 << 10)
 		msg := core.NewMessage(s, na.ctx)

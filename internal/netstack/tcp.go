@@ -94,6 +94,12 @@ type TCPConn struct {
 
 	recv func(payload *mem.Buf)
 
+	// Completion hooks: a segment's header+copy buffer pays CompletionCy,
+	// each zero-copy buffer also its refcount line. txEntries is
+	// transmit's gather-list scratch (the NIC copies the list at post).
+	firstRel, zcRel Releaser
+	txEntries       []nic.SGEntry
+
 	// OnRetransmit, when set, is called with the segment's message payload
 	// just before each RTO retransmission, so a tracer can annotate the
 	// request whose request or response frame was lost. The payload must
@@ -125,6 +131,8 @@ type TCPConn struct {
 // must run TCP; the connection is modelled as pre-established.
 func NewTCPConn(eng *sim.Engine, port *nic.Port, alloc *mem.Allocator, meter *costmodel.Meter) *TCPConn {
 	c := &TCPConn{Eng: eng, Port: port, Alloc: alloc, Meter: meter, rto: defaultRTO}
+	c.firstRel = Releaser{Meter: meter}
+	c.zcRel = Releaser{Meter: meter, Refcount: true}
 	port.SetHandler(c.onFrame)
 	return c
 }
@@ -238,30 +246,16 @@ func (c *TCPConn) SendContiguous(payload []byte, sim uint64) error {
 func (c *TCPConn) transmit(seg *segment) error {
 	m := c.Meter
 	m.Charge(m.CPU.TxDescCy)
-	entries := make([]nic.SGEntry, 0, 1+len(seg.zc))
 	seg.first.IncRef() // NIC's reference on the header+copy buffer
-	entries = append(entries, nic.SGEntry{
-		Data: seg.first.Bytes(),
-		Sim:  seg.first.SimAddr(),
-		Release: func() {
-			m.Charge(m.CPU.CompletionCy)
-			seg.first.DecRef()
-		},
+	entries := append(c.txEntries[:0], nic.SGEntry{
+		Data: seg.first.Bytes(), Sim: seg.first.SimAddr(), Rel: &c.firstRel, RelArg: seg.first,
 	})
 	for _, b := range seg.zc {
 		m.SGPost()
 		b.IncRef() // NIC's reference
-		buf := b
-		entries = append(entries, nic.SGEntry{
-			Data: buf.Bytes(),
-			Sim:  buf.SimAddr(),
-			Release: func() {
-				m.Charge(m.CPU.CompletionCy)
-				m.MetadataAccess(buf.RefcountSimAddr())
-				buf.DecRef()
-			},
-		})
+		entries = append(entries, nic.SGEntry{Data: b.Bytes(), Sim: b.SimAddr(), Rel: &c.zcRel, RelArg: b})
 	}
+	c.txEntries = entries[:0]
 	if err := c.Port.Send(entries); err != nil {
 		// Undo the per-post NIC references: the hardware never saw them.
 		seg.first.DecRef()
@@ -307,7 +301,7 @@ func (c *TCPConn) onRTO() {
 
 // sendAck emits a header-only ACK frame. ACKs are fire-and-forget: if the
 // NIC refuses the post, the buffer's reference is dropped here (a refused
-// post never runs the Release hook) and the peer's retransmission will
+// post never runs the completion hook) and the peer's retransmission will
 // solicit a fresh ACK.
 func (c *TCPConn) sendAck() {
 	m := c.Meter
@@ -322,11 +316,8 @@ func (c *TCPConn) sendAck() {
 	m.Charge(m.CPU.DMABufAllocCy)
 	c.writeTCPHeader(buf.Bytes(), c.sendSeq, c.recvSeq, flagAck)
 	m.Charge(m.CPU.TxDescCy)
-	err = c.Port.Send([]nic.SGEntry{{
-		Data:    buf.Bytes(),
-		Sim:     buf.SimAddr(),
-		Release: func() { buf.DecRef() },
-	}})
+	c.txEntries = append(c.txEntries[:0], nic.SGEntry{Data: buf.Bytes(), Sim: buf.SimAddr(), Rel: rawRel, RelArg: buf})
+	err = c.Port.Send(c.txEntries)
 	if err != nil {
 		c.AckSendErrors++
 		buf.DecRef()

@@ -41,13 +41,13 @@ func TestTCPRTORearmAfterFailedRetransmit(t *testing.T) {
 	cb.SetRecvHandler(func(p *mem.Buf) { delivered++; p.DecRef() })
 
 	drops := 0
-	pa.InjectLoss = func(data []byte) bool {
+	pa.Interceptor = dropIf(func(data []byte) bool {
 		if drops == 0 && len(data) > TCPHeaderLen {
 			drops++
 			return true
 		}
 		return false
-	}
+	})
 
 	msg := core.NewMessage(testSchema(), na.ctx)
 	msg.SetInt(0, 42)
@@ -128,13 +128,13 @@ func TestTCPRTOBackoffCapped(t *testing.T) {
 
 	// Drop the first 8 data frames: initial send plus 7 retransmits.
 	drops := 0
-	pa.InjectLoss = func(data []byte) bool {
+	pa.Interceptor = dropIf(func(data []byte) bool {
 		if drops < 8 && len(data) > TCPHeaderLen {
 			drops++
 			return true
 		}
 		return false
-	}
+	})
 	msg := core.NewMessage(testSchema(), na.ctx)
 	msg.SetInt(0, 9)
 	if err := ca.SendObject(msg); err != nil {

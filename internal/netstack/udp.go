@@ -104,6 +104,9 @@ type UDP struct {
 	// post time, and batched posts copy it into txStore).
 	txFrames  [][]nic.SGEntry
 	txEntries []nic.SGEntry
+	// rel is the completion hook of every entry whose release is charged
+	// here: CompletionCy plus the buffer's refcount line.
+	rel Releaser
 
 	// Stats.
 	TxPackets, RxPackets uint64
@@ -120,6 +123,7 @@ type UDP struct {
 // NewUDP attaches a UDP endpoint to a NIC port.
 func NewUDP(eng *sim.Engine, port *nic.Port, alloc *mem.Allocator, meter *costmodel.Meter) *UDP {
 	u := &UDP{Eng: eng, Port: port, Alloc: alloc, Meter: meter}
+	u.rel = Releaser{Meter: meter, Refcount: true}
 	port.SetHandler(u.onFrame)
 	return u
 }
@@ -202,7 +206,7 @@ func (u *UDP) txPrep(n int) (*mem.Buf, error) {
 
 // post hands the gather list to the NIC, charging the base descriptor cost
 // plus one SGPost per entry beyond the first. On failure every entry's
-// Release hook runs immediately so buffer references are not leaked.
+// completion hook runs immediately so buffer references are not leaked.
 //
 // Inside a TX batch (BeginTxBatch…FlushTx) the gather list is queued
 // instead of posted: the doorbell share of the descriptor cost is deferred
@@ -256,11 +260,7 @@ func (u *UDP) post(entries []nic.SGEntry) error {
 // reach the NIC — the unwind path of a refused or failed post.
 func fireReleases(entries []nic.SGEntry) {
 	for i := range entries {
-		e := &entries[i]
-		if e.Release != nil {
-			e.Release()
-		}
-		if e.Rel != nil {
+		if e := &entries[i]; e.Rel != nil {
 			e.Rel.ReleaseSG(e.RelArg)
 		}
 	}
@@ -321,27 +321,33 @@ func (u *UDP) FlushTx() error {
 	return err
 }
 
-// ReleaseSG implements nic.SGReleaser: the NIC calls it at DMA completion
-// for every entry posted with Rel=u, RelArg=buf. It pays the completion
-// cost and drops the buffer reference — the same hook releaseBuf used to
-// close over, without the per-entry closure allocation (a *mem.Buf in an
-// `any` is a plain pointer store).
-func (u *UDP) ReleaseSG(arg any) {
+// Releaser is the DMA-completion hook of every gather entry the stacks
+// post, with the entry's *mem.Buf as its RelArg: it drops the NIC's
+// reference on the buffer. With a Meter it first charges CompletionCy, and
+// with Refcount also touches the buffer's refcount line, the safety
+// bookkeeping of §2.3. The zero Releaser charges nothing: the raw
+// scatter-gather upper bound (§2.4), and paths that amortize their
+// completion share up front. A *Releaser in an SGEntry's Rel is a plain
+// pointer, so posting an entry allocates nothing.
+type Releaser struct {
+	Meter    *costmodel.Meter
+	Refcount bool
+}
+
+// ReleaseSG implements nic.SGReleaser.
+func (r *Releaser) ReleaseSG(arg any) {
 	buf := arg.(*mem.Buf)
-	m := u.Meter
-	m.Charge(m.CPU.CompletionCy)
-	m.MetadataAccess(buf.RefcountSimAddr())
+	if m := r.Meter; m != nil {
+		m.Charge(m.CPU.CompletionCy)
+		if r.Refcount {
+			m.MetadataAccess(buf.RefcountSimAddr())
+		}
+	}
 	buf.DecRef()
 }
 
-// rawReleaser drops a buffer reference with no metered cost: the prebuilt
-// fast path amortizes its completion share up front, and the raw
-// scatter-gather upper bound (§2.4) charges no bookkeeping at all.
-type rawReleaser struct{}
-
-func (rawReleaser) ReleaseSG(arg any) { arg.(*mem.Buf).DecRef() }
-
-var rawRel rawReleaser
+// rawRel releases with no metered cost.
+var rawRel = &Releaser{}
 
 // SendObject is the combined serialize-and-send path (§3.2.3): the packet
 // header, object header and copied fields share the first scatter-gather
@@ -376,7 +382,7 @@ func (u *UDP) SendObject(obj *core.Message) error {
 	entries := append(u.txEntries[:0], nic.SGEntry{
 		Data:   first.Bytes(),
 		Sim:    first.SimAddr(),
-		Rel:    u,
+		Rel:    &u.rel,
 		RelArg: first,
 	})
 	// Entries available for zero-copy data after the header entry; when the
@@ -398,7 +404,7 @@ func (u *UDP) SendObject(obj *core.Message) error {
 			entries = append(entries, nic.SGEntry{
 				Data:   buf.Bytes(),
 				Sim:    buf.SimAddr(),
-				Rel:    u,
+				Rel:    &u.rel,
 				RelArg: buf,
 			})
 		} else {
@@ -435,7 +441,7 @@ func (u *UDP) SendObject(obj *core.Message) error {
 		entries = append(entries, nic.SGEntry{
 			Data:   ext.Bytes(),
 			Sim:    ext.SimAddr(),
-			Rel:    u,
+			Rel:    &u.rel,
 			RelArg: ext,
 		})
 	}
@@ -499,7 +505,7 @@ func (u *UDP) SendObjectViaSGArray(obj *core.Message) error {
 	entries := append(u.txEntries[:0], nic.SGEntry{
 		Data:   hdrBuf.Bytes(),
 		Sim:    hdrBuf.SimAddr(),
-		Rel:    u,
+		Rel:    &u.rel,
 		RelArg: hdrBuf,
 	})
 	for i := range arr {
@@ -508,7 +514,7 @@ func (u *UDP) SendObjectViaSGArray(obj *core.Message) error {
 		entries = append(entries, nic.SGEntry{
 			Data:   e.data,
 			Sim:    e.sim,
-			Rel:    u,
+			Rel:    &u.rel,
 			RelArg: e.buf,
 		})
 	}
@@ -575,7 +581,7 @@ func (u *UDP) SendContiguous(payload []byte, sim uint64) error {
 	}
 	u.Meter.Copy(sim, buf.SimAddr()+PacketHeaderLen, len(payload))
 	copy(buf.Bytes()[PacketHeaderLen:], payload)
-	u.txEntries = append(u.txEntries[:0], nic.SGEntry{Data: buf.Bytes(), Sim: buf.SimAddr(), Rel: u, RelArg: buf})
+	u.txEntries = append(u.txEntries[:0], nic.SGEntry{Data: buf.Bytes(), Sim: buf.SimAddr(), Rel: &u.rel, RelArg: buf})
 	return u.post(u.txEntries)
 }
 
@@ -592,7 +598,7 @@ func (u *UDP) SendWith(size int, fill func(dst []byte, dstSim uint64) int) error
 	if n < size {
 		buf.Resize(PacketHeaderLen + n)
 	}
-	u.txEntries = append(u.txEntries[:0], nic.SGEntry{Data: buf.Bytes(), Sim: buf.SimAddr(), Rel: u, RelArg: buf})
+	u.txEntries = append(u.txEntries[:0], nic.SGEntry{Data: buf.Bytes(), Sim: buf.SimAddr(), Rel: &u.rel, RelArg: buf})
 	return u.post(u.txEntries)
 }
 
@@ -614,7 +620,7 @@ func (u *UDP) SendSegments(segs [][]byte, sims []uint64) error {
 		copy(buf.Bytes()[cur:], s)
 		cur += len(s)
 	}
-	u.txEntries = append(u.txEntries[:0], nic.SGEntry{Data: buf.Bytes(), Sim: buf.SimAddr(), Rel: u, RelArg: buf})
+	u.txEntries = append(u.txEntries[:0], nic.SGEntry{Data: buf.Bytes(), Sim: buf.SimAddr(), Rel: &u.rel, RelArg: buf})
 	return u.post(u.txEntries)
 }
 
@@ -632,14 +638,14 @@ func (u *UDP) SendPinned(bufs []*mem.Buf, safe bool) error {
 		return err
 	}
 	entries := append(u.txEntries[:0],
-		nic.SGEntry{Data: hdrBuf.Bytes(), Sim: hdrBuf.SimAddr(), Rel: u, RelArg: hdrBuf})
+		nic.SGEntry{Data: hdrBuf.Bytes(), Sim: hdrBuf.SimAddr(), Rel: &u.rel, RelArg: hdrBuf})
 	for _, b := range bufs {
 		e := nic.SGEntry{Data: b.Bytes(), Sim: b.SimAddr(), RelArg: b}
 		b.IncRef()
 		if safe {
 			m.Charge(m.CPU.RegistryLookupCy)
 			m.MetadataAccess(b.RefcountSimAddr())
-			e.Rel = u
+			e.Rel = &u.rel
 		} else {
 			e.Rel = rawRel // uncharged: raw upper bound
 		}

@@ -139,7 +139,7 @@ func TestSendBatchStopsAtBadFrame(t *testing.T) {
 			e := SGEntry{Data: []byte{byte(i)}}
 			if j == 0 {
 				idx := i
-				e.Release = func() { released[idx] = true }
+				e.Rel = relFunc(func() { released[idx] = true })
 			}
 			l = append(l, e)
 		}
@@ -173,10 +173,10 @@ func TestDeliveredCountersUnderLoss(t *testing.T) {
 	a, b := newPair(eng)
 	b.SetHandler(func(f *Frame) {})
 	n := 0
-	a.InjectLoss = func([]byte) bool {
+	a.Interceptor = dropIf(func([]byte) bool {
 		n++
 		return n%2 == 0 // drop every second frame
-	}
+	})
 	const frames, size = 10, 100
 	for i := 0; i < frames; i++ {
 		if err := a.Send([]SGEntry{{Data: make([]byte, size)}}); err != nil {

@@ -91,32 +91,6 @@ func TestCorruptedFrameDroppedByFCS(t *testing.T) {
 	}
 }
 
-func TestInterceptorComposesWithInjectLoss(t *testing.T) {
-	eng := sim.NewEngine()
-	a, b := newPair(eng)
-	got := 0
-	b.SetHandler(func(*Frame) { got++ })
-	intercepted := 0
-	a.InjectLoss = func(data []byte) bool { return data[0] == 'x' }
-	a.Interceptor = func(data []byte) []Delivery {
-		intercepted++
-		return []Delivery{{Data: data}}
-	}
-	a.Send([]SGEntry{{Data: []byte("x-dropped")}})
-	a.Send([]SGEntry{{Data: []byte("kept")}})
-	eng.Run()
-	// InjectLoss runs first: the interceptor never sees the dropped frame.
-	if intercepted != 1 {
-		t.Errorf("interceptor saw %d frames, want 1", intercepted)
-	}
-	if got != 1 {
-		t.Errorf("delivered %d frames, want 1", got)
-	}
-	if a.DroppedFrames != 1 {
-		t.Errorf("DroppedFrames = %d, want 1", a.DroppedFrames)
-	}
-}
-
 func TestInjectSendErrRefusesBeforeReferences(t *testing.T) {
 	eng := sim.NewEngine()
 	a, b := newPair(eng)
@@ -132,13 +106,13 @@ func TestInjectSendErrRefusesBeforeReferences(t *testing.T) {
 		return nil
 	}
 	released := 0
-	ent := []SGEntry{{Data: []byte("payload"), Release: func() { released++ }}}
+	ent := []SGEntry{{Data: []byte("payload"), Rel: relFunc(func() { released++ })}}
 	if err := a.Send(ent); !errors.Is(err, refuse) {
 		t.Fatalf("err = %v, want refusal", err)
 	}
-	// A refused post must not run Release hooks or count as a TX frame.
+	// A refused post must not run completion hooks or count as a TX frame.
 	if released != 0 {
-		t.Errorf("Release ran %d times on refused post", released)
+		t.Errorf("completion hook ran %d times on refused post", released)
 	}
 	if a.TxFrames != 0 {
 		t.Errorf("TxFrames = %d, want 0", a.TxFrames)

@@ -13,9 +13,9 @@
 //   - A per-profile maximum SG entry count (the Intel E810 supports only 8,
 //     §6.3); exceeding it is a send error the stack must avoid.
 //   - Link serialization at the configured rate and propagation delay.
-//   - Asynchronous completion: each entry's Release hook fires only after
-//     the DMA engine has read the data, which is what makes use-after-free
-//     protection necessary in the first place (§2.3).
+//   - Asynchronous completion: each entry's completion hook fires only
+//     after the DMA engine has read the data, which is what makes
+//     use-after-free protection necessary in the first place (§2.3).
 //
 // Functionally the NIC gathers real bytes: the delivered frame is the exact
 // concatenation of the SG entries, so receivers parse genuine wire bytes.
@@ -109,11 +109,10 @@ func IntelE810() Profile {
 	}
 }
 
-// SGReleaser is the allocation-free variant of an entry's Release hook: a
-// long-lived implementor (the UDP endpoint, a server's per-mode releaser)
-// receives the entry's RelArg back at DMA-completion time. Passing a
-// pointer through the arg interface does not allocate, unlike binding a
-// fresh Release closure per entry.
+// SGReleaser is an entry's completion hook: a long-lived implementor
+// (netstack.Releaser) receives the entry's RelArg back at DMA-completion
+// time. Passing a pointer through the arg interface does not allocate, so
+// posting an entry allocates nothing.
 type SGReleaser interface {
 	ReleaseSG(arg any)
 }
@@ -126,15 +125,9 @@ type SGEntry struct {
 	// reads are not routed through the CPU cache model — DMA on these
 	// platforms does not allocate into CPU caches).
 	Sim uint64
-	// Release, if non-nil, runs when the DMA engine has finished reading
-	// this entry. The networking stack uses it to drop its buffer
-	// reference (use-after-free protection).
-	Release func()
-	// Rel/RelArg are the pooled-path equivalent: if Rel is non-nil,
-	// Rel.ReleaseSG(RelArg) runs at DMA completion (after Release, when
-	// both are set). Hot paths prefer this pair — the implementor is
-	// long-lived and RelArg is a pointer, so posting an entry allocates
-	// nothing.
+	// Rel, if non-nil, runs as Rel.ReleaseSG(RelArg) when the DMA engine
+	// has finished reading this entry. The networking stack uses it to
+	// drop its buffer reference (use-after-free protection).
 	Rel    SGReleaser
 	RelArg any
 }
@@ -163,10 +156,10 @@ type Delivery struct {
 }
 
 // Interceptor sits on the wire path between DMA completion and delivery —
-// a programmable bad link. It runs after InjectLoss (the two compose: a
-// frame must survive both), and it never affects buffer release, which has
+// a programmable bad link. It never affects buffer release, which has
 // already happened when the hardware read the data. internal/faults builds
-// its seeded loss/reorder/duplication/corruption model on this hook.
+// its seeded loss/reorder/duplication/corruption model on this hook; a
+// test drops a frame by returning no deliveries for it.
 type Interceptor func(data []byte) []Delivery
 
 // frameFCS models the Ethernet frame check sequence the NIC appends on
@@ -197,9 +190,9 @@ type TxRecord struct {
 	Bytes   int
 	Entries int
 	Data    []byte
-	// Dropped reports that the frame was lost on the wire (InjectLoss, or
-	// an Interceptor returning no deliveries); DeliverAt is then the time
-	// it would have arrived.
+	// Dropped reports that the frame was lost on the wire (an Interceptor
+	// returned no deliveries); DeliverAt is then the time it would have
+	// arrived.
 	Dropped bool
 }
 
@@ -214,14 +207,9 @@ type Port struct {
 	dmaFree sim.Time // DMA engine availability
 	txFree  sim.Time // wire availability
 
-	// InjectLoss, when set, is consulted per frame after DMA completes;
-	// returning true drops the frame on the wire (buffers are still
-	// released — the hardware has read them). Tests use it to exercise
-	// retransmission paths.
-	InjectLoss func(data []byte) bool
-
-	// Interceptor, when set, is consulted after InjectLoss and decides how
-	// (and how many times) the frame reaches the peer. See Interceptor.
+	// Interceptor, when set, is consulted per frame after DMA completes
+	// and decides how (and how many times) the frame reaches the peer. See
+	// Interceptor.
 	Interceptor Interceptor
 
 	// InjectSendErr, when set, is consulted at the top of Send; a non-nil
@@ -238,8 +226,8 @@ type Port struct {
 	// release, or delivery.
 	Observer func(TxRecord)
 
-	// DroppedFrames counts frames lost on the wire (InjectLoss plus frames
-	// the Interceptor returned no deliveries for).
+	// DroppedFrames counts frames lost on the wire (frames the
+	// Interceptor returned no deliveries for).
 	DroppedFrames uint64
 
 	// RefusedSends counts posts rejected by InjectSendErr.
@@ -258,9 +246,9 @@ type Port struct {
 	TxSGEntries        uint64
 
 	// DeliveredFrames/DeliveredBytes count frames that arrived at the peer
-	// intact — after InjectLoss, Interceptor drops, and FCS checks — from
-	// the sender's perspective. Duplicated copies each count once (they are
-	// distinct arrivals). Goodput-style accounting must use these, not
+	// intact — after Interceptor drops and FCS checks — from the sender's
+	// perspective. Duplicated copies each count once (they are distinct
+	// arrivals). Goodput-style accounting must use these, not
 	// TxFrames/TxBytes, which are charged at post time before any wire
 	// fault can intervene.
 	DeliveredFrames uint64
@@ -279,10 +267,9 @@ type Port struct {
 	rxPool []*rxOp
 
 	// dataPool recycles assembled-frame buffers. A frame buffer is handed
-	// to the observer, the loss injector, and the peer's handler, none of
-	// which may keep it past the call; once the pooled delivery returns (or
-	// the frame is dropped at the sender), the buffer goes back here.
-	// Deliveries that pass through an interceptor are never recycled —
+	// to the observer and the peer's handler, neither of which may keep it
+	// past the call; once the pooled delivery returns, the buffer goes back
+	// here. Frames that pass through an interceptor are never recycled —
 	// their lifetime is not visible from the port.
 	dataPool [][]byte
 
@@ -395,7 +382,7 @@ func (e *ErrTooManyEntries) Error() string {
 
 // Send posts a frame described by a gather list. The NIC asynchronously:
 //  1. gathers the entries over PCIe (DMA engine is a FIFO resource),
-//  2. fires each entry's Release when its data has been read,
+//  2. fires each entry's completion hook when its data has been read,
 //  3. serializes the frame onto the wire (the wire is a FIFO resource),
 //  4. delivers it to the peer after the propagation delay.
 //
@@ -494,7 +481,7 @@ func (p *Port) send(entries []SGEntry, doorbellNs float64) error {
 
 // dmaComplete runs at DMA-completion time: snapshot the frame exactly when
 // the hardware has read it, release the buffers, then route the frame to
-// the wire (loss injection, interception) and schedule delivery.
+// the wire (interception) and schedule delivery.
 func (op *txOp) dmaComplete() {
 	p := op.p
 	data := p.getData(op.total)
@@ -502,11 +489,7 @@ func (op *txOp) dmaComplete() {
 		data = append(data, op.entries[i].Data...)
 	}
 	for i := range op.entries {
-		e := &op.entries[i]
-		if e.Release != nil {
-			e.Release()
-		}
-		if e.Rel != nil {
+		if e := &op.entries[i]; e.Rel != nil {
 			e.Rel.ReleaseSG(e.RelArg)
 		}
 	}
@@ -525,12 +508,6 @@ func (op *txOp) dmaComplete() {
 				Dropped: dropped,
 			})
 		}
-	}
-	if p.InjectLoss != nil && p.InjectLoss(data) {
-		p.DroppedFrames++
-		observe(true)
-		p.putData(data)
-		return
 	}
 	peer := p.peer
 	if p.Interceptor == nil {

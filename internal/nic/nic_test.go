@@ -72,18 +72,34 @@ func TestSendEmpty(t *testing.T) {
 	}
 }
 
+// relFunc adapts a closure to SGReleaser.
+type relFunc func()
+
+func (f relFunc) ReleaseSG(any) { f() }
+
+// dropIf is an Interceptor that loses the frames drop selects and
+// delivers the rest unchanged.
+func dropIf(drop func(data []byte) bool) Interceptor {
+	return func(data []byte) []Delivery {
+		if drop(data) {
+			return nil
+		}
+		return []Delivery{{Data: data}}
+	}
+}
+
 func TestReleaseFiresAfterDMARead(t *testing.T) {
 	eng := sim.NewEngine()
 	a, b := newPair(eng)
 	var releasedAt, deliveredAt sim.Time
 	b.SetHandler(func(f *Frame) { deliveredAt = eng.Now() })
 	a.Send([]SGEntry{{
-		Data:    make([]byte, 1024),
-		Release: func() { releasedAt = eng.Now() },
+		Data: make([]byte, 1024),
+		Rel:  relFunc(func() { releasedAt = eng.Now() }),
 	}})
 	eng.Run()
 	if releasedAt == 0 {
-		t.Fatal("Release never fired")
+		t.Fatal("completion hook never fired")
 	}
 	if deliveredAt <= releasedAt {
 		t.Errorf("delivery (%v) should be after DMA completion (%v)", deliveredAt, releasedAt)
@@ -99,10 +115,10 @@ func TestSnapshotAtDMATime(t *testing.T) {
 	buf := []byte("original")
 	var got []byte
 	b.SetHandler(func(f *Frame) { got = f.Data })
-	a.Send([]SGEntry{{Data: buf, Release: func() {
+	a.Send([]SGEntry{{Data: buf, Rel: relFunc(func() {
 		// Mutation after DMA completes must not affect the wire bytes.
 		copy(buf, "MUTATED!")
-	}}})
+	})}})
 	eng.Run()
 	if string(got) != "original" {
 		t.Errorf("frame saw post-DMA mutation: %q", got)

@@ -64,9 +64,8 @@ type event struct {
 	seq uint64
 	fn  func()
 	// index is the event's slot in the heap, kept current by the heap's
-	// sifts so that cancellation can remove an event in O(log n). Events
-	// parked on the ready ring instead of the heap use the negative
-	// sentinels below.
+	// sifts so that cancellation can remove an event in O(log n), or
+	// idxFree once the event has fired or been cancelled.
 	index int
 	// gen is bumped every time the event struct is recycled through the
 	// engine's free list, so a Timer holding a stale *event (one that fired
@@ -75,15 +74,11 @@ type event struct {
 	gen uint64
 }
 
-// index sentinels for events not resident in the heap.
-const (
-	idxFree          = -1 // recycled or fired; not queued anywhere
-	idxRing          = -2 // live on the ready ring
-	idxRingCancelled = -3 // cancelled while on the ring; recycled at dequeue
-)
+// idxFree marks an event that is not in the heap: recycled, fired or
+// cancelled.
+const idxFree = -1
 
-// eventLess is the deterministic (at, seq) key ordering from the heap,
-// usable on any two events regardless of which structure holds them.
+// eventLess is the deterministic (at, seq) key ordering of the heap.
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -191,24 +186,6 @@ type Engine struct {
 	// makes steady-state scheduling allocation-free: every fired or
 	// cancelled event returns here and the next At reuses it.
 	free []*event
-
-	// ready is the deferred-dispatch ring ahead of the heap: events
-	// scheduled at exactly Now() — the common After(0)/At(Now()) case, and
-	// by construction also the current heap minimum's timestamp whenever
-	// the heap holds same-instant work — are appended here in O(1) instead
-	// of paying a heap sift. Ring entries all carry at=now with strictly
-	// increasing seq, so the ring is always sorted by the (at, seq) key,
-	// and the clock cannot advance past them (the dispatcher always fires
-	// the key-minimum of ring head vs heap min, and every ring entry's at
-	// equals the current clock). Cancellation leaves a tombstone (index =
-	// idxRingCancelled) that the dispatcher recycles at dequeue, since ring
-	// entries have no heap index to remove by.
-	ready     []*event
-	readyHead int
-	readyLive int
-	// noRing forces every event through the heap; test-only, for
-	// differencing ring dispatch against the heap-only reference order.
-	noRing bool
 }
 
 // Runner is the engine surface the harness drives a run through. Testbeds
@@ -251,26 +228,18 @@ func (t Timer) Cancel() bool {
 	if t.ev == nil || t.ev.gen != t.gen {
 		return false
 	}
-	switch {
-	case t.ev.index >= 0:
-		t.e.events.remove(t.ev.index)
-		t.e.recycle(t.ev)
-		return true
-	case t.ev.index == idxRing:
-		// Ring entries have no heap index; tombstone in place and let the
-		// dispatcher recycle the struct when it reaches the ring head.
-		t.ev.index = idxRingCancelled
-		t.ev.fn = nil
-		t.e.readyLive--
-		return true
+	if t.ev.index < 0 {
+		return false
 	}
-	return false
+	t.e.events.remove(t.ev.index)
+	t.e.recycle(t.ev)
+	return true
 }
 
 // Pending reports whether the timer's event has not yet fired or been
 // cancelled.
 func (t Timer) Pending() bool {
-	return t.ev != nil && t.ev.gen == t.gen && (t.ev.index >= 0 || t.ev.index == idxRing)
+	return t.ev != nil && t.ev.gen == t.gen && t.ev.index >= 0
 }
 
 // recycle returns a fired or cancelled event to the free list. Bumping gen
@@ -287,78 +256,14 @@ func (e *Engine) recycle(ev *event) {
 // At schedules fn to run at absolute time at. Scheduling in the past panics:
 // it always indicates a modelling bug, and silently reordering time would
 // corrupt every downstream measurement.
-//
-// Scheduling at exactly the current time takes the ready-ring fast path:
-// the event's key (at=now, fresh seq) is strictly greater than every ring
-// entry already queued and orders against heap events purely by the
-// (at, seq) key the dispatcher compares, so dispatch order — and therefore
-// every report — is identical to the heap-only path.
 func (e *Engine) At(at Time, fn func()) Timer {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	ev := e.newEvent(at, e.seq, fn)
 	e.seq++
-	if at == e.now && !e.noRing {
-		ev.index = idxRing
-		e.ready = append(e.ready, ev)
-		e.readyLive++
-	} else {
-		e.events.push(ev)
-	}
+	e.events.push(ev)
 	return Timer{e: e, ev: ev, gen: ev.gen}
-}
-
-// ringHead returns the first live ring entry, lazily recycling tombstones,
-// or nil when the ring is empty.
-func (e *Engine) ringHead() *event {
-	for e.readyHead < len(e.ready) {
-		ev := e.ready[e.readyHead]
-		if ev.index != idxRingCancelled {
-			return ev
-		}
-		e.ready[e.readyHead] = nil
-		e.readyHead++
-		e.recycle(ev)
-	}
-	e.ready = e.ready[:0]
-	e.readyHead = 0
-	return nil
-}
-
-// ringAdvance removes the current ring head (which the caller obtained from
-// ringHead).
-func (e *Engine) ringAdvance() {
-	e.ready[e.readyHead] = nil
-	e.readyHead++
-	e.readyLive--
-	if e.readyHead == len(e.ready) {
-		e.ready = e.ready[:0]
-		e.readyHead = 0
-	}
-}
-
-// peekNext returns the next event in deterministic key order across the
-// ready ring and the heap, without removing it. Nil when none are pending.
-func (e *Engine) peekNext() *event {
-	rev := e.ringHead()
-	if len(e.events) == 0 {
-		return rev
-	}
-	hev := e.events[0]
-	if rev == nil || eventLess(hev, rev) {
-		return hev
-	}
-	return rev
-}
-
-// popKnown removes ev, which the caller just obtained from peekNext.
-func (e *Engine) popKnown(ev *event) {
-	if ev.index >= 0 {
-		e.events.popMin()
-		return
-	}
-	e.ringAdvance()
 }
 
 // newEvent takes an event struct off the free list (or allocates one) and
@@ -394,12 +299,9 @@ func (e *Engine) Stop() { e.stopped = true }
 // Run executes events in timestamp order until no events remain or Stop is
 // called. It returns the time of the last executed event.
 func (e *Engine) Run() Time {
-	for !e.stopped {
-		ev := e.peekNext()
-		if ev == nil {
-			break
-		}
-		e.popKnown(ev)
+	for !e.stopped && len(e.events) > 0 {
+		ev := e.events[0]
+		e.events.popMin()
 		e.now = ev.at
 		e.processed++
 		fn := ev.fn
@@ -419,12 +321,12 @@ func (e *Engine) Run() Time {
 // the clock at the last executed event rather than jumping it to the
 // deadline.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for !e.stopped {
-		ev := e.peekNext()
-		if ev == nil || ev.at > deadline {
+	for !e.stopped && len(e.events) > 0 {
+		ev := e.events[0]
+		if ev.at > deadline {
 			break
 		}
-		e.popKnown(ev)
+		e.events.popMin()
 		e.now = ev.at
 		e.processed++
 		fn := ev.fn
@@ -438,6 +340,5 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// Pending returns the number of queued events (ring and heap; cancelled
-// ring tombstones are excluded).
-func (e *Engine) Pending() int { return len(e.events) + e.readyLive }
+// Pending returns the number of queued events.
+func (e *Engine) Pending() int { return len(e.events) }

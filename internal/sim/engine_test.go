@@ -221,6 +221,91 @@ func TestRunUntilPastDeadline(t *testing.T) {
 	}
 }
 
+// TestSameInstantOrderAcrossSchedulingPoints pins the (at, seq) key
+// order for same-instant work: an event scheduled earlier for time t
+// (smaller seq) fires before events an event at t schedules for t, and
+// those fire in scheduling order.
+func TestSameInstantOrderAcrossSchedulingPoints(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	e.At(10, func() {
+		// Scheduled at t=10 for t=10.
+		e.At(10, func() { got = append(got, 3) })
+		e.At(10, func() { got = append(got, 4) })
+		got = append(got, 1)
+	})
+	// Scheduled at t=0 for t=10 with a smaller seq: fires between the
+	// first t=10 event and the events it spawned.
+	e.At(10, func() { got = append(got, 2) })
+	e.Run()
+	want := []int{1, 2, 3, 4}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// TestCancelAtCurrentInstant cancels an event scheduled for the current
+// instant from a callback: it must not fire, Pending must stay
+// consistent, and a later same-instant event must be undisturbed.
+func TestCancelAtCurrentInstant(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	var cancelled bool
+	e.At(5, func() {
+		tm := e.At(5, func() { t.Error("cancelled event fired") })
+		keep := e.At(5, func() { fired++ })
+		if e.Pending() < 2 {
+			t.Errorf("Pending() = %d before cancel, want ≥ 2", e.Pending())
+		}
+		cancelled = tm.Cancel()
+		if tm.Pending() {
+			t.Error("timer still pending after cancel")
+		}
+		if !keep.Pending() {
+			t.Error("uncancelled timer lost")
+		}
+		if tm.Cancel() {
+			t.Error("second Cancel returned true")
+		}
+	})
+	e.Run()
+	if !cancelled || fired != 1 {
+		t.Fatalf("cancelled=%v fired=%d, want true/1", cancelled, fired)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after run, want 0", e.Pending())
+	}
+}
+
+// TestRunUntilDeadlineSameInstantWork checks that events an event at the
+// RunUntil deadline schedules for the deadline itself fire in that run
+// (the deadline is inclusive), and that At(Now()) outside a run fires on
+// the next one.
+func TestRunUntilDeadlineSameInstantWork(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	e.At(7, func() {
+		e.At(7, func() { fired++ })
+	})
+	e.RunUntil(7)
+	if fired != 1 {
+		t.Fatalf("event at the deadline fired %d times, want 1", fired)
+	}
+	e.At(e.Now(), func() { fired++ })
+	if e.Pending() != 1 {
+		t.Fatalf("Pending() = %d, want 1", e.Pending())
+	}
+	e.Run()
+	if fired != 2 {
+		t.Fatalf("At(Now()) outside a run: fired %d, want 2", fired)
+	}
+}
+
 func TestTimerCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false

@@ -144,57 +144,53 @@ func (r *heapRefRun) checkPending(when string) {
 // against a sorted-slice reference over randomized At/After/Cancel
 // workloads with same-instant ties, scheduling from callbacks, and
 // cancels at the heap root, mid-heap and the last slot: the fired order,
-// Pending() and the final clock must match exactly. It runs with the
-// ready ring on and off, so the heap alone is covered too.
+// Pending() and the final clock must match exactly.
 func TestHeapMatchesSortedReference(t *testing.T) {
 	for seed := uint64(1); seed <= 24; seed++ {
-		for _, noRing := range []bool{true, false} {
-			e := NewEngine()
-			e.noRing = noRing
-			r := &heapRefRun{t: t, e: e, rng: NewRand(seed)}
-			// Fill well past 1,000 pending events, then interleave bursts
-			// of outside scheduling and cancels with partial runs.
-			for i := 0; i < 1200; i++ {
-				r.schedule(e.Now() + Time(r.rng.Intn(400))*Nanosecond)
-			}
-			for round := 0; round < 60; round++ {
-				for n := r.rng.Intn(40); n > 0; n-- {
-					switch h := len(e.events); {
-					case r.rng.Intn(3) == 0:
-						r.schedule(e.Now() + r.delay())
-					case h > 0 && r.rng.Intn(4) == 0:
-						r.cancelSlot(0, 0)
-					case h > 0 && r.rng.Intn(3) == 0:
-						r.cancelSlot(h-1, 2)
-					case h > 0:
-						r.cancelSlot(r.rng.Intn(h), 1)
-					default:
-						r.cancelRandom()
-					}
+		e := NewEngine()
+		r := &heapRefRun{t: t, e: e, rng: NewRand(seed)}
+		// Fill well past 1,000 pending events, then interleave bursts
+		// of outside scheduling and cancels with partial runs.
+		for i := 0; i < 1200; i++ {
+			r.schedule(e.Now() + Time(r.rng.Intn(400))*Nanosecond)
+		}
+		for round := 0; round < 60; round++ {
+			for n := r.rng.Intn(40); n > 0; n-- {
+				switch h := len(e.events); {
+				case r.rng.Intn(3) == 0:
+					r.schedule(e.Now() + r.delay())
+				case h > 0 && r.rng.Intn(4) == 0:
+					r.cancelSlot(0, 0)
+				case h > 0 && r.rng.Intn(3) == 0:
+					r.cancelSlot(h-1, 2)
+				case h > 0:
+					r.cancelSlot(r.rng.Intn(h), 1)
+				default:
+					r.cancelRandom()
 				}
-				r.checkPending("before run")
-				deadline := e.Now() + Time(r.rng.Intn(30))*Nanosecond
-				e.RunUntil(deadline)
-				r.now = max(r.now, deadline)
-				r.checkPending("after RunUntil")
 			}
-			end := e.Run()
-			if len(r.ref) != 0 {
-				t.Fatalf("seed %d: engine drained with %d reference keys live", seed, len(r.ref))
-			}
-			r.checkPending("after Run")
-			if end != r.now || e.Now() != r.now {
-				t.Fatalf("seed %d: final clock %v, reference %v", seed, end, r.now)
-			}
-			if r.peak < 1000 {
-				t.Fatalf("seed %d: peak pending %d, want ≥ 1000", seed, r.peak)
-			}
-			if r.cancels[0] == 0 || r.cancels[1] == 0 || r.cancels[2] == 0 {
-				t.Fatalf("seed %d: root/mid/last cancels %v, want each > 0", seed, r.cancels)
-			}
-			if r.fired == 0 {
-				t.Fatalf("seed %d: nothing fired", seed)
-			}
+			r.checkPending("before run")
+			deadline := e.Now() + Time(r.rng.Intn(30))*Nanosecond
+			e.RunUntil(deadline)
+			r.now = max(r.now, deadline)
+			r.checkPending("after RunUntil")
+		}
+		end := e.Run()
+		if len(r.ref) != 0 {
+			t.Fatalf("seed %d: engine drained with %d reference keys live", seed, len(r.ref))
+		}
+		r.checkPending("after Run")
+		if end != r.now || e.Now() != r.now {
+			t.Fatalf("seed %d: final clock %v, reference %v", seed, end, r.now)
+		}
+		if r.peak < 1000 {
+			t.Fatalf("seed %d: peak pending %d, want ≥ 1000", seed, r.peak)
+		}
+		if r.cancels[0] == 0 || r.cancels[1] == 0 || r.cancels[2] == 0 {
+			t.Fatalf("seed %d: root/mid/last cancels %v, want each > 0", seed, r.cancels)
+		}
+		if r.fired == 0 {
+			t.Fatalf("seed %d: nothing fired", seed)
 		}
 	}
 }

@@ -83,6 +83,16 @@ go test -short ./internal/rpc -run 'TestSingleHopAllSystems|TestShedPropagatesUp
 echo "== parallel-harness fingerprint gate (serial == parallel across every experiment, rpc included)"
 go test ./internal/experiments -run 'TestSerialParallelFingerprints|TestFingerprintSensitivity'
 
+echo "== frozen benchmark (bench/: vet, tests, and every workload's sim fingerprint at seeds 1 and 2)"
+# bench/ is a module of its own, so the root go vet and go test skip it.
+(cd bench && go vet ./... && go test ./...)
+fps=$(sh scripts/bench_fingerprints.sh)
+if [ "$fps" != "$(cat scripts/bench_fingerprints.golden)" ]; then
+	echo "bench sim_fingerprints differ from scripts/bench_fingerprints.golden (regenerate it only for an intended change; see scripts/bench_fingerprints.sh):"
+	echo "$fps" | diff scripts/bench_fingerprints.golden - || true
+	exit 1
+fi
+
 echo "== zero-alloc hot-path pins (DES engine, core, meter, cache fill, frame path, range walk, message pool, switch forward, serialize-and-send)"
 go test ./internal/sim ./internal/costmodel ./internal/nic ./internal/cachesim ./internal/core ./internal/fabric ./internal/netstack -run 'AllocFree|TestTimerStaleAfterRecycle'
 
