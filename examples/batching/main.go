@@ -9,7 +9,7 @@
 // their own past saturation.
 //
 // This demo runs the same configuration at the same three offered loads
-// with batching off (burst cap 1, the legacy datapath bit for bit) and on
+// with batching off (burst cap 1, the default one-request drain) and on
 // (cap 16), and prints goodput, p99 and the realized burst sizes side by
 // side. Then it runs the full sweep with its contract checks.
 //

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"cornflakes/internal/costmodel"
 	"cornflakes/internal/mem"
 	"cornflakes/internal/wire"
 )
@@ -370,6 +371,26 @@ func (m *Message) writeMsg(s *serializer, base int) {
 			}
 		}
 	}
+}
+
+// WriteFront writes the object's front — the header region, then every
+// copied field contiguously after it — into dst, which represents object
+// offset 0 at simulated address dstSim and has at least l.HeaderLen +
+// l.CopyLen bytes; l is the object's Layout. It is the one Cornflakes TX
+// writer every stack's SendObject uses, and it bills meter in a fixed
+// order: the per-field header work, the header region's cache lines, then
+// one copy per copied field — the second copy of the copied path, arena to
+// DMA buffer, cheap because the source was just written (§2.2, §3.2.2).
+func (m *Message) WriteFront(l Layout, dst []byte, dstSim uint64, meter *costmodel.Meter) {
+	m.WriteHeader(dst)
+	meter.Charge(float64(l.Fields)*meter.CPU.PerFieldCy + float64(l.Elems)*2)
+	meter.Access(dstSim, l.HeaderLen)
+	cur := l.HeaderLen
+	m.IterateCopyEntries(func(data []byte, sim uint64) {
+		meter.Copy(sim, dstSim+uint64(cur), len(data))
+		copy(dst[cur:], data)
+		cur += len(data)
+	})
 }
 
 // IterateCopyEntries yields each copied payload in layout order; the stack

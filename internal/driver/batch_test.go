@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"fmt"
 	"testing"
 
 	"cornflakes/internal/loadgen"
@@ -41,8 +42,8 @@ func TestBatchedEndToEnd(t *testing.T) {
 		t.Errorf("batch stats: batches=%d batchedReqs=%d handled=%d",
 			srv.Batches, srv.BatchedReqs, srv.Handled)
 	}
-	if len(srv.rxq) != 0 {
-		t.Errorf("%d requests stranded in the RX ring after drain", len(srv.rxq))
+	if d := srv.PendingDepth(); d != 0 {
+		t.Errorf("%d requests stranded in the RX ring after drain", d)
 	}
 }
 
@@ -76,25 +77,23 @@ func TestBatchedAdaptiveGrowsUnderLoad(t *testing.T) {
 	}
 }
 
-// TestIntraBatchWaitAccounted pins the satellite-3 fix: when one drainer
-// job serves several requests, requests 2..B wait not just for the batch
-// dispatch but for the members ahead of them, and that wait must land in
-// Core.QueueWait. The scenario is fully deterministic: the core is blocked
-// by a dummy job while three requests arrive, then one burst serves all
-// three.
-func TestIntraBatchWaitAccounted(t *testing.T) {
+// blockedArrivals are the instants blockedBacklog delivers its requests at.
+var blockedArrivals = []sim.Time{2 * sim.Microsecond, 3 * sim.Microsecond, 4 * sim.Microsecond}
+
+// blockedBacklog builds a testbed whose server core is held by a dummy
+// 10µs job from t=1µs while three requests arrive at blockedArrivals,
+// delivered at the server directly so arrival instants are exact.
+func blockedBacklog(t *testing.T, burst int) (*Testbed, *KVServer) {
+	t.Helper()
 	tb := NewTestbed(nic.MellanoxCX6())
 	srv := NewKVServer(tb.Server, SysCornflakes)
-	srv.EnableBatching(16)
+	srv.EnableBatching(burst)
 	srv.Preload(workloads.NewYCSB(8, 256, 1).Records())
 
-	// Block the core from t=1µs for 10µs.
 	block := 10 * sim.Microsecond
 	tb.Eng.At(1*sim.Microsecond, func() {
 		tb.Server.Core.Submit(sim.Job{Run: func() sim.Time { return block }})
 	})
-	// Three requests arrive while the core is blocked. Deliver injects at
-	// the server directly, so arrival instants are exact.
 	cl := NewKVClient(tb.Client, SysCornflakes)
 	key := workloads.NewYCSB(8, 256, 1).Records()[0].Key
 	mkReq := func() *mem.Buf {
@@ -103,15 +102,49 @@ func TestIntraBatchWaitAccounted(t *testing.T) {
 		copy(b.Bytes(), req)
 		return b
 	}
-	var enq []sim.Time
-	for _, at := range []sim.Time{2 * sim.Microsecond, 3 * sim.Microsecond, 4 * sim.Microsecond} {
-		at := at
-		tb.Eng.At(at, func() {
-			srv.Deliver(mkReq())
-			enq = append(enq, at)
+	for _, at := range blockedArrivals {
+		tb.Eng.At(at, func() { srv.Deliver(mkReq()) })
+	}
+	return tb, srv
+}
+
+// TestPendingDepthCountsRequests: PendingDepth is the number of requests
+// waiting in the RX ring — three here, parked behind the blocked core —
+// never the drain job queued on the core. At the default burst cap that is
+// also the Core.QueueLen the per-request job path read, one job per
+// waiting request.
+func TestPendingDepthCountsRequests(t *testing.T) {
+	for _, burst := range []int{1, 16} {
+		t.Run(fmt.Sprintf("burst=%d", burst), func(t *testing.T) {
+			tb, srv := blockedBacklog(t, burst)
+			var depth, jobs int
+			tb.Eng.At(5*sim.Microsecond, func() {
+				depth, jobs = srv.PendingDepth(), tb.Server.Core.QueueLen()
+			})
+			tb.Eng.Run()
+			if depth != 3 {
+				t.Errorf("PendingDepth = %d behind the blocked core, want the 3 waiting requests", depth)
+			}
+			if jobs != 1 {
+				t.Errorf("Core.QueueLen = %d, want the one armed drain job", jobs)
+			}
+			if d := srv.PendingDepth(); d != 0 || srv.Handled != 3 {
+				t.Errorf("after the run: PendingDepth = %d, Handled = %d; want 0 and 3", d, srv.Handled)
+			}
 		})
 	}
+}
+
+// TestIntraBatchWaitAccounted pins intra-burst wait accounting: when one
+// drainer job serves several requests, requests 2..B wait not just for the batch
+// dispatch but for the members ahead of them, and that wait must land in
+// Core.QueueWait. The scenario is fully deterministic: the core is blocked
+// by a dummy job while three requests arrive, then one burst serves all
+// three.
+func TestIntraBatchWaitAccounted(t *testing.T) {
+	tb, srv := blockedBacklog(t, 16)
 	tb.Eng.Run()
+	enq := blockedArrivals
 
 	if srv.Handled != 3 {
 		t.Fatalf("handled %d requests, want 3", srv.Handled)

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"fmt"
 	"testing"
 
 	"cornflakes/internal/cachesim"
@@ -76,49 +77,60 @@ func TestClusterCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestCrashDrainsPending pins the in-flight-drop contract directly: work
-// sitting in the server's rx queue at crash time is discarded and counted,
-// never served after the restart.
+// TestCrashDrainsPending pins the in-flight-drop contract directly: the
+// requests sitting in the server's RX ring at crash time die with the
+// process as the drainer reaches them — each counted once in DownDrops,
+// none served — at the default burst cap and with bursts.
 func TestCrashDrainsPending(t *testing.T) {
-	gen := clusterGen(100)
-	c := NewClusterTestbed(1, 1, SysCornflakes, nic.MellanoxCX6(), cachesim.DefaultConfig(), fabric.Config{})
-	c.Preload(gen.Records(), 1)
-	srv := c.Servers[0]
-	srv.EnableBatching(8) // backlog parks in the software RX ring
+	for _, burst := range []int{1, 8} {
+		t.Run(fmt.Sprintf("burst=%d", burst), func(t *testing.T) {
+			gen := clusterGen(100)
+			c := NewClusterTestbed(1, 1, SysCornflakes, nic.MellanoxCX6(), cachesim.DefaultConfig(), fabric.Config{})
+			c.Preload(gen.Records(), 1)
+			srv := c.Servers[0]
+			srv.EnableBatching(burst)
 
-	cl := c.NewClient(0, SysCornflakes, 1)
-	cfg := clusterCfg(c, 0, cl, gen, 3_000_000, 13)
-	cfg.Warmup, cfg.Measure = 0, sim.Millisecond
+			cl := c.NewClient(0, SysCornflakes, 1)
+			cfg := clusterCfg(c, 0, cl, gen, 3_000_000, 13)
+			cfg.Warmup, cfg.Measure = 0, sim.Millisecond
 
-	// Crash just after load starts and never recover: everything parked in
-	// the RX ring must die with the process, counted, immediately. (Work
-	// already queued on the core discards when its job fires while down.)
-	c.Eng.At(50*sim.Microsecond, func() {
-		if len(srv.rxq) == 0 {
-			t.Error("no RX-ring backlog at crash time; rate too low to pin the drain")
-		}
-		srv.Crash()
-		if len(srv.rxq) != 0 {
-			t.Errorf("RX ring holds %d requests after crash, want 0", len(srv.rxq))
-		}
-		if srv.DownDrops == 0 {
-			t.Error("crash drained the ring without counting DownDrops")
-		}
-	})
-	res := loadgen.Run(cfg)
-	c.Eng.Run()
+			// Crash just after load starts and never recover. The crash
+			// itself drops nothing: the drainer discards the parked
+			// requests, with zero service, when it reaches them.
+			var parked int
+			var handled uint64
+			c.Eng.At(50*sim.Microsecond, func() {
+				parked, handled = srv.PendingDepth(), srv.Handled
+				if parked == 0 {
+					t.Error("no RX-ring backlog at crash time; rate too low to pin the drain")
+				}
+				srv.Crash()
+				if srv.DownDrops != 0 {
+					t.Errorf("DownDrops = %d before the drainer ran", srv.DownDrops)
+				}
+			})
+			res := loadgen.Run(cfg)
+			c.Eng.Run()
 
-	if srv.DownDrops == 0 {
-		t.Error("crash discarded nothing")
-	}
-	if res.Completed == 0 {
-		t.Error("nothing completed before the crash")
-	}
-	if got := res.Completed + res.Shed + res.TimedOut + res.Unresolved; got != res.Sent {
-		t.Errorf("accounting: sent=%d resolved=%d", res.Sent, got)
-	}
-	if loss := c.Ledger().SilentLoss(0, 0); loss != 0 {
-		t.Errorf("silent frame loss: %d", loss)
+			if srv.DownDrops != uint64(parked) {
+				t.Errorf("DownDrops = %d, want the %d requests parked at the crash", srv.DownDrops, parked)
+			}
+			if srv.Handled != handled {
+				t.Errorf("Handled grew from %d to %d after the crash", handled, srv.Handled)
+			}
+			if d := srv.PendingDepth(); d != 0 {
+				t.Errorf("RX ring holds %d requests after the run", d)
+			}
+			if res.Completed == 0 {
+				t.Error("nothing completed before the crash")
+			}
+			if got := res.Completed + res.Shed + res.TimedOut + res.Unresolved; got != res.Sent {
+				t.Errorf("accounting: sent=%d resolved=%d", res.Sent, got)
+			}
+			if loss := c.Ledger().SilentLoss(0, 0); loss != 0 {
+				t.Errorf("silent frame loss: %d", loss)
+			}
+		})
 	}
 }
 

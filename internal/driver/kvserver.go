@@ -42,21 +42,22 @@ type KVServer struct {
 
 	// Admission control: beyond these thresholds the server sheds incoming
 	// requests with an explicit ShedReply instead of queueing them. Zero
-	// disables a check. ShedQueue bounds Core.QueueLen (keep the RX ring
+	// disables a check. ShedQueue bounds PendingDepth (keep the RX ring
 	// from starving ACK and completion traffic); ShedWater is a pinned-pool
 	// occupancy fraction (refuse work the send path could not complete).
 	ShedQueue int
 	ShedWater float64
 
-	// MaxBurst, when ≥ 2, enables the batched RX/TX datapath (EnableBatching
-	// wires it): arriving requests queue in a software RX ring and one core
-	// job drains up to MaxBurst of them, amortizing the per-job dispatch,
-	// the poll-loop share of the RX cost, and — through a bracketed TX batch
-	// flushed at the end of the burst — the reply doorbells. The burst is
-	// adaptive by construction: the drainer serves min(backlog, MaxBurst),
-	// so it collapses to single-request service at low load and only grows
-	// with genuine backlog. At MaxBurst ≤ 1 (or on TCP/segmented servers)
-	// the legacy unbatched path runs, bit-identical to before.
+	// MaxBurst caps how many requests one drain of the software RX ring
+	// serves (EnableBatching wires it). It takes effect on the plain UDP
+	// stack at 2 or more: one drain then amortizes the per-job dispatch,
+	// the poll-loop share of the RX cost, and — through a TX batch flushed
+	// at the end of the burst — the reply doorbells. The burst is adaptive
+	// by construction: a drain serves min(backlog, MaxBurst), so it
+	// collapses to single-request service at low load and only grows with
+	// genuine backlog. Below 2, and on TCP-lite or segmented servers, every
+	// drain serves one request with no TX batch and no RxPollCy split: the
+	// default datapath.
 	MaxBurst int
 
 	// OffloadSer models an RPCAcc/Dagger-style NIC serialization engine:
@@ -70,19 +71,25 @@ type KVServer struct {
 	lastSerCy     float64
 
 	// Fault state (driven by faults.ScheduleNodePlan through the FaultNode
-	// interface). Down marks the node crashed: arriving requests are
-	// discarded (counted in DownDrops) and the netstack mirrors the state so
-	// frames die at RX with exact accounting. Slowdown > 1 is gray failure —
-	// the node keeps answering, but every service time is scaled by it, the
-	// degraded-not-dead mode plain timeouts handle worst.
+	// interface). Down marks the node crashed: requests the drainer reaches
+	// are discarded (counted in DownDrops) and the netstack mirrors the
+	// state so frames die at RX with exact accounting. Slowdown > 1 is gray
+	// failure — the node keeps answering, but every drained request's
+	// service time is scaled by it, the degraded-not-dead mode plain
+	// timeouts handle worst.
 	Down     bool
 	Slowdown float64
 
-	// rxq is the batched path's software RX ring: requests waiting for the
-	// drainer, bounded by Core.MaxQueue like the core's own queue.
-	rxq []batchedReq
-	// drainerArmed notes that a drainer job is already submitted, so each
-	// backlog needs only one.
+	// rxq[rxh:] is the software RX ring every request waits in for the
+	// drainer, bounded by Core.MaxQueue (the RX descriptor ring depth).
+	// Dequeue advances rxh instead of shifting the slice, as sim.Core's
+	// queue does, and spent entries are zeroed so the array pins no buffer.
+	rxq []rxReq
+	rxh int
+	// drainJob is the drainer's core job, bound once in NewKVServer;
+	// drainerArmed notes that it is already submitted, so each backlog
+	// needs only one.
+	drainJob     sim.Job
 	drainerArmed bool
 
 	// Stats.
@@ -94,24 +101,24 @@ type KVServer struct {
 	// ShedReplyErrs counts shed replies the stack refused to transmit; the
 	// client's timeout covers this case.
 	ShedReplyErrs uint64
-	// DownDrops counts requests the crash discarded: work parked in the RX
-	// ring when the node died, plus queued-but-unserved core jobs that fire
-	// while down. Recoveries counts cold restarts.
+	// DownDrops counts requests the crash discarded: every request the
+	// drainer reaches while the node is down. Recoveries counts cold
+	// restarts.
 	DownDrops  uint64
 	Recoveries uint64
-	// Batch stats: Batches counts drainer runs, BatchedReqs the requests
-	// they served (mean burst = BatchedReqs/Batches), MaxBatch the largest
+	// Batch stats: Batches counts drains, BatchedReqs the requests they took
+	// from the ring (mean burst = BatchedReqs/Batches), MaxBatch the largest
 	// single burst — the observable for "adaptive sizing engaged".
 	Batches     uint64
 	BatchedReqs uint64
 	MaxBatch    int
 }
 
-// batchedReq is one request parked in the batched datapath's software RX
-// ring, carrying the identity peeked at arrival and the arrival time so the
-// drainer can account its true queue wait, plus the requester's fabric
-// address so the reply goes back through the right switch port.
-type batchedReq struct {
+// rxReq is one request parked in the software RX ring, carrying the
+// identity peeked at arrival and the arrival time so the drainer can
+// account its true queue wait, plus the requester's fabric address so the
+// reply goes back through the right switch port.
+type rxReq struct {
 	p      *mem.Buf
 	tid    uint64
 	traced bool
@@ -124,6 +131,9 @@ type batchedReq struct {
 // soak drives the KV workload over lossy TCP links).
 func NewKVServer(n *Node, sys System) *KVServer {
 	s := &KVServer{N: n, Store: kvstore.New(n.Alloc, n.Meter), Sys: sys}
+	// The drainer accounts each request's wait itself (ExternalWait): the
+	// job-level wait describes the drain, not the requests it serves.
+	s.drainJob = sim.Job{ExternalWait: true, Run: s.drain}
 	n.stack.SetRecvHandler(s.onPayload)
 	return s
 }
@@ -179,42 +189,38 @@ func preload(n *Node, store *kvstore.Store, recs []workloads.KV) {
 // dispatcher, which performs its own RX handling).
 func (s *KVServer) Deliver(p *mem.Buf) { s.onPayload(p) }
 
-// EnableBatching turns on the batched RX/TX datapath with the given burst
-// cap and tells the UDP stack to split its RX charge accordingly. A cap of
-// 1 (or less) selects the legacy unbatched path — that is the adaptive
-// floor, and the determinism gate relies on it being bit-identical.
+// EnableBatching sets the drain's burst cap and tells the UDP stack to
+// split its RX charge when the cap takes effect (see MaxBurst). A cap of 1
+// (or less) keeps the default one-request drain, so it changes nothing.
 func (s *KVServer) EnableBatching(maxBurst int) {
 	s.MaxBurst = maxBurst
 	if s.N.UDP != nil {
-		s.N.UDP.RxBatched = s.batched()
+		s.N.UDP.RxBatched = s.burst() > 1
 	}
 }
 
-// batched reports whether the batched datapath is active. Only a server on
-// the plain UDP stack batches: TCP and segmented replies flow through
-// connection or fragment state the TX batch bracket does not cover.
-func (s *KVServer) batched() bool {
-	_, udp := s.N.stack.(*netstack.UDP)
-	return s.MaxBurst >= 2 && udp
+// burst is how many requests one drain may serve: MaxBurst on the plain
+// UDP stack when it is at least 2, and 1 otherwise. TCP-lite and segmented
+// replies flow through connection or fragment state the TX batch bracket
+// does not cover.
+func (s *KVServer) burst() int {
+	if _, udp := s.N.stack.(*netstack.UDP); udp && s.MaxBurst >= 2 {
+		return s.MaxBurst
+	}
+	return 1
 }
 
 // Crash kills the node: the netstack starts discarding arriving frames
-// (counted there in RxDownDrops) and every request parked in the software
-// RX ring dies with the process — dropped with exact accounting, never
-// served. A job already executing on the core at the crash instant
-// completes (the model's jobs are atomic units of service); queued core
-// jobs that fire while down are discarded by the Down check in their Run.
+// (counted there in RxDownDrops). Requests already in the software RX ring
+// die with the process as the drainer reaches them: each accounts its
+// wait, gets its PhaseHandle mark and is dropped with zero service into
+// DownDrops, never served. A drain already executing on the core at the
+// crash instant completes (the model's jobs are atomic units of service).
 func (s *KVServer) Crash() {
 	s.Down = true
 	if s.N.UDP != nil {
 		s.N.UDP.Down = true
 	}
-	for i := range s.rxq {
-		s.DownDrops++
-		s.rxq[i].p.DecRef()
-		s.rxq[i] = batchedReq{}
-	}
-	s.rxq = s.rxq[:0]
 }
 
 // Recover restarts the node cold: the netstack accepts frames again and
@@ -267,17 +273,18 @@ func (s *KVServer) scaled(d sim.Time) sim.Time {
 	return d
 }
 
-// PendingDepth is the server's total request backlog: the batched path's
-// software RX ring plus the core's own queue. On the unbatched path the
-// ring is always empty, so this equals Core.QueueLen — admission control
-// and the queue-depth gauge use it so both datapaths shed and report on
-// the same signal.
-func (s *KVServer) PendingDepth() int { return len(s.rxq) + s.N.Core.QueueLen() }
+// PendingDepth is the server's request backlog: the requests waiting in
+// the software RX ring, not the one in service and not a queued drain job.
+// Admission control and the queue-depth gauge read it. At the default
+// burst cap of 1 it equals the number of requests queued behind the core.
+func (s *KVServer) PendingDepth() int { return len(s.rxq) - s.rxh }
 
+// onPayload admits or sheds one arriving request and parks it in the
+// software RX ring for the drainer.
 func (s *KVServer) onPayload(p *mem.Buf) {
-	// Capture the requester's fabric address now: by the time the core job
-	// runs (or the drainer reaches the request), later frames will have
-	// overwritten the stack's RxSrc. Zero outside a fabric topology.
+	// Capture the requester's fabric address now: by the time the drainer
+	// reaches the request, later frames will have overwritten the stack's
+	// RxSrc. Zero outside a fabric topology.
 	var src byte
 	if s.N.UDP != nil {
 		src = s.N.UDP.RxSrc
@@ -296,44 +303,10 @@ func (s *KVServer) onPayload(p *mem.Buf) {
 	if s.Trace != nil {
 		tid, traced = peekRequestID(s.Sys, p.Bytes())
 	}
-	if s.batched() {
-		s.enqueue(p, tid, traced, src)
-		return
-	}
-	ok := s.N.Core.Submit(sim.Job{
-		Start: func(enqueuedAt sim.Time) {
-			if traced {
-				s.Trace.Mark(tid, s.N.Eng.Now(), trace.PhaseHandle)
-			}
-		},
-		Run: func() sim.Time {
-			if s.Down {
-				// The node crashed after this request was queued: the work
-				// dies with the process, costing no (dead) CPU.
-				s.DownDrops++
-				p.DecRef()
-				return 0
-			}
-			s.setReplyAddr(src)
-			s.handle(p, tid, traced)
-			return s.scaled(s.hostTime(s.N.Meter.DrainTime()))
-		},
-	})
-	if !ok {
-		if traced {
-			s.Trace.Note(tid, "request dropped: rx ring overflow")
-		}
-		p.DecRef() // RX ring overflow: drop
-	}
-}
-
-// enqueue parks a request in the software RX ring and makes sure a drainer
-// job is pending. The ring honours the same bound as the core queue
-// (Core.MaxQueue — the RX descriptor ring depth), with overflow counted in
-// the same Dropped stat.
-func (s *KVServer) enqueue(p *mem.Buf, tid uint64, traced bool, src byte) {
+	// The ring is bounded by Core.MaxQueue, the RX descriptor ring depth;
+	// overflow is counted in the core's Dropped stat.
 	c := s.N.Core
-	if c.MaxQueue > 0 && len(s.rxq) >= c.MaxQueue {
+	if c.MaxQueue > 0 && s.PendingDepth() >= c.MaxQueue {
 		c.NoteDrop()
 		if traced {
 			s.Trace.Note(tid, "request dropped: rx ring overflow")
@@ -341,7 +314,14 @@ func (s *KVServer) enqueue(p *mem.Buf, tid uint64, traced bool, src byte) {
 		p.DecRef()
 		return
 	}
-	s.rxq = append(s.rxq, batchedReq{p: p, tid: tid, traced: traced, enq: s.N.Eng.Now(), src: src})
+	if s.rxh > 0 && len(s.rxq) == cap(s.rxq) && 2*s.rxh >= len(s.rxq) {
+		// Reclaim the served prefix rather than grow the array, so a
+		// backlog that never empties does not keep every slot it used.
+		n := copy(s.rxq, s.rxq[s.rxh:])
+		clear(s.rxq[n:])
+		s.rxq, s.rxh = s.rxq[:n], 0
+	}
+	s.rxq = append(s.rxq, rxReq{p: p, tid: tid, traced: traced, enq: s.N.Eng.Now(), src: src})
 	s.armDrainer()
 }
 
@@ -354,71 +334,72 @@ func (s *KVServer) setReplyAddr(src byte) {
 	}
 }
 
-// armDrainer submits one drainer job unless one is already pending. The
-// job carries ExternalWait: the drainer accounts each request's wait
-// itself, because the job-level wait describes the drainer, not the
-// requests it will serve.
+// armDrainer submits the drain job unless it is already pending.
 func (s *KVServer) armDrainer() {
 	if s.drainerArmed {
 		return
 	}
 	s.drainerArmed = true
-	if !s.N.Core.Submit(sim.Job{ExternalWait: true, Run: s.drain}) {
+	if !s.N.Core.Submit(s.drainJob) {
 		s.drainerArmed = false // queue bound hit; the backlog re-arms on next arrival
 	}
 }
 
-// drain is one batched core job: it serves min(backlog, MaxBurst) requests
-// back to back, bracketing their replies in a TX batch flushed at the end,
-// and returns the summed service time. Per-request accounting is kept
-// exact: request i's queue wait is its time in the ring plus the service
-// of the i−1 batch members ahead of it (AccountWait), and each request's
-// receipt is taken by handle as usual — the flush's doorbell cycles land
-// in the drain total so the core stays busy for every cycle charged.
+// drain is the drainer's core job and the one way a request is served: it
+// serves min(backlog, burst()) requests back to back and returns their
+// summed service time, each request's scaled by any gray-failure slowdown.
+// Per-request accounting is exact: request i's queue wait is its time in
+// the ring plus the service of the i−1 burst members ahead of it
+// (AccountWait), and each request's receipt is taken by handle as usual.
+// A burst cap of 2 or more also pays one poll-loop share per drain and
+// brackets the replies in a TX batch flushed at the end; the flush's
+// doorbell cycles land in the drain total so the core stays busy for every
+// cycle charged. While the node is down the drain costs nothing: each
+// request it reaches is dropped into DownDrops.
 func (s *KVServer) drain() sim.Time {
 	s.drainerArmed = false
-	b := len(s.rxq)
-	if b > s.MaxBurst {
-		b = s.MaxBurst
-	}
-	if b == 0 {
-		return 0
-	}
+	burst := s.burst()
+	b := min(s.PendingDepth(), burst)
 	m := s.N.Meter
 	t0 := s.N.Eng.Now()
-	// One poll-loop iteration for the whole burst: the share onFrame
-	// withheld per frame (RxBatched).
-	m.Charge(m.CPU.RxPollCy)
-	flush := b > 1
+	if burst > 1 && !s.Down {
+		// One poll-loop iteration for the whole burst: the share onFrame
+		// withheld per frame (RxBatched).
+		m.Charge(m.CPU.RxPollCy)
+	}
+	flush := b > 1 && !s.Down
 	if flush {
 		s.N.UDP.BeginTxBatch()
 	}
-	var total, cum sim.Time
+	var total sim.Time
 	for i := 0; i < b; i++ {
-		r := s.rxq[i]
-		s.N.Core.AccountWait(t0 - r.enq + cum)
+		r := s.rxq[s.rxh]
+		s.rxq[s.rxh] = rxReq{}
+		s.rxh++
+		s.N.Core.AccountWait(t0 - r.enq + total)
 		if r.traced {
 			s.Trace.Mark(r.tid, t0, trace.PhaseHandle)
 			if flush {
 				s.Trace.Note(r.tid, fmt.Sprintf("batched: burst=%d pos=%d", b, i))
 			}
 		}
+		if s.Down {
+			// The node crashed after this request arrived: the work dies
+			// with the process, costing no (dead) CPU.
+			s.DownDrops++
+			r.p.DecRef()
+			continue
+		}
 		// Reply headers are written at send time inside handle, so pointing
 		// the stack at this request's source here is sufficient even though
 		// the TX batch flushes after the burst.
 		s.setReplyAddr(r.src)
 		s.handle(r.p, r.tid, r.traced)
-		d := s.scaled(s.hostTime(m.DrainTime()))
-		cum += d
-		total += d
+		total += s.scaled(s.hostTime(m.DrainTime()))
 	}
-	// Shift the served requests out, zeroing the tail so the backing array
-	// does not pin buffers.
-	n := copy(s.rxq, s.rxq[b:])
-	for i := n; i < len(s.rxq); i++ {
-		s.rxq[i] = batchedReq{}
+	if s.rxh == len(s.rxq) {
+		s.rxq, s.rxh = s.rxq[:0], 0
 	}
-	s.rxq = s.rxq[:n]
 	if flush {
 		prev := m.SetCategory(costmodel.CatTx)
 		if err := s.N.UDP.FlushTx(); err != nil {
@@ -432,7 +413,7 @@ func (s *KVServer) drain() sim.Time {
 	if b > s.MaxBatch {
 		s.MaxBatch = b
 	}
-	if len(s.rxq) > 0 {
+	if s.PendingDepth() > 0 {
 		s.armDrainer()
 	}
 	return total
@@ -454,42 +435,24 @@ func (s *KVServer) shed(p *mem.Buf) {
 	s.shedReplyTo(id)
 }
 
-// shedReplyTo sends the explicit rejection for a request id, counting it.
-// Also used mid-handling when a put's allocation fails: the client gets a
-// shed reply instead of a dropped request.
-//
-// The work is billed to CatShed: the fast path runs at frame-delivery time,
-// when the meter still carries whatever category the previous request left
-// active — without the explicit category, overload-regime breakdowns would
-// smear shed cycles across unrelated buckets.
+// shedReplyTo sends the explicit rejection for a request id through
+// Node.SendShed, counting it. Also used mid-handling when a put's
+// allocation fails: the client gets a shed reply instead of a dropped
+// request.
 func (s *KVServer) shedReplyTo(id uint64) {
-	m := s.N.Meter
-	prev := m.SetCategory(costmodel.CatShed)
-	defer m.SetCategory(prev)
 	if s.Trace != nil {
 		s.Trace.Mark(id, s.N.Eng.Now(), trace.PhaseShed)
 	}
 	s.Shed++
-	reply := ShedReply(id)
-	sim := mem.UnpinnedSimAddr(reply)
-	var err error
-	if u, ok := s.N.stack.(*netstack.UDP); ok {
-		// The UDP fast path: prebuilt reply, batched posting. Shedding has
-		// to cost far less than serving or it cannot relieve the core.
-		err = u.SendPrebuilt(reply, sim)
-	} else {
-		err = s.N.stack.SendContiguous(reply, sim)
-	}
-	if err != nil {
+	if s.N.SendShed(id) != nil {
 		s.ShedReplyErrs++
 	}
 }
 
-// handle serves one request at its dispatch instant. tid/traced carry the
-// request id peeked at submit time, so the receipt can be attributed to the
-// owning flow (Run executes synchronously at dispatch, so Now() inside the
-// deferred block is still the dispatch instant the service spans tile
-// from).
+// handle serves one request at its drain instant. tid/traced carry the
+// request id peeked at arrival, so the receipt can be attributed to the
+// owning flow (the drain runs synchronously at dispatch, so Now() inside
+// the deferred block is still the instant the service spans tile from).
 func (s *KVServer) handle(p *mem.Buf, tid uint64, traced bool) {
 	m := s.N.Meter
 	s.Handled++

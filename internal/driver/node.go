@@ -84,3 +84,24 @@ type stack interface {
 	SendObject(obj *core.Message) error
 	SendContiguous(payload []byte, sim uint64) error
 }
+
+// SendShed sends the ShedReply for request id on the node's stack: the
+// prebuilt-reply fast path on UDP, since shedding has to cost far less than
+// serving or it cannot relieve the core, and SendContiguous on any other
+// stack. The work is billed to CatShed: sheds run at frame-delivery or
+// timer time, when the meter still carries whatever category the last job
+// left active, and without the explicit category overload breakdowns would
+// smear shed cycles across unrelated buckets. It is the one shed sender
+// for KV servers and RPC services; counters and trace marks stay with the
+// callers.
+func (n *Node) SendShed(id uint64) error {
+	m := n.Meter
+	prev := m.SetCategory(costmodel.CatShed)
+	defer m.SetCategory(prev)
+	reply := ShedReply(id)
+	sim := mem.UnpinnedSimAddr(reply)
+	if u, ok := n.stack.(*netstack.UDP); ok {
+		return u.SendPrebuilt(reply, sim)
+	}
+	return n.stack.SendContiguous(reply, sim)
+}

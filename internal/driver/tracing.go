@@ -135,8 +135,9 @@ func AttachKVTracer(tb *Testbed, srv *KVServer, tr *trace.Tracer) {
 
 // RegisterServerGauges registers the standard server-health gauges on a
 // registry, in a fixed deterministic order: pinned-memory occupancy, core
-// load and queueing, admission-control and fallback activity, and stack
-// drop counters.
+// load and queueing (server.core.queue is PendingDepth, the requests
+// waiting in the RX ring), admission-control and fallback activity, and
+// stack drop counters.
 func RegisterServerGauges(reg *trace.Registry, srv *KVServer) {
 	alloc := srv.N.Alloc
 	c := srv.N.Core
@@ -145,9 +146,8 @@ func RegisterServerGauges(reg *trace.Registry, srv *KVServer) {
 	reg.Register("server.mem.peak", func() float64 { return float64(alloc.Stats().PeakSlotsInUse) })
 	reg.Register("server.mem.occupancy", func() float64 { return alloc.Occupancy() })
 	reg.Register("server.core.util", func() float64 { return c.Utilization() })
-	// PendingDepth, not Core.QueueLen: on the batched datapath requests wait
-	// in the server's software RX ring, which the core queue alone misses.
-	// Unbatched the two are identical (the ring stays empty).
+	// PendingDepth, not Core.QueueLen: requests wait in the server's
+	// software RX ring, and the core queue holds at most the drain job.
 	reg.Register("server.core.queue", func() float64 { return float64(srv.PendingDepth()) })
 	reg.Register("server.core.dropped", func() float64 { return float64(c.Dropped) })
 	reg.Register("server.shed", func() float64 { return float64(srv.Shed) })

@@ -32,8 +32,8 @@ import (
 // DMA time that batching cannot touch.
 
 // batchingBursts is the burst-cap ladder. 1 is the degenerate cap (the
-// legacy datapath, bit-identical by construction) and serves as the
-// baseline; 16 is comfortably past the knee of the amortization curve.
+// default one-request drain every other experiment runs) and serves as
+// the baseline; 16 is comfortably past the knee of the amortization curve.
 var batchingBursts = []int{1, 4, 16}
 
 // batchingOpts is the KV configuration under test: Cornflakes over UDP

@@ -153,11 +153,10 @@ type kvOpts struct {
 	// Offload charges (de)serialization to a NIC-side engine instead of
 	// the host core (KVServer.OffloadSer) — the RPCAcc-style deployment.
 	Offload bool
-	// Batch, when ≥ 1, enables the server's batched RX/TX datapath with
-	// this burst cap (KVServer.EnableBatching). 1 is the adaptive floor —
-	// batching "on" but serving every request in its own burst, which the
-	// determinism gate pins as bit-identical to the unbatched path. 0
-	// leaves batching off entirely.
+	// Batch, when ≥ 1, sets the server's burst cap
+	// (KVServer.EnableBatching): each drain of its RX ring serves up to
+	// Batch requests. 0 and 1 both keep the default one-request drain; the
+	// determinism gate pins a run at 1 against the default golden trace.
 	Batch int
 	Scale Scale
 	Seed  uint64

@@ -59,8 +59,8 @@ type TracedRun struct {
 // sends, backoffs and outcomes; the NIC observers mark DMA, wire and
 // delivery instants; the server marks dispatch and shed decisions and
 // attributes per-request receipts; and a gauge registry samples server
-// health at a fixed cadence. burst is the server's batching burst cap
-// (kvOpts.Batch; 0 leaves batching off).
+// health at a fixed cadence. burst is the server's drain burst cap
+// (kvOpts.Batch; 0 and 1 keep the default one-request drain).
 func TracedOverloadRun(sc Scale, burst int, rate float64, tcfg trace.Config) TracedRun {
 	o := overloadOpts(sc)
 	o.Batch = burst

@@ -342,36 +342,36 @@ func Start(cfg Config) *Runner {
 		}
 	}
 
+	// sendAttempt sends f's current step under a fresh wire id, routed as
+	// failover route index route, and returns the id.
+	sendAttempt := func(f *flow, route int) uint64 {
+		id := nextID
+		nextID++
+		flows[id] = f
+		// Register the attempt before posting: the NIC observer's marks for
+		// this frame resolve through the wire id registered here.
+		cfg.Tracer.Attempt(f.tr, id, eng.Now())
+		announce(route)
+		payload := cfg.Client.BuildStep(id, f.req, f.step)
+		cfg.EP.SendContiguous(payload, mem.UnpinnedSimAddr(payload))
+		return id
+	}
+
 	var sendStep func(f *flow)
 
 	// launchHedge fires the second racer of f's current attempt, routed as
 	// route index route+1 so failover routing picks a different replica
 	// than the primary.
 	launchHedge := func(f *flow) {
-		hid := nextID
-		nextID++
-		flows[hid] = f
-		f.hedgeID = hid
+		f.hedgeID = sendAttempt(f, f.route+1)
 		f.hedged = true
 		res.Hedges++
-		cfg.Tracer.Attempt(f.tr, hid, eng.Now())
-		announce(f.route + 1)
-		payload := cfg.Client.BuildStep(hid, f.req, f.step)
-		cfg.EP.SendContiguous(payload, mem.UnpinnedSimAddr(payload))
 	}
 
 	sendStep = func(f *flow) {
-		id := nextID
-		nextID++
-		flows[id] = f
+		id := sendAttempt(f, f.route)
 		f.primaryID = id
 		f.hedged = false
-		// Register the attempt before posting: the NIC observer's marks for
-		// this frame resolve through the wire id registered here.
-		cfg.Tracer.Attempt(f.tr, id, eng.Now())
-		announce(f.route)
-		payload := cfg.Client.BuildStep(id, f.req, f.step)
-		cfg.EP.SendContiguous(payload, mem.UnpinnedSimAddr(payload))
 		if cfg.Hedge.enabled() {
 			delay := cfg.Hedge.Delay + hedgeRng.Duration(cfg.Hedge.Jitter)
 			f.hedgeTimer = eng.After(delay, func() {
@@ -453,6 +453,24 @@ func Start(cfg Config) *Runner {
 		}
 	}
 
+	// stray counts a reply, shed or served, whose wire id has no live flow.
+	stray := func(id uint64) {
+		switch {
+		case wasted[id]:
+			// The losing side of a decided hedge race answered: the
+			// redundancy cost of hedging, counted, never a second
+			// completion.
+			res.HedgeWasted++
+		case expired[id]:
+			// A reply for an attempt we already resolved or retried:
+			// expected under timeouts (the original and the retry can both
+			// be answered), not a protocol error.
+			res.LateResponses++
+		default:
+			res.BadResponses++
+		}
+	}
+
 	cfg.EP.SetRecvHandler(func(p *mem.Buf) {
 		defer p.DecRef()
 		now := eng.Now()
@@ -462,14 +480,7 @@ func Start(cfg Config) *Runner {
 			if id, ok := cfg.ShedID(p.Bytes()); ok {
 				f, ok := flows[id]
 				if !ok {
-					switch {
-					case wasted[id]:
-						res.HedgeWasted++
-					case expired[id]:
-						res.LateResponses++
-					default:
-						res.BadResponses++
-					}
+					stray(id)
 					return
 				}
 				resolve(id, f)
@@ -488,20 +499,7 @@ func Start(cfg Config) *Runner {
 		}
 		f, ok := flows[id]
 		if !ok {
-			switch {
-			case wasted[id]:
-				// The losing side of a decided hedge race answered: the
-				// redundancy cost of hedging, counted, never a second
-				// completion.
-				res.HedgeWasted++
-			case expired[id]:
-				// A response for an attempt we already resolved or retried:
-				// expected under timeouts (the original and the retry can
-				// both be answered), not a protocol error.
-				res.LateResponses++
-			default:
-				res.BadResponses++
-			}
+			stray(id)
 			return
 		}
 		resolve(id, f)

@@ -98,15 +98,7 @@ func (s *Segmenter) SendObject(obj *core.Message) error {
 		return err
 	}
 	m.Charge(m.CPU.DMABufAllocCy)
-	obj.WriteHeader(front.Bytes())
-	m.Charge(float64(l.Fields)*m.CPU.PerFieldCy + float64(l.Elems)*2)
-	m.Access(front.SimAddr(), l.HeaderLen)
-	cur := l.HeaderLen
-	obj.IterateCopyEntries(func(data []byte, sim uint64) {
-		m.Copy(sim, front.SimAddr()+uint64(cur), len(data))
-		copy(front.Bytes()[cur:], data)
-		cur += len(data)
-	})
+	obj.WriteFront(l, front.Bytes(), front.SimAddr(), m)
 
 	// The object is the concatenation of `front` and the zero-copy
 	// buffers; walk it emitting fragments.
@@ -132,10 +124,7 @@ func (s *Segmenter) SendObject(obj *core.Message) error {
 			}
 			break
 		}
-		fh := head.Bytes()[PacketHeaderLen:]
-		wire.PutU64(fh, msgID)
-		wire.PutU32(fh[8:], uint32(frag)|uint32(count)<<16)
-		wire.PutU32(fh[12:], uint32(total))
+		putFragHeader(head.Bytes()[PacketHeaderLen:], msgID, frag, count, total)
 		m.Access(head.SimAddr()+PacketHeaderLen, FragHeaderLen)
 
 		entries := []nic.SGEntry{{
@@ -190,17 +179,19 @@ func (s *Segmenter) SendContiguous(payload []byte, sim uint64) error {
 	if err != nil {
 		return err
 	}
-	fh := buf.Bytes()[PacketHeaderLen:]
-	wire.PutU64(fh, msgID)
-	wire.PutU32(fh[8:], 0|1<<16) // fragment 0 of 1
-	wire.PutU32(fh[12:], uint32(len(payload)))
+	putFragHeader(buf.Bytes()[PacketHeaderLen:], msgID, 0, 1, len(payload))
 	m.Copy(sim, buf.SimAddr()+PacketHeaderLen+FragHeaderLen, len(payload))
 	copy(buf.Bytes()[PacketHeaderLen+FragHeaderLen:], payload)
 	s.TxFragments++
-	s.U.txEntries = append(s.U.txEntries[:0], nic.SGEntry{
-		Data: buf.Bytes(), Sim: buf.SimAddr(), Rel: &s.U.rel, RelArg: buf,
-	})
-	return s.U.post(s.U.txEntries)
+	return s.U.postOne(buf)
+}
+
+// putFragHeader writes fragment frag of count of message msgID, an object
+// of total bytes, into the fragment header at fh.
+func putFragHeader(fh []byte, msgID uint64, frag, count, total int) {
+	wire.PutU64(fh, msgID)
+	wire.PutU32(fh[8:], uint32(frag)|uint32(count)<<16)
+	wire.PutU32(fh[12:], uint32(total))
 }
 
 // onPayload reassembles fragments and passes complete objects up.

@@ -162,26 +162,11 @@ func (c *TCPConn) SendObject(obj *core.Message) error {
 		return &ErrTooLarge{Size: TCPHeaderLen + l.ObjectLen()}
 	}
 
-	first, err := c.Alloc.TryAlloc(TCPHeaderLen + l.HeaderLen + l.CopyLen)
+	first, err := c.prepFirst(l.HeaderLen + l.CopyLen)
 	if err != nil {
-		// Failing here is clean: no sequence space consumed, no references
-		// taken — the caller sees the error before anything is queued.
-		c.TxNoMem++
 		return err
 	}
-	m.Charge(m.CPU.DMABufAllocCy)
-	c.writeTCPHeader(first.Bytes(), c.sendSeq, c.recvSeq, flagData|flagAck)
-	m.Access(first.SimAddr(), TCPHeaderLen)
-	dst := first.Bytes()[TCPHeaderLen:]
-	obj.WriteHeader(dst)
-	m.Charge(float64(l.Fields)*m.CPU.PerFieldCy + float64(l.Elems)*2)
-	m.Access(first.SimAddr()+TCPHeaderLen, l.HeaderLen)
-	cur := l.HeaderLen
-	obj.IterateCopyEntries(func(data []byte, sim uint64) {
-		m.Copy(sim, first.SimAddr()+uint64(TCPHeaderLen+cur), len(data))
-		copy(dst[cur:], data)
-		cur += len(data)
-	})
+	obj.WriteFront(l, first.Bytes()[TCPHeaderLen:], first.SimAddr()+TCPHeaderLen, m)
 
 	seg := &segment{seq: c.sendSeq, length: l.ObjectLen(), first: first}
 	obj.IterateZCEntries(func(buf *mem.Buf) {
@@ -190,6 +175,29 @@ func (c *TCPConn) SendObject(obj *core.Message) error {
 		buf.IncRef()
 		seg.zc = append(seg.zc, buf)
 	})
+	return c.enqueue(seg)
+}
+
+// prepFirst allocates a segment's first DMA buffer with n bytes after the
+// TCP header and writes the header at the next sequence number. Failing
+// here is clean: no sequence space consumed, no references taken — the
+// caller sees the error before anything is queued.
+func (c *TCPConn) prepFirst(n int) (*mem.Buf, error) {
+	m := c.Meter
+	first, err := c.Alloc.TryAlloc(TCPHeaderLen + n)
+	if err != nil {
+		c.TxNoMem++
+		return nil, err
+	}
+	m.Charge(m.CPU.DMABufAllocCy)
+	c.writeTCPHeader(first.Bytes(), c.sendSeq, c.recvSeq, flagData|flagAck)
+	m.Access(first.SimAddr(), TCPHeaderLen)
+	return first, nil
+}
+
+// enqueue consumes seg's sequence space, queues it for retransmission and
+// sends it, rolling both back when the NIC refuses the first transmission.
+func (c *TCPConn) enqueue(seg *segment) error {
 	c.sendSeq += uint32(seg.length)
 	c.unacked = append(c.unacked, seg)
 	c.TxSegments++
@@ -217,28 +225,13 @@ func (c *TCPConn) rollback(seg *segment) {
 // SendContiguous sends an already-serialized payload over the connection
 // (used by the FlatBuffers echo baseline in Figure 9).
 func (c *TCPConn) SendContiguous(payload []byte, sim uint64) error {
-	m := c.Meter
-	first, err := c.Alloc.TryAlloc(TCPHeaderLen + len(payload))
+	first, err := c.prepFirst(len(payload))
 	if err != nil {
-		c.TxNoMem++
 		return err
 	}
-	m.Charge(m.CPU.DMABufAllocCy)
-	c.writeTCPHeader(first.Bytes(), c.sendSeq, c.recvSeq, flagData|flagAck)
-	m.Access(first.SimAddr(), TCPHeaderLen)
-	m.Copy(sim, first.SimAddr()+TCPHeaderLen, len(payload))
+	c.Meter.Copy(sim, first.SimAddr()+TCPHeaderLen, len(payload))
 	copy(first.Bytes()[TCPHeaderLen:], payload)
-
-	seg := &segment{seq: c.sendSeq, length: len(payload), first: first}
-	c.sendSeq += uint32(seg.length)
-	c.unacked = append(c.unacked, seg)
-	c.TxSegments++
-	if err := c.transmit(seg); err != nil {
-		c.rollback(seg)
-		return err
-	}
-	c.armRTO()
-	return nil
+	return c.enqueue(&segment{seq: c.sendSeq, length: len(payload), first: first})
 }
 
 // transmit posts one segment to the NIC, taking per-post references for the

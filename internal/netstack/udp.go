@@ -84,8 +84,8 @@ type UDP struct {
 	// RxBatched marks that the server above drains requests in bursts: the
 	// poll-loop share of the per-packet RX cost (RxPollCy) is then charged
 	// once per drained burst by the drainer, so onFrame charges only the
-	// per-frame remainder. Leave false for the unbatched datapath, which
-	// keeps the full legacy RxPacketCy per frame.
+	// per-frame remainder. Leave false for one-request drains, which pay
+	// the full RxPacketCy per frame.
 	RxBatched bool
 
 	// txOpen/txStore/txLens implement TX batching: between BeginTxBatch and
@@ -192,16 +192,28 @@ func (u *UDP) txPrep(n int) (*mem.Buf, error) {
 		return nil, err
 	}
 	m.Charge(m.CPU.DMABufAllocCy)
-	hdr := buf.Bytes()[:PacketHeaderLen]
-	for i := range hdr {
-		hdr[i] = 0
-	}
-	hdr[0] = 0x42 // marker: a real stack writes MACs/IPs/ports here
-	hdr[HdrDstOff] = u.DstAddr
-	hdr[HdrSrcOff] = u.LocalAddr
+	u.writeHeader(buf.Bytes())
 	m.Charge(m.CPU.PktHeaderCy)
 	m.Access(buf.SimAddr(), PacketHeaderLen)
 	return buf, nil
+}
+
+// writeHeader writes the packet header into the first PacketHeaderLen
+// bytes of frame, addressed from LocalAddr to DstAddr. It charges nothing:
+// each caller bills the header its own way.
+func (u *UDP) writeHeader(frame []byte) {
+	hdr := frame[:PacketHeaderLen]
+	clear(hdr)
+	hdr[0] = 0x42 // marker: a real stack writes MACs/IPs/ports here
+	hdr[HdrDstOff] = u.DstAddr
+	hdr[HdrSrcOff] = u.LocalAddr
+}
+
+// postOne posts buf as a one-entry frame whose completion pays the
+// metered release.
+func (u *UDP) postOne(buf *mem.Buf) error {
+	u.txEntries = append(u.txEntries[:0], nic.SGEntry{Data: buf.Bytes(), Sim: buf.SimAddr(), Rel: &u.rel, RelArg: buf})
+	return u.post(u.txEntries)
 }
 
 // post hands the gather list to the NIC, charging the base descriptor cost
@@ -365,19 +377,7 @@ func (u *UDP) SendObject(obj *core.Message) error {
 	if err != nil {
 		return err
 	}
-	dst := first.Bytes()[PacketHeaderLen:]
-	obj.WriteHeader(dst)
-	m.Charge(float64(l.Fields)*m.CPU.PerFieldCy + float64(l.Elems)*2)
-	m.Access(first.SimAddr()+PacketHeaderLen, l.HeaderLen)
-
-	cur := l.HeaderLen
-	obj.IterateCopyEntries(func(data []byte, sim uint64) {
-		// The second copy of the copied path: arena → DMA buffer, cheap
-		// because the source was just written (§2.2, §3.2.2).
-		m.Copy(sim, first.SimAddr()+uint64(PacketHeaderLen+cur), len(data))
-		copy(dst[cur:], data)
-		cur += len(data)
-	})
+	obj.WriteFront(l, first.Bytes()[PacketHeaderLen:], first.SimAddr()+PacketHeaderLen, m)
 
 	entries := append(u.txEntries[:0], nic.SGEntry{
 		Data:   first.Bytes(),
@@ -477,15 +477,7 @@ func (u *UDP) SendObjectViaSGArray(obj *core.Message) error {
 		return err
 	}
 	m.Charge(m.CPU.DMABufAllocCy)
-	obj.WriteHeader(objBuf.Bytes())
-	m.Charge(float64(l.Fields)*m.CPU.PerFieldCy + float64(l.Elems)*2)
-	m.Access(objBuf.SimAddr(), l.HeaderLen)
-	cur := l.HeaderLen
-	obj.IterateCopyEntries(func(data []byte, sim uint64) {
-		m.Copy(sim, objBuf.SimAddr()+uint64(cur), len(data))
-		copy(objBuf.Bytes()[cur:], data)
-		cur += len(data)
-	})
+	obj.WriteFront(l, objBuf.Bytes(), objBuf.SimAddr(), m)
 	arr = append(arr, sge{data: objBuf.Bytes(), sim: objBuf.SimAddr(), buf: objBuf})
 	obj.IterateZCEntries(func(buf *mem.Buf) {
 		m.MetadataAccess(buf.RefcountSimAddr())
@@ -548,13 +540,7 @@ func (u *UDP) SendPrebuilt(payload []byte, sim uint64) error {
 		u.TxNoMem++
 		return err
 	}
-	hdr := buf.Bytes()[:PacketHeaderLen]
-	for i := range hdr {
-		hdr[i] = 0
-	}
-	hdr[0] = 0x42
-	hdr[HdrDstOff] = u.DstAddr
-	hdr[HdrSrcOff] = u.LocalAddr
+	u.writeHeader(buf.Bytes())
 	m.Charge((m.CPU.DMABufAllocCy + m.CPU.TxDescCy + m.CPU.CompletionCy) / prebuiltBatch)
 	m.Copy(sim, buf.SimAddr()+PacketHeaderLen, len(payload))
 	copy(buf.Bytes()[PacketHeaderLen:], payload)
@@ -581,8 +567,7 @@ func (u *UDP) SendContiguous(payload []byte, sim uint64) error {
 	}
 	u.Meter.Copy(sim, buf.SimAddr()+PacketHeaderLen, len(payload))
 	copy(buf.Bytes()[PacketHeaderLen:], payload)
-	u.txEntries = append(u.txEntries[:0], nic.SGEntry{Data: buf.Bytes(), Sim: buf.SimAddr(), Rel: &u.rel, RelArg: buf})
-	return u.post(u.txEntries)
+	return u.postOne(buf)
 }
 
 // SendWith allocates a DMA buffer of the given payload size and lets fill
@@ -598,8 +583,7 @@ func (u *UDP) SendWith(size int, fill func(dst []byte, dstSim uint64) int) error
 	if n < size {
 		buf.Resize(PacketHeaderLen + n)
 	}
-	u.txEntries = append(u.txEntries[:0], nic.SGEntry{Data: buf.Bytes(), Sim: buf.SimAddr(), Rel: &u.rel, RelArg: buf})
-	return u.post(u.txEntries)
+	return u.postOne(buf)
 }
 
 // SendSegments copies a list of segments into one DMA buffer (the Cap'n
@@ -620,8 +604,7 @@ func (u *UDP) SendSegments(segs [][]byte, sims []uint64) error {
 		copy(buf.Bytes()[cur:], s)
 		cur += len(s)
 	}
-	u.txEntries = append(u.txEntries[:0], nic.SGEntry{Data: buf.Bytes(), Sim: buf.SimAddr(), Rel: &u.rel, RelArg: buf})
-	return u.post(u.txEntries)
+	return u.postOne(buf)
 }
 
 // SendPinned transmits pinned buffers zero-copy, one SG entry each, after a

@@ -69,6 +69,10 @@ type Service struct {
 	jobs []*job
 	infs []*inflight
 
+	// emitReplyFn and dispatchChildrenFn are the two sends offload
+	// dispatches, bound once so handing one over allocates nothing.
+	emitReplyFn, dispatchChildrenFn func(Header, byte)
+
 	// Stats. The child-call ledger is exact after the engine quiesces:
 	// ChildCalls == ChildReplies + ChildSheds + ChildAbandoned, and
 	// LateChildReplies ≤ ChildAbandoned (a late reply is the wasted work
@@ -99,7 +103,7 @@ type Service struct {
 
 // inflight is the fan-in state for one upstream call awaiting backends.
 // Records cycle through the service's free list. One returns there after
-// the last reply's job has run finishCall, or after a child failure or
+// the last reply's job has answered upstream, or after a child failure or
 // the fan-in timeout has failed the call upstream. By then the timer has
 // fired or been cancelled, and no pend entry still points at the record.
 type inflight struct {
@@ -198,7 +202,7 @@ func (j *job) runReply() sim.Time {
 		s.Errors++
 	}
 	if done {
-		s.finishCall(inf.h, inf.src)
+		s.offload(s.emitReplyFn, inf.h, inf.src)
 		s.putInflight(inf)
 	}
 	s.N.Arena.Reset()
@@ -220,6 +224,7 @@ func NewService(n *driver.Node, sys driver.System, name string, hop int, addr by
 		expired: make(map[uint64]struct{}),
 		keyBuf:  []byte(name),
 	}
+	s.emitReplyFn, s.dispatchChildrenFn = s.emitReply, s.dispatchChildren
 	n.UDP.SetRecvHandler(s.onPayload)
 	return s
 }
@@ -291,9 +296,9 @@ func (s *Service) serveCall(h Header, p *mem.Buf, src byte) sim.Time {
 	m.SetCategory(costmodel.CatApp)
 	m.Charge(s.AppCycles)
 	if len(s.Backends) == 0 {
-		s.finishCall(h, src)
+		s.offload(s.emitReplyFn, h, src)
 	} else {
-		s.callChildren(h, src)
+		s.offload(s.dispatchChildrenFn, h, src)
 	}
 	s.N.Arena.Reset()
 	d := m.DrainTime()
@@ -303,31 +308,35 @@ func (s *Service) serveCall(h Header, p *mem.Buf, src byte) sim.Time {
 	return d
 }
 
-// finishCall sends the upstream reply. With an offload engine configured,
-// the marshalling runs there instead of on the host core — the host's
-// receipt for this call is already closed by the time the offload job
-// executes, so the cycles land in OffRec.
-func (s *Service) finishCall(h Header, src byte) {
+// offload runs one send for the call h from src — the upstream reply
+// (emitReplyFn) or the downstream fan-out (dispatchChildrenFn) — on the
+// host core, or, with an offload engine configured, as a job there: the
+// host's receipt for this call is already closed by the time the offload
+// job executes, so the marshalling and TX cycles land in OffRec. The
+// fan-out's pending-table registration rides along (single-threaded
+// engine, so the bookkeeping is safe there).
+func (s *Service) offload(send func(Header, byte), h Header, src byte) {
 	if s.Offload == nil {
-		s.emitReply(h, src)
+		send(h, src)
 		return
 	}
 	ok := s.Offload.Submit(sim.Job{Run: func() sim.Time {
 		m := s.N.Meter
 		prev := m.SetCategory(costmodel.CatSerialize)
-		s.emitReply(h, src)
+		send(h, src)
 		d := m.DrainTime()
 		s.OffRec.Add(m.TakeReceipt())
 		m.SetCategory(prev)
 		return d
 	}})
 	if !ok {
-		// Offload ring overflow: the reply is never built; the caller's
-		// deadline machinery covers it.
+		// Offload ring overflow: the frames are never built; the caller's
+		// deadline machinery covers the call.
 		s.Errors++
 	}
 }
 
+// emitReply sends the upstream reply for the call h to src.
 func (s *Service) emitReply(h Header, src byte) {
 	m := s.N.Meter
 	m.SetCategory(costmodel.CatSerialize)
@@ -336,9 +345,7 @@ func (s *Service) emitReply(h Header, src byte) {
 	}
 	rh := Header{Kind: KindReply, Method: h.Method, Hop: byte(s.Hop), CallID: h.CallID, RootID: h.RootID}
 	frame := s.codec.buildReply(rh, s.respBuf)
-	m.SetCategory(costmodel.CatTx)
-	s.N.UDP.DstAddr = src
-	if err := s.N.UDP.SendContiguous(frame, mem.UnpinnedSimAddr(frame)); err != nil {
+	if err := s.send(frame, src); err != nil {
 		s.Errors++
 	} else {
 		s.RepliesSent++
@@ -349,29 +356,8 @@ func (s *Service) emitReply(h Header, src byte) {
 	s.N.Arena.Reset()
 }
 
-// callChildren fans the call out to every backend with fresh call ids and
-// arms the fan-in deadline. With offload, the downstream marshalling and
-// TX run on the offload engine (the pending-table registration rides along
-// — single-threaded engine, so the bookkeeping is safe there).
-func (s *Service) callChildren(h Header, src byte) {
-	if s.Offload == nil {
-		s.dispatchChildren(h, src)
-		return
-	}
-	ok := s.Offload.Submit(sim.Job{Run: func() sim.Time {
-		m := s.N.Meter
-		prev := m.SetCategory(costmodel.CatSerialize)
-		s.dispatchChildren(h, src)
-		d := m.DrainTime()
-		s.OffRec.Add(m.TakeReceipt())
-		m.SetCategory(prev)
-		return d
-	}})
-	if !ok {
-		s.Errors++
-	}
-}
-
+// dispatchChildren fans the call h from src out to every backend with
+// fresh call ids and arms the fan-in deadline.
 func (s *Service) dispatchChildren(h Header, src byte) {
 	m := s.N.Meter
 	if s.fwdBuf == nil {
@@ -387,9 +373,7 @@ func (s *Service) dispatchChildren(h Header, src byte) {
 		ch := Header{Kind: KindCall, Method: h.Method, Hop: byte(s.Hop), CallID: cid, RootID: h.RootID}
 		m.SetCategory(costmodel.CatSerialize)
 		frame := s.codec.buildCall(ch, s.keyBuf, s.fwdBuf)
-		m.SetCategory(costmodel.CatTx)
-		s.N.UDP.DstAddr = addr
-		if err := s.N.UDP.SendContiguous(frame, mem.UnpinnedSimAddr(frame)); err != nil {
+		if err := s.send(frame, addr); err != nil {
 			s.Errors++
 		}
 	}
@@ -397,6 +381,13 @@ func (s *Service) dispatchChildren(h Header, src byte) {
 	if s.CallTimeout > 0 {
 		inf.timer = s.N.Eng.After(s.CallTimeout, inf.onTimer)
 	}
+}
+
+// send posts one built frame to the fabric address dst, billed to CatTx.
+func (s *Service) send(frame []byte, dst byte) error {
+	s.N.Meter.SetCategory(costmodel.CatTx)
+	s.N.UDP.DstAddr = dst
+	return s.N.UDP.SendContiguous(frame, mem.UnpinnedSimAddr(frame))
 }
 
 // onChildReply resolves a backend reply against the pending table. Replies
@@ -484,19 +475,14 @@ func (s *Service) abandonSiblings(inf *inflight) {
 	}
 }
 
-// failTo sends the 9-byte shed frame for an upstream call id — billed to
-// CatShed like KVServer's rejections, since it runs at frame-delivery or
-// timer time under whatever category the last drained job left behind.
+// failTo sends the shed frame for an upstream call id to src through
+// Node.SendShed, KVServer's shed sender.
 func (s *Service) failTo(callID, rootID uint64, src byte, why string) {
-	m := s.N.Meter
-	prev := m.SetCategory(costmodel.CatShed)
-	defer m.SetCategory(prev)
 	if s.Tracer != nil {
 		s.Tracer.Mark(rootID, s.N.Eng.Now(), s.phase(why))
 	}
-	reply := driver.ShedReply(callID)
 	s.N.UDP.DstAddr = src
-	if err := s.N.UDP.SendPrebuilt(reply, mem.UnpinnedSimAddr(reply)); err != nil {
+	if err := s.N.SendShed(callID); err != nil {
 		s.Errors++
 	} else {
 		s.FailsSent++

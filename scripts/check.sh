@@ -59,6 +59,31 @@ if [ -n "$topo_calls" ]; then
 	exit 1
 fi
 
+echo "== one KV datapath, one Cornflakes TX writer, one shed sender"
+# KVServer serves every request through its RX-ring drainer, whose bound
+# job is the file's one core submission; core.Message.WriteFront is the one
+# place a stack walks a Cornflakes object's copied fields; and
+# driver.Node.SendShed is the one sender of shed replies.
+submits=$(grep -o 'Core\.Submit(' internal/driver/kvserver.go | wc -l)
+if [ "$submits" -gt 1 ]; then
+	echo "internal/driver/kvserver.go calls Core.Submit( $submits times (only the drain job may be submitted)"
+	exit 1
+fi
+copy_walks=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e '^internal/core/' |
+	xargs grep -l 'IterateCopyEntries(' || true)
+if [ -n "$copy_walks" ]; then
+	echo "Cornflakes copied fields walked outside internal/core (use Message.WriteFront):"
+	echo "$copy_walks"
+	exit 1
+fi
+shed_builds=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e '^internal/driver/' |
+	xargs grep -l 'ShedReply(' || true)
+if [ -n "$shed_builds" ]; then
+	echo "shed reply built outside internal/driver (use Node.SendShed):"
+	echo "$shed_builds"
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
