@@ -92,7 +92,7 @@ func blockedBacklog(t *testing.T, burst int) (*Testbed, *KVServer) {
 
 	block := 10 * sim.Microsecond
 	tb.Eng.At(1*sim.Microsecond, func() {
-		tb.Server.Core.Submit(sim.Job{Run: func() sim.Time { return block }})
+		tb.Server.Core.Submit(func() sim.Time { return block })
 	})
 	cl := NewKVClient(tb.Client, SysCornflakes)
 	key := workloads.NewYCSB(8, 256, 1).Records()[0].Key
@@ -110,23 +110,17 @@ func blockedBacklog(t *testing.T, burst int) (*Testbed, *KVServer) {
 
 // TestPendingDepthCountsRequests: PendingDepth is the number of requests
 // waiting in the RX ring — three here, parked behind the blocked core —
-// never the drain job queued on the core. At the default burst cap that is
-// also the Core.QueueLen the per-request job path read, one job per
-// waiting request.
+// never the drain armed on the core (sim's TestQueueArmsOneDrain pins that
+// a backlog arms exactly one).
 func TestPendingDepthCountsRequests(t *testing.T) {
 	for _, burst := range []int{1, 16} {
 		t.Run(fmt.Sprintf("burst=%d", burst), func(t *testing.T) {
 			tb, srv := blockedBacklog(t, burst)
-			var depth, jobs int
-			tb.Eng.At(5*sim.Microsecond, func() {
-				depth, jobs = srv.PendingDepth(), tb.Server.Core.QueueLen()
-			})
+			var depth int
+			tb.Eng.At(5*sim.Microsecond, func() { depth = srv.PendingDepth() })
 			tb.Eng.Run()
 			if depth != 3 {
 				t.Errorf("PendingDepth = %d behind the blocked core, want the 3 waiting requests", depth)
-			}
-			if jobs != 1 {
-				t.Errorf("Core.QueueLen = %d, want the one armed drain job", jobs)
 			}
 			if d := srv.PendingDepth(); d != 0 || srv.Handled != 3 {
 				t.Errorf("after the run: PendingDepth = %d, Handled = %d; want 0 and 3", d, srv.Handled)
@@ -136,7 +130,7 @@ func TestPendingDepthCountsRequests(t *testing.T) {
 }
 
 // TestIntraBatchWaitAccounted pins intra-burst wait accounting: when one
-// drainer job serves several requests, requests 2..B wait not just for the batch
+// drain serves several requests, requests 2..B wait not just for the batch
 // dispatch but for the members ahead of them, and that wait must land in
 // Core.QueueWait. The scenario is fully deterministic: the core is blocked
 // by a dummy job while three requests arrive, then one burst serves all

@@ -61,24 +61,29 @@ type EchoServer struct {
 	NumFields int
 
 	Handled, Errors uint64
+
+	rxq *sim.Queue[*mem.Buf]
 }
 
 // NewEchoServer attaches an echo server to the node's stack.
 func NewEchoServer(n *Node, mode EchoMode, sys System, fieldSize, numFields int) *EchoServer {
 	s := &EchoServer{N: n, Mode: mode, Sys: sys, FieldSize: fieldSize, NumFields: numFields}
+	s.rxq = sim.NewQueue[*mem.Buf](n.Core, RxRingDepth, s.drain)
 	n.stack.SetRecvHandler(s.onPayload)
 	return s
 }
 
 func (s *EchoServer) onPayload(p *mem.Buf) {
-	ok := s.N.Core.Submit(sim.Job{Run: func() sim.Time {
-		s.handle(p)
-		s.N.Arena.Reset()
-		return s.N.Meter.DrainTime()
-	}})
-	if !ok {
+	if !s.rxq.Push(p) {
 		p.DecRef()
 	}
+}
+
+// drain serves the oldest request in the RX ring.
+func (s *EchoServer) drain() sim.Time {
+	s.handle(s.rxq.Pop(0))
+	s.N.Arena.Reset()
+	return s.N.Meter.DrainTime()
 }
 
 func (s *EchoServer) handle(p *mem.Buf) {

@@ -50,7 +50,7 @@ type KVServer struct {
 
 	// MaxBurst caps how many requests one drain of the software RX ring
 	// serves (EnableBatching wires it). It takes effect on the plain UDP
-	// stack at 2 or more: one drain then amortizes the per-job dispatch,
+	// stack at 2 or more: one drain then amortizes its core dispatch,
 	// the poll-loop share of the RX cost, and — through a TX batch flushed
 	// at the end of the burst — the reply doorbells. The burst is adaptive
 	// by construction: a drain serves min(backlog, MaxBurst), so it
@@ -80,17 +80,9 @@ type KVServer struct {
 	Down     bool
 	Slowdown float64
 
-	// rxq[rxh:] is the software RX ring every request waits in for the
-	// drainer, bounded by Core.MaxQueue (the RX descriptor ring depth).
-	// Dequeue advances rxh instead of shifting the slice, as sim.Core's
-	// queue does, and spent entries are zeroed so the array pins no buffer.
-	rxq []rxReq
-	rxh int
-	// drainJob is the drainer's core job, bound once in NewKVServer;
-	// drainerArmed notes that it is already submitted, so each backlog
-	// needs only one.
-	drainJob     sim.Job
-	drainerArmed bool
+	// rxq is the software RX ring every request waits in for the drainer,
+	// RxRingDepth deep.
+	rxq *sim.Queue[rxReq]
 
 	// Stats.
 	Handled, Errors uint64
@@ -115,14 +107,12 @@ type KVServer struct {
 }
 
 // rxReq is one request parked in the software RX ring, carrying the
-// identity peeked at arrival and the arrival time so the drainer can
-// account its true queue wait, plus the requester's fabric address so the
+// identity peeked at arrival and the requester's fabric address, so the
 // reply goes back through the right switch port.
 type rxReq struct {
 	p      *mem.Buf
 	tid    uint64
 	traced bool
-	enq    sim.Time
 	src    byte
 }
 
@@ -131,9 +121,7 @@ type rxReq struct {
 // soak drives the KV workload over lossy TCP links).
 func NewKVServer(n *Node, sys System) *KVServer {
 	s := &KVServer{N: n, Store: kvstore.New(n.Alloc, n.Meter), Sys: sys}
-	// The drainer accounts each request's wait itself (ExternalWait): the
-	// job-level wait describes the drain, not the requests it serves.
-	s.drainJob = sim.Job{ExternalWait: true, Run: s.drain}
+	s.rxq = sim.NewQueue[rxReq](n.Core, RxRingDepth, s.drain)
 	n.stack.SetRecvHandler(s.onPayload)
 	return s
 }
@@ -215,7 +203,7 @@ func (s *KVServer) burst() int {
 // die with the process as the drainer reaches them: each accounts its
 // wait, gets its PhaseHandle mark and is dropped with zero service into
 // DownDrops, never served. A drain already executing on the core at the
-// crash instant completes (the model's jobs are atomic units of service).
+// crash instant completes (the model's drains are atomic units of service).
 func (s *KVServer) Crash() {
 	s.Down = true
 	if s.N.UDP != nil {
@@ -274,10 +262,9 @@ func (s *KVServer) scaled(d sim.Time) sim.Time {
 }
 
 // PendingDepth is the server's request backlog: the requests waiting in
-// the software RX ring, not the one in service and not a queued drain job.
-// Admission control and the queue-depth gauge read it. At the default
-// burst cap of 1 it equals the number of requests queued behind the core.
-func (s *KVServer) PendingDepth() int { return len(s.rxq) - s.rxh }
+// the software RX ring, not the ones a running drain has taken. Admission
+// control and the queue-depth gauge read it.
+func (s *KVServer) PendingDepth() int { return s.rxq.Len() }
 
 // onPayload admits or sheds one arriving request and parks it in the
 // software RX ring for the drainer.
@@ -303,26 +290,13 @@ func (s *KVServer) onPayload(p *mem.Buf) {
 	if s.Trace != nil {
 		tid, traced = peekRequestID(s.Sys, p.Bytes())
 	}
-	// The ring is bounded by Core.MaxQueue, the RX descriptor ring depth;
-	// overflow is counted in the core's Dropped stat.
-	c := s.N.Core
-	if c.MaxQueue > 0 && s.PendingDepth() >= c.MaxQueue {
-		c.NoteDrop()
+	// A full ring drops the request; the core's Dropped stat counts it.
+	if !s.rxq.Push(rxReq{p: p, tid: tid, traced: traced, src: src}) {
 		if traced {
 			s.Trace.Note(tid, "request dropped: rx ring overflow")
 		}
 		p.DecRef()
-		return
 	}
-	if s.rxh > 0 && len(s.rxq) == cap(s.rxq) && 2*s.rxh >= len(s.rxq) {
-		// Reclaim the served prefix rather than grow the array, so a
-		// backlog that never empties does not keep every slot it used.
-		n := copy(s.rxq, s.rxq[s.rxh:])
-		clear(s.rxq[n:])
-		s.rxq, s.rxh = s.rxq[:n], 0
-	}
-	s.rxq = append(s.rxq, rxReq{p: p, tid: tid, traced: traced, enq: s.N.Eng.Now(), src: src})
-	s.armDrainer()
 }
 
 // setReplyAddr points the stack's next sends at the requester's fabric
@@ -334,30 +308,18 @@ func (s *KVServer) setReplyAddr(src byte) {
 	}
 }
 
-// armDrainer submits the drain job unless it is already pending.
-func (s *KVServer) armDrainer() {
-	if s.drainerArmed {
-		return
-	}
-	s.drainerArmed = true
-	if !s.N.Core.Submit(s.drainJob) {
-		s.drainerArmed = false // queue bound hit; the backlog re-arms on next arrival
-	}
-}
-
-// drain is the drainer's core job and the one way a request is served: it
+// drain is the RX ring's drain and the one way a request is served: it
 // serves min(backlog, burst()) requests back to back and returns their
 // summed service time, each request's scaled by any gray-failure slowdown.
 // Per-request accounting is exact: request i's queue wait is its time in
-// the ring plus the service of the i−1 burst members ahead of it
-// (AccountWait), and each request's receipt is taken by handle as usual.
+// the ring plus the service of the i−1 burst members ahead of it (the
+// ring's Pop records it), and each request's receipt is taken by handle.
 // A burst cap of 2 or more also pays one poll-loop share per drain and
 // brackets the replies in a TX batch flushed at the end; the flush's
 // doorbell cycles land in the drain total so the core stays busy for every
 // cycle charged. While the node is down the drain costs nothing: each
 // request it reaches is dropped into DownDrops.
 func (s *KVServer) drain() sim.Time {
-	s.drainerArmed = false
 	burst := s.burst()
 	b := min(s.PendingDepth(), burst)
 	m := s.N.Meter
@@ -373,10 +335,7 @@ func (s *KVServer) drain() sim.Time {
 	}
 	var total sim.Time
 	for i := 0; i < b; i++ {
-		r := s.rxq[s.rxh]
-		s.rxq[s.rxh] = rxReq{}
-		s.rxh++
-		s.N.Core.AccountWait(t0 - r.enq + total)
+		r := s.rxq.Pop(total)
 		if r.traced {
 			s.Trace.Mark(r.tid, t0, trace.PhaseHandle)
 			if flush {
@@ -397,9 +356,6 @@ func (s *KVServer) drain() sim.Time {
 		s.handle(r.p, r.tid, r.traced)
 		total += s.scaled(s.hostTime(m.DrainTime()))
 	}
-	if s.rxh == len(s.rxq) {
-		s.rxq, s.rxh = s.rxq[:0], 0
-	}
 	if flush {
 		prev := m.SetCategory(costmodel.CatTx)
 		if err := s.N.UDP.FlushTx(); err != nil {
@@ -412,9 +368,6 @@ func (s *KVServer) drain() sim.Time {
 	s.BatchedReqs += uint64(b)
 	if b > s.MaxBatch {
 		s.MaxBatch = b
-	}
-	if s.PendingDepth() > 0 {
-		s.armDrainer()
 	}
 	return total
 }

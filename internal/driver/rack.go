@@ -42,9 +42,10 @@ func NewRack(fcfg fabric.Config) *Rack {
 	return &Rack{Eng: eng, Exec: eng, Switch: fabric.New(eng, fcfg)}
 }
 
-// rxRingDepth bounds the server's pending-request queue, modelling the RX
-// descriptor ring: overload drops packets instead of queueing unboundedly.
-const rxRingDepth = 1024
+// RxRingDepth bounds every server's request queue (sim.Queue), modelling
+// the RX descriptor ring: overload drops packets instead of queueing
+// unboundedly.
+const RxRingDepth = 1024
 
 // propagation models wire plus switch latency one way.
 const propagation = 1500 * sim.Nanosecond
@@ -66,7 +67,6 @@ func (r *Rack) addNode(port *nic.Port, useTCP bool, cache *cachesim.Hierarchy) *
 		Ctx:   core.NewCtx(alloc, arena, meter),
 		Core:  sim.NewCore(r.Eng),
 	}
-	n.Core.MaxQueue = rxRingDepth
 	if useTCP {
 		n.TCP = netstack.NewTCPConn(r.Eng, port, alloc, meter)
 		n.stack = n.TCP

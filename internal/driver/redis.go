@@ -25,12 +25,15 @@ type RedisServer struct {
 	Store *kvstore.Store
 
 	Errors uint64
+
+	rxq *sim.Queue[*mem.Buf]
 }
 
 // NewRedisServer builds the server in the given mode.
 func NewRedisServer(n *Node, mode redis.Mode) *RedisServer {
 	store := kvstore.New(n.Alloc, n.Meter)
 	s := &RedisServer{N: n, R: redis.New(store, mode), Store: store}
+	s.rxq = sim.NewQueue[*mem.Buf](n.Core, RxRingDepth, s.drain)
 	n.UDP.SetRecvHandler(s.onPayload)
 	return s
 }
@@ -39,15 +42,17 @@ func NewRedisServer(n *Node, mode redis.Mode) *RedisServer {
 func (s *RedisServer) Preload(recs []workloads.KV) { preload(s.N, s.Store, recs) }
 
 func (s *RedisServer) onPayload(p *mem.Buf) {
-	ok := s.N.Core.Submit(sim.Job{Run: func() sim.Time {
-		s.handle(p)
-		s.N.Arena.Reset()
-		s.N.Meter.SetCategory(costmodel.CatRx)
-		return s.N.Meter.DrainTime()
-	}})
-	if !ok {
+	if !s.rxq.Push(p) {
 		p.DecRef()
 	}
+}
+
+// drain serves the oldest request in the RX ring.
+func (s *RedisServer) drain() sim.Time {
+	s.handle(s.rxq.Pop(0))
+	s.N.Arena.Reset()
+	s.N.Meter.SetCategory(costmodel.CatRx)
+	return s.N.Meter.DrainTime()
 }
 
 func (s *RedisServer) handle(p *mem.Buf) {

@@ -146,8 +146,8 @@ func RegisterServerGauges(reg *trace.Registry, srv *KVServer) {
 	reg.Register("server.mem.peak", func() float64 { return float64(alloc.Stats().PeakSlotsInUse) })
 	reg.Register("server.mem.occupancy", func() float64 { return alloc.Occupancy() })
 	reg.Register("server.core.util", func() float64 { return c.Utilization() })
-	// PendingDepth, not Core.QueueLen: requests wait in the server's
-	// software RX ring, and the core queue holds at most the drain job.
+	// PendingDepth: the requests waiting in the server's RX ring
+	// (sim.Queue), not the drain armed on the core.
 	reg.Register("server.core.queue", func() float64 { return float64(srv.PendingDepth()) })
 	reg.Register("server.core.dropped", func() float64 { return float64(c.Dropped) })
 	reg.Register("server.shed", func() float64 { return float64(srv.Shed) })

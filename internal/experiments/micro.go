@@ -67,7 +67,7 @@ type microServer struct {
 	// hook charges CompletionCy and the refcount line on the owning core's
 	// meter (§2.3), the copy mode's only CompletionCy (there is no shared
 	// buffer to protect), and the raw mode's nothing (§2.4). The engine is
-	// serial, and serve runs to completion inside one core job, so one
+	// serial, and serve runs to completion inside one drain, so one
 	// scratch per server never aliases; the NIC copies the gather list at
 	// post time.
 	safeRels []netstack.Releaser
@@ -75,36 +75,15 @@ type microServer struct {
 	rawRel   netstack.Releaser
 	segs     []*mem.Buf
 	entries  []nic.SGEntry
-	jobPool  []*microJob
+	// rxqs[i] is core i's queue of requests for shard i.
+	rxqs []*sim.Queue[microReq]
 }
 
-// microJob is a pooled serve request: onFrame fills one in and submits its
-// pre-bound run closure, so the steady-state dispatch path allocates
-// nothing per frame.
-type microJob struct {
-	s            *microServer
-	m            *costmodel.Meter
-	shard, start int
-	id           uint64
-	run          func() sim.Time
-}
-
-func (j *microJob) exec() sim.Time {
-	j.s.serve(j.m, j.shard, j.start, j.id)
-	t := j.m.DrainTime()
-	j.s.jobPool = append(j.s.jobPool, j)
-	return t
-}
-
-func (s *microServer) getJob() *microJob {
-	if k := len(s.jobPool); k > 0 {
-		j := s.jobPool[k-1]
-		s.jobPool = s.jobPool[:k-1]
-		return j
-	}
-	j := &microJob{s: s}
-	j.run = j.exec
-	return j
+// microReq is one queued request: the first buffer of the run and the
+// request id.
+type microReq struct {
+	start int
+	id    uint64
 }
 
 // request layout (UDP payload): u64 id | u32 shard | u32 start.
@@ -117,9 +96,16 @@ func newMicroServer(tb *driver.Testbed, nCores int, mode microMode, segSize, cou
 		port: tb.Server.Port, alloc: tb.Server.Alloc, cores: tb.Cores(tb.Server, nCores),
 		mode: mode, segSize: segSize, count: count,
 	}
-	for _, n := range s.cores {
+	for shard, n := range s.cores {
 		s.safeRels = append(s.safeRels, netstack.Releaser{Meter: n.Meter, Refcount: true})
 		s.copyRels = append(s.copyRels, netstack.Releaser{Meter: n.Meter})
+		var q *sim.Queue[microReq]
+		q = sim.NewQueue[microReq](n.Core, driver.RxRingDepth, func() sim.Time {
+			r := q.Pop(0)
+			s.serve(n.Meter, shard, r.start, r.id)
+			return n.Meter.DrainTime()
+		})
+		s.rxqs = append(s.rxqs, q)
 	}
 	s.segs = make([]*mem.Buf, count)
 	perShard := workingSet / nCores / segSize
@@ -151,10 +137,7 @@ func (s *microServer) onFrame(f *nic.Frame) {
 	id := wire.GetU64(req)
 	shard := int(wire.GetU32(req[8:])) % len(s.shards)
 	start := int(wire.GetU32(req[12:])) % len(s.shards[shard])
-	j := s.getJob()
-	j.m = s.cores[shard].Meter
-	j.shard, j.start, j.id = shard, start, id
-	s.cores[shard].Core.Submit(sim.Job{Run: j.run})
+	s.rxqs[shard].Push(microReq{start: start, id: id})
 }
 
 // serve builds and posts the response, charging the owning core's meter.

@@ -124,17 +124,16 @@ func newEchoFixture(service sim.Time) *echoFixture {
 		core:    sim.NewCore(eng),
 		service: service,
 	}
-	f.core.MaxQueue = 4096
+	var q *sim.Queue[*mem.Buf]
+	q = sim.NewQueue[*mem.Buf](f.core, 4096, func() sim.Time {
+		p := q.Pop(0)
+		defer p.DecRef()
+		data := append([]byte(nil), p.Bytes()...)
+		f.server.SendContiguous(data, mem.UnpinnedSimAddr(data))
+		return f.service
+	})
 	f.server.SetRecvHandler(func(p *mem.Buf) {
-		ok := f.core.Submit(sim.Job{
-			Run: func() sim.Time {
-				defer p.DecRef()
-				data := append([]byte(nil), p.Bytes()...)
-				f.server.SendContiguous(data, mem.UnpinnedSimAddr(data))
-				return f.service
-			},
-		})
-		if !ok {
+		if !q.Push(p) {
 			p.DecRef()
 		}
 	})

@@ -47,6 +47,9 @@ type ChainConfig struct {
 	Tracer *trace.Tracer
 }
 
+// offloadDepth bounds each offload engine's queue of sends.
+const offloadDepth = 1024
+
 // Chain is a built topology: the rack, the tiers in hop order (chain tiers
 // first, then the fan-out leaves), and the client.
 type Chain struct {
@@ -97,9 +100,7 @@ func NewChain(cfg ChainConfig) *Chain {
 		for _, s := range c.Services {
 			// The offload engine is part of the tier's NIC, so it runs on
 			// the tier's engine.
-			off := sim.NewCore(s.N.Eng)
-			off.MaxQueue = 1024
-			s.Offload = off
+			s.Offload = sim.NewQueue[offloadSend](sim.NewCore(s.N.Eng), offloadDepth, s.drainOffload)
 		}
 	}
 

@@ -10,10 +10,10 @@ import (
 )
 
 // busyFor occupies a node's core for d. A service sends its reply when
-// its job starts, so a leaf answers late only when earlier work holds its
-// core.
+// it serves the call, so a leaf answers late only when earlier work holds
+// its core.
 func busyFor(s *Service, d sim.Time) {
-	s.N.Core.Submit(sim.Job{Run: func() sim.Time { return d }})
+	s.N.Core.Submit(func() sim.Time { return d })
 }
 
 // fanInRig drives a depth-1, fan-out-2 chain one call at a time and
@@ -41,8 +41,12 @@ func newFanInRig(t *testing.T, timeout sim.Time) *fanInRig {
 	return r
 }
 
-func (r *fanInRig) call(id uint64) {
+func (r *fanInRig) call(id uint64) { r.callTo(r.c.Client.Frontend, id) }
+
+// callTo sends the client's call with root id id to the service at dst.
+func (r *fanInRig) callTo(dst byte, id uint64) {
 	frame := r.c.Client.BuildStep(id, workloads.Request{}, 0)
+	r.c.Client.N.UDP.DstAddr = dst
 	if err := r.c.Client.N.UDP.SendContiguous(frame, mem.UnpinnedSimAddr(frame)); err != nil {
 		r.t.Fatal(err)
 	}
@@ -125,19 +129,27 @@ func TestFanInRecordReuse(t *testing.T) {
 	t.Run("child-shed", func(t *testing.T) {
 		r := newFanInRig(t, 40*sim.Microsecond)
 		shedder, slow := r.c.Leaves[0], r.c.Leaves[1]
-		// The shedder's core has a job in service and one queued, so its
-		// one-deep admission bound sheds call 1's child on arrival; the
-		// slow sibling is abandoned with its reply still to come.
+		// The shedder's core is held and a call sent to it directly waits
+		// in its queue, so its one-deep admission bound sheds call 1's
+		// child on arrival; the slow sibling is abandoned with its reply
+		// still to come.
 		shedder.ShedQueue = 1
 		busyFor(shedder, 20*sim.Microsecond)
-		busyFor(shedder, 20*sim.Microsecond)
 		busyFor(slow, 30*sim.Microsecond)
+		const direct = 100
+		r.callTo(shedder.Addr, direct)
 		r.call(1)
 		r.runUntil("call 1's child shed", func() bool { return r.parent.ChildSheds == 1 })
+		if shedder.Shed != 1 || shedder.rxq.Len() != 1 {
+			t.Fatalf("shedder shed %d with %d queued; want 1 shed behind the 1 waiting call", shedder.Shed, shedder.rxq.Len())
+		}
 		shedder.ShedQueue = 0
 		r.secondCallReusesRecord()
 		if r.parent.ChildTimeouts != 0 || r.parent.ChildSheds != 1 {
 			t.Fatalf("timeouts %d, sheds %d; want 0, 1", r.parent.ChildTimeouts, r.parent.ChildSheds)
+		}
+		if r.got[direct] != "reply" {
+			t.Fatalf("the shedder's queued call resolved as %q, want reply", r.got[direct])
 		}
 	})
 }

@@ -40,16 +40,17 @@ type Service struct {
 	// upstream replies.
 	FwdBytes  int
 	RespBytes int
-	// ShedQueue is the admission bound on the host core's queue depth
+	// ShedQueue is the admission bound on the host queue's depth
 	// (driver.KVServer's ShedQueue, applied to RPC calls). Zero disables.
 	ShedQueue int
-	// Offload, when set, is a NIC-side serialization engine (its own
-	// sim.Core on the same engine): the host core still pays RX, header
-	// dispatch, deserialize, and app work, but reply/forward marshalling
-	// and TX posting run — and queue — on the offload core. This is the
-	// RPCAcc/Dagger deployment point: the hardware sits between the host
-	// and the wire, so ser/des cycles leave the host's capacity budget.
-	Offload *sim.Core
+	// Offload, when set, is the queue of a NIC-side serialization engine
+	// (its own sim.Core on the same engine): the host core still pays RX,
+	// header dispatch, deserialize, and app work, but reply/forward
+	// marshalling and TX posting run — and queue — on the offload core.
+	// This is the RPCAcc/Dagger deployment point: the hardware sits
+	// between the host and the wire, so ser/des cycles leave the host's
+	// capacity budget. NewChain builds it (ChainConfig.Offload).
+	Offload *sim.Queue[offloadSend]
 	// Tracer, when set, receives per-hop phase marks attributed to the
 	// frame's root id ("rpc.h2.handle", "rpc.h2.reply"). Marks for
 	// unsampled roots are dropped by the tracer itself.
@@ -64,9 +65,10 @@ type Service struct {
 	expired  map[uint64]struct{}
 	nextCall uint64
 
-	// jobs and infs are free lists of job and fan-in records, so a
-	// steady-state call allocates neither.
-	jobs []*job
+	// rxq is the host core's queue of calls and child replies.
+	rxq *sim.Queue[work]
+	// infs is the free list of fan-in records, so a steady-state call
+	// allocates none.
 	infs []*inflight
 
 	// emitReplyFn and dispatchChildrenFn are the two sends offload
@@ -103,7 +105,7 @@ type Service struct {
 
 // inflight is the fan-in state for one upstream call awaiting backends.
 // Records cycle through the service's free list. One returns there after
-// the last reply's job has answered upstream, or after a child failure or
+// the last reply's drain has answered upstream, or after a child failure or
 // the fan-in timeout has failed the call upstream. By then the timer has
 // fired or been cancelled, and no pend entry still points at the record.
 type inflight struct {
@@ -139,63 +141,38 @@ func (s *Service) putInflight(inf *inflight) {
 	s.infs = append(s.infs, inf)
 }
 
-// job is the state of one host-core job: a call to serve (onCall) or a
-// child reply to fan in (onChildReply). Records cycle through the
-// service's free list and bind their method values once, when created, so
-// submitting a job builds no closure.
-type job struct {
-	s   *Service
-	h   Header
-	p   *mem.Buf
-	src byte
-	// inf and done are a reply job's fan-in record and whether this reply
-	// completed it.
+// work is one element of the host queue: a call to serve (h.Kind is
+// KindCall) or a child reply to fan in, with its fan-in record and whether
+// this reply completed it.
+type work struct {
+	h    Header
+	p    *mem.Buf
+	src  byte
 	inf  *inflight
 	done bool
-
-	start func(sim.Time)
-	call  func() sim.Time
-	reply func() sim.Time
 }
 
-func (s *Service) getJob() *job {
-	if n := len(s.jobs); n > 0 {
-		j := s.jobs[n-1]
-		s.jobs[n-1] = nil
-		s.jobs = s.jobs[:n-1]
-		return j
+// offloadSend is one element of the offload engine's queue: the upstream
+// reply (emitReplyFn) or the downstream fan-out (dispatchChildrenFn) for
+// the call h from src.
+type offloadSend struct {
+	send func(Header, byte)
+	h    Header
+	src  byte
+}
+
+// drain serves the oldest element of the host queue.
+func (s *Service) drain() sim.Time {
+	w := s.rxq.Pop(0)
+	if w.h.Kind == KindCall {
+		return s.serveCall(w.h, w.p, w.src)
 	}
-	j := &job{s: s}
-	j.start, j.call, j.reply = j.startCall, j.runCall, j.runReply
-	return j
+	return s.serveReply(w.p, w.inf, w.done)
 }
 
-// putJob clears j's references and returns it to the free list.
-func (s *Service) putJob(j *job) {
-	j.p, j.inf = nil, nil
-	s.jobs = append(s.jobs, j)
-}
-
-func (j *job) startCall(sim.Time) {
-	s := j.s
-	if s.Tracer != nil {
-		s.Tracer.Mark(j.h.RootID, s.N.Eng.Now(), s.phase("handle"))
-	}
-}
-
-// runCall serves the call. It recycles the record before serving, since
-// serving may submit another job.
-func (j *job) runCall() sim.Time {
-	s, h, p, src := j.s, j.h, j.p, j.src
-	s.putJob(j)
-	return s.serveCall(h, p, src)
-}
-
-// runReply decodes one child reply and, when it completed the fan-in,
+// serveReply decodes one child reply and, when it completed the fan-in,
 // answers upstream and recycles the fan-in record.
-func (j *job) runReply() sim.Time {
-	s, p, inf, done := j.s, j.p, j.inf, j.done
-	s.putJob(j)
+func (s *Service) serveReply(p *mem.Buf, inf *inflight, done bool) sim.Time {
 	m := s.N.Meter
 	m.SetCategory(costmodel.CatDeserialize)
 	if err := s.codec.decodeBody(p, true); err != nil {
@@ -224,6 +201,7 @@ func NewService(n *driver.Node, sys driver.System, name string, hop int, addr by
 		expired: make(map[uint64]struct{}),
 		keyBuf:  []byte(name),
 	}
+	s.rxq = sim.NewQueue[work](n.Core, driver.RxRingDepth, s.drain)
 	s.emitReplyFn, s.dispatchChildrenFn = s.emitReply, s.dispatchChildren
 	n.UDP.SetRecvHandler(s.onPayload)
 	return s
@@ -241,7 +219,7 @@ func (s *Service) phase(what string) string {
 // onPayload dispatches one delivered frame. Header inspection and fan-in
 // bookkeeping run unmetered at frame-delivery time (they model the id-peek
 // a real server does before committing a core to the request); everything
-// serialized goes through a metered core job.
+// serialized waits in the host queue and is served, metered, by its drain.
 func (s *Service) onPayload(p *mem.Buf) {
 	src := s.N.UDP.RxSrc
 	b := p.Bytes()
@@ -267,18 +245,16 @@ func (s *Service) onPayload(p *mem.Buf) {
 	}
 }
 
-// onCall admits or sheds an incoming call, then serves it on the host core.
+// onCall admits or sheds an incoming call, then queues it for the host
+// core.
 func (s *Service) onCall(h Header, p *mem.Buf, src byte) {
-	if s.ShedQueue > 0 && s.N.Core.QueueLen() >= s.ShedQueue {
+	if s.ShedQueue > 0 && s.rxq.Len() >= s.ShedQueue {
 		s.failTo(h.CallID, h.RootID, src, "shed")
 		s.Shed++
 		p.DecRef()
 		return
 	}
-	j := s.getJob()
-	j.h, j.p, j.src = h, p, src
-	if !s.N.Core.Submit(sim.Job{Start: j.start, Run: j.call}) {
-		s.putJob(j)
+	if !s.rxq.Push(work{h: h, p: p, src: src}) {
 		p.DecRef()
 	}
 }
@@ -287,6 +263,9 @@ func (s *Service) onCall(h Header, p *mem.Buf, src byte) {
 // work, then either the reply (leaf) or the downstream fan-out. The drain
 // at the end charges exactly this call's host-side cycles to the core.
 func (s *Service) serveCall(h Header, p *mem.Buf, src byte) sim.Time {
+	if s.Tracer != nil {
+		s.Tracer.Mark(h.RootID, s.N.Eng.Now(), s.phase("handle"))
+	}
 	m := s.N.Meter
 	s.Handled++
 	m.SetCategory(costmodel.CatDeserialize)
@@ -310,9 +289,9 @@ func (s *Service) serveCall(h Header, p *mem.Buf, src byte) sim.Time {
 
 // offload runs one send for the call h from src — the upstream reply
 // (emitReplyFn) or the downstream fan-out (dispatchChildrenFn) — on the
-// host core, or, with an offload engine configured, as a job there: the
+// host core, or, with an offload engine configured, queues it there: the
 // host's receipt for this call is already closed by the time the offload
-// job executes, so the marshalling and TX cycles land in OffRec. The
+// engine serves it, so the marshalling and TX cycles land in OffRec. The
 // fan-out's pending-table registration rides along (single-threaded
 // engine, so the bookkeeping is safe there).
 func (s *Service) offload(send func(Header, byte), h Header, src byte) {
@@ -320,20 +299,24 @@ func (s *Service) offload(send func(Header, byte), h Header, src byte) {
 		send(h, src)
 		return
 	}
-	ok := s.Offload.Submit(sim.Job{Run: func() sim.Time {
-		m := s.N.Meter
-		prev := m.SetCategory(costmodel.CatSerialize)
-		send(h, src)
-		d := m.DrainTime()
-		s.OffRec.Add(m.TakeReceipt())
-		m.SetCategory(prev)
-		return d
-	}})
-	if !ok {
+	if !s.Offload.Push(offloadSend{send: send, h: h, src: src}) {
 		// Offload ring overflow: the frames are never built; the caller's
 		// deadline machinery covers the call.
 		s.Errors++
 	}
+}
+
+// drainOffload is the offload engine's drain: it runs the oldest queued
+// send and bills its cycles to OffRec.
+func (s *Service) drainOffload() sim.Time {
+	o := s.Offload.Pop(0)
+	m := s.N.Meter
+	prev := m.SetCategory(costmodel.CatSerialize)
+	o.send(o.h, o.src)
+	d := m.DrainTime()
+	s.OffRec.Add(m.TakeReceipt())
+	m.SetCategory(prev)
+	return d
 }
 
 // emitReply sends the upstream reply for the call h to src.
@@ -413,12 +396,9 @@ func (s *Service) onChildReply(h Header, p *mem.Buf) {
 	if done {
 		inf.timer.Cancel()
 	}
-	j := s.getJob()
-	j.p, j.inf, j.done = p, inf, done
-	if !s.N.Core.Submit(sim.Job{Run: j.reply}) {
+	if !s.rxq.Push(work{h: h, p: p, inf: inf, done: done}) {
 		// Host ring overflow at fan-in: the reply is lost after being
 		// counted; the upstream caller's own deadline covers the call.
-		s.putJob(j)
 		p.DecRef()
 	}
 }

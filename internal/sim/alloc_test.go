@@ -5,8 +5,8 @@ import "testing"
 // The DES hot loop must not allocate in steady state: every experiment
 // schedules millions of events, and per-event garbage was the dominant
 // host-side cost before the engine grew its free list. These pins fail the
-// suite if scheduling, dispatch, or the core's completion path regresses
-// to allocating again.
+// suite if scheduling, dispatch, or a queue's serve path regresses to
+// allocating again.
 
 // TestScheduleDispatchAllocFree pins 0 allocs/event on the steady-state
 // schedule→fire loop: after warmup the heap slice, the event free list,
@@ -50,24 +50,28 @@ func TestCancelRecyclesAllocFree(t *testing.T) {
 	}
 }
 
-// TestCoreJobAllocFree pins the core's dispatch/completion path: submitting
-// and serving a pre-built job must not allocate (the completion callback is
-// bound once at NewCore, not per job).
-func TestCoreJobAllocFree(t *testing.T) {
+// TestQueueAllocFree pins the serve path: pushing a value-typed element,
+// draining it and completing the drain must not allocate (the drain and
+// the core's completion callback are bound once, at construction).
+func TestQueueAllocFree(t *testing.T) {
 	e := NewEngine()
 	c := NewCore(e)
-	job := Job{Run: func() Time { return Nanosecond }}
-	// Warm queue capacity and the event free list.
+	var q *Queue[[2]int]
+	q = NewQueue[[2]int](c, 64, func() Time {
+		q.Pop(0)
+		return Nanosecond
+	})
+	// Warm ring capacity and the event free list.
 	for i := 0; i < 8; i++ {
-		c.Submit(job)
+		q.Push([2]int{i, i})
 	}
 	e.Run()
 	allocs := testing.AllocsPerRun(100, func() {
-		c.Submit(job)
+		q.Push([2]int{1, 2})
 		e.Run()
 	})
 	if allocs != 0 {
-		t.Fatalf("core submit+serve allocated %.2f allocs per job (want 0)", allocs)
+		t.Fatalf("queue push+serve allocated %.2f allocs per element (want 0)", allocs)
 	}
 }
 
@@ -135,14 +139,18 @@ func BenchmarkEngineTimerMix(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreServeJob measures submit→serve→complete for one job.
-func BenchmarkCoreServeJob(b *testing.B) {
+// BenchmarkQueueServe measures push→drain→complete for one element.
+func BenchmarkQueueServe(b *testing.B) {
 	e := NewEngine()
 	c := NewCore(e)
-	job := Job{Run: func() Time { return Nanosecond }}
+	var q *Queue[[2]int]
+	q = NewQueue[[2]int](c, 64, func() Time {
+		q.Pop(0)
+		return Nanosecond
+	})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Submit(job)
+		q.Push([2]int{i, i})
 		e.Run()
 	}
 }

@@ -10,7 +10,7 @@ func TestUtilizationNeverOvershoots(t *testing.T) {
 	e := NewEngine()
 	c := NewCore(e)
 	e.At(10, func() {
-		c.Submit(Job{Run: func() Time { return 1000 }})
+		c.Submit(func() Time { return 1000 })
 	})
 	samples := []Time{5, 20, 500, 1010, 2000}
 	for _, at := range samples {
@@ -34,7 +34,7 @@ func TestUtilizationNeverOvershoots(t *testing.T) {
 func TestUtilizationExactMidJob(t *testing.T) {
 	e := NewEngine()
 	c := NewCore(e)
-	c.Submit(Job{Run: func() Time { return 100 }})
+	c.Submit(func() Time { return 100 })
 	e.At(50, func() {
 		if u := c.Utilization(); u != 1.0 {
 			t.Errorf("Utilization() halfway through the only job = %v, want 1.0", u)
@@ -48,29 +48,30 @@ func TestUtilizationExactMidJob(t *testing.T) {
 	e.Run()
 }
 
-// Job.Start reports the submission time at dispatch, making queue wait a
-// per-job observable; QueueWait/MaxQueueWait aggregate it.
+// Pop records each element's wait (arrival to drain start) in
+// QueueWait/MaxQueueWait, making queue wait a per-element observable.
 func TestQueueWaitObservable(t *testing.T) {
 	e := NewEngine()
 	c := NewCore(e)
-	var starts []Time // enqueuedAt values in dispatch order
-	mk := func() Job {
-		return Job{
-			Start: func(enq Time) { starts = append(starts, enq) },
-			Run:   func() Time { return 100 },
-		}
-	}
-	e.At(0, func() { c.Submit(mk()) })  // dispatched at 0, wait 0
-	e.At(10, func() { c.Submit(mk()) }) // dispatched at 100, wait 90
-	e.At(20, func() { c.Submit(mk()) }) // dispatched at 200, wait 180
+	var waits []Time // per-element waits in service order
+	var q *Queue[int]
+	q = NewQueue[int](c, 8, func() Time {
+		before := c.QueueWait
+		q.Pop(0)
+		waits = append(waits, c.QueueWait-before)
+		return 100
+	})
+	e.At(0, func() { q.Push(0) })  // served at 0, wait 0
+	e.At(10, func() { q.Push(1) }) // served at 100, wait 90
+	e.At(20, func() { q.Push(2) }) // served at 200, wait 180
 	e.Run()
-	want := []Time{0, 10, 20}
-	if len(starts) != len(want) {
-		t.Fatalf("Start fired %d times, want %d", len(starts), len(want))
+	want := []Time{0, 90, 180}
+	if len(waits) != len(want) {
+		t.Fatalf("served %d elements, want %d", len(waits), len(want))
 	}
-	for i, enq := range starts {
-		if enq != want[i] {
-			t.Errorf("Start[%d] enqueuedAt = %v, want %v", i, enq, want[i])
+	for i, w := range waits {
+		if w != want[i] {
+			t.Errorf("element %d waited %v, want %v", i, w, want[i])
 		}
 	}
 	if c.QueueWait != 0+90+180 {
@@ -81,28 +82,28 @@ func TestQueueWaitObservable(t *testing.T) {
 	}
 }
 
-// ExternalWait jobs are excluded from the built-in wait accounting: the
-// submitter records per-request waits itself through AccountWait, and the
-// combination must never double-count.
-func TestExternalWaitAccounting(t *testing.T) {
+// A drain that serves a burst records each member's wait once: its time
+// in the queue plus the service of the members ahead of it. The drain
+// itself, and work submitted to the core directly, record no wait.
+func TestQueueBurstWaitAccounting(t *testing.T) {
 	e := NewEngine()
 	c := NewCore(e)
-	// An ordinary job occupies the core so the drainer-style job queues.
-	e.At(0, func() { c.Submit(Job{Run: func() Time { return 100 }}) })
+	// Work submitted directly occupies the core so the queue's drain waits.
+	e.At(0, func() { c.Submit(func() Time { return 100 }) })
+	var q *Queue[int]
+	q = NewQueue[int](c, 8, func() Time {
+		// Drain starts at t=100 and serves both members, 50 each.
+		q.Pop(0)  // first member waited 100 − 10 = 90
+		q.Pop(50) // second waited that plus the first's service: 140
+		return 100
+	})
 	e.At(10, func() {
-		c.Submit(Job{ExternalWait: true, Run: func() Time {
-			// Dispatch at t=100; the submitter accounts two batch members.
-			c.AccountWait(90)  // first member waited submission→dispatch
-			c.AccountWait(140) // second waited that plus the first's service
-			return 50
-		}})
+		q.Push(1)
+		q.Push(2)
 	})
 	e.Run()
-	// Only the explicit AccountWait calls may land in the stats: the
-	// ordinary job waited 0, the drainer's own 90 ns job-level wait is
-	// skipped (it describes no request).
 	if c.QueueWait != 90+140 {
-		t.Errorf("QueueWait = %v, want 230 (AccountWait only)", c.QueueWait)
+		t.Errorf("QueueWait = %v, want 230 (the two members only)", c.QueueWait)
 	}
 	if c.MaxQueueWait != 140 {
 		t.Errorf("MaxQueueWait = %v, want 140", c.MaxQueueWait)
@@ -112,20 +113,123 @@ func TestExternalWaitAccounting(t *testing.T) {
 	}
 }
 
-// NoteDrop counts ring-bound drops enforced outside the core in the same
-// Dropped counter Submit uses.
+// Every queue on a core counts its overflow in the core's one Dropped
+// counter: an RX ring and a second queue sharing the core each refuse an
+// element, and both drops land there.
 func TestNoteDrop(t *testing.T) {
 	e := NewEngine()
 	c := NewCore(e)
-	c.MaxQueue = 1
-	c.Submit(Job{Run: func() Time { return 100 }}) // in service
-	c.Submit(Job{Run: func() Time { return 100 }}) // queued
-	if ok := c.Submit(Job{Run: func() Time { return 100 }}); ok {
+	var rx, other *Queue[int]
+	rx = NewQueue[int](c, 1, func() Time { rx.Pop(0); return 100 })
+	other = NewQueue[int](c, 1, func() Time { other.Pop(0); return 100 })
+	rx.Push(0) // in service
+	rx.Push(1) // waiting
+	if rx.Push(2) {
 		t.Fatal("queue bound not enforced")
 	}
-	c.NoteDrop() // an external RX-ring drop
+	other.Push(0) // waiting behind the busy core
+	if other.Push(1) {
+		t.Fatal("second queue's bound not enforced")
+	}
 	if c.Dropped != 2 {
-		t.Errorf("Dropped = %v, want 2 (one Submit rejection + one NoteDrop)", c.Dropped)
+		t.Errorf("Dropped = %v, want 2 (one refusal from each queue)", c.Dropped)
 	}
 	e.Run()
+	if c.JobsDone != 3 {
+		t.Errorf("JobsDone = %v, want 3", c.JobsDone)
+	}
+}
+
+// A queue with a backlog holds exactly one armed drain on its core,
+// however deep the backlog, and the drain re-arms until the backlog is
+// served.
+func TestQueueArmsOneDrain(t *testing.T) {
+	e := NewEngine()
+	c := NewCore(e)
+	c.Submit(func() Time { return 1000 }) // holds the core
+	var q *Queue[int]
+	served := 0
+	q = NewQueue[int](c, 16, func() Time {
+		q.Pop(0)
+		served++
+		return 10
+	})
+	const n = 5
+	for i := 0; i < n; i++ {
+		q.Push(i)
+		if got := c.runs.len(); got != 1 {
+			t.Fatalf("backlog %d: %d drains armed on the core, want 1", q.Len(), got)
+		}
+	}
+	if q.Len() != n {
+		t.Fatalf("Len = %d, want %d", q.Len(), n)
+	}
+	e.Run()
+	if served != n || q.Len() != 0 || c.runs.len() != 0 {
+		t.Fatalf("after the run: served %d, Len %d, armed %d; want %d, 0, 0", served, q.Len(), c.runs.len(), n)
+	}
+	if c.JobsDone != 1+n {
+		t.Errorf("JobsDone = %d, want %d (the held job and one drain per element)", c.JobsDone, 1+n)
+	}
+}
+
+// TestBusyPeriodArraysStayBounded: one busy period serves 100,000
+// elements with at most 8 ever waiting. Neither the core's FIFO nor a
+// queue's ring may keep a slot for every element the period served; the
+// core's FIFO once reclaimed its array only when it emptied.
+func TestBusyPeriodArraysStayBounded(t *testing.T) {
+	const total, waiting, limit = 100_000, 8, 64
+	t.Run("Core.Submit", func(t *testing.T) {
+		e := NewEngine()
+		c := NewCore(e)
+		submitted := 0
+		var run func() Time
+		run = func() Time {
+			if submitted < total {
+				submitted++
+				c.Submit(run) // replace the job just taken
+			}
+			return Nanosecond
+		}
+		for submitted < waiting {
+			submitted++
+			c.Submit(run)
+		}
+		e.Run()
+		if c.JobsDone != total || c.BusyTime != total*Nanosecond {
+			t.Fatalf("served %d in %v busy, want %d in one %v busy period", c.JobsDone, c.BusyTime, total, total*Nanosecond)
+		}
+		if got := cap(c.runs.s); got > limit {
+			t.Errorf("core FIFO array reached %d entries, want at most %d", got, limit)
+		}
+	})
+	t.Run("Queue", func(t *testing.T) {
+		e := NewEngine()
+		c := NewCore(e)
+		pushed := 0
+		var q *Queue[int]
+		q = NewQueue[int](c, waiting, func() Time {
+			q.Pop(0)
+			if pushed < total {
+				pushed++
+				q.Push(pushed)
+			}
+			return Nanosecond
+		})
+		for pushed < waiting {
+			pushed++
+			q.Push(pushed)
+		}
+		e.Run()
+		if c.JobsDone != total || c.Dropped != 0 || c.BusyTime != total*Nanosecond {
+			t.Fatalf("served %d (%d dropped) in %v busy, want %d in one %v busy period",
+				c.JobsDone, c.Dropped, c.BusyTime, total, total*Nanosecond)
+		}
+		if got := cap(q.r.s); got > limit {
+			t.Errorf("queue ring array reached %d entries, want at most %d", got, limit)
+		}
+		if got := cap(c.runs.s); got > limit {
+			t.Errorf("core FIFO array reached %d entries, want at most %d", got, limit)
+		}
+	})
 }

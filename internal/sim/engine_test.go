@@ -391,20 +391,30 @@ func TestEngineOrderProperty(t *testing.T) {
 	}
 }
 
+// A queue serves its elements in FIFO order, back to back: each drain
+// starts at the instant the previous one completes.
 func TestCoreFIFOAndBusyTime(t *testing.T) {
 	e := NewEngine()
 	c := NewCore(e)
-	var done []int
+	var order []int
+	var starts []Time
+	var q *Queue[int]
+	q = NewQueue[int](c, 8, func() Time {
+		order = append(order, q.Pop(0))
+		starts = append(starts, e.Now())
+		return 100
+	})
 	for i := 0; i < 3; i++ {
-		i := i
-		c.Submit(Job{
-			Run:  func() Time { return 100 },
-			Done: func() { done = append(done, i) },
-		})
+		q.Push(i)
 	}
 	e.Run()
-	if len(done) != 3 || done[0] != 0 || done[1] != 1 || done[2] != 2 {
-		t.Errorf("completion order %v, want [0 1 2]", done)
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Errorf("service order %v, want [0 1 2]", order)
+	}
+	// Completions at 100, 200 and 300: each is the next drain's start, and
+	// the last is the final clock.
+	if len(starts) != 3 || starts[0] != 0 || starts[1] != 100 || starts[2] != 200 {
+		t.Errorf("drain starts %v, want [0 100 200]", starts)
 	}
 	if c.BusyTime != 300 {
 		t.Errorf("BusyTime = %v, want 300", c.BusyTime)
@@ -417,15 +427,17 @@ func TestCoreFIFOAndBusyTime(t *testing.T) {
 	}
 }
 
+// A full queue refuses elements and counts them in Core.Dropped.
 func TestCoreQueueBoundDrops(t *testing.T) {
 	e := NewEngine()
 	c := NewCore(e)
-	c.MaxQueue = 2
+	var q *Queue[int]
+	q = NewQueue[int](c, 2, func() Time { q.Pop(0); return 10 })
 	accepted := 0
-	// First Submit starts service immediately (not queued); next two queue;
-	// the rest drop.
+	// The first Push starts service immediately (not waiting); the next
+	// two wait; the rest drop.
 	for i := 0; i < 6; i++ {
-		if c.Submit(Job{Run: func() Time { return 10 }}) {
+		if q.Push(i) {
 			accepted++
 		}
 	}
@@ -444,17 +456,21 @@ func TestCoreQueueBoundDrops(t *testing.T) {
 func TestCoreWorkArrivingWhileBusy(t *testing.T) {
 	e := NewEngine()
 	c := NewCore(e)
-	var completions []Time
-	e.At(0, func() {
-		c.Submit(Job{Run: func() Time { return 100 }, Done: func() { completions = append(completions, e.Now()) }})
+	var starts []Time
+	var q *Queue[int]
+	q = NewQueue[int](c, 8, func() Time {
+		q.Pop(0)
+		starts = append(starts, e.Now())
+		return 100
 	})
-	// Arrives mid-service of the first job; must wait.
-	e.At(50, func() {
-		c.Submit(Job{Run: func() Time { return 100 }, Done: func() { completions = append(completions, e.Now()) }})
-	})
+	e.At(0, func() { q.Push(0) })
+	// Arrives mid-service of the first element; must wait.
+	e.At(50, func() { q.Push(1) })
 	e.Run()
-	if len(completions) != 2 || completions[0] != 100 || completions[1] != 200 {
-		t.Errorf("completions = %v, want [100 200]", completions)
+	// The first completes at 100, where the second starts; it completes at
+	// 200, the final clock.
+	if len(starts) != 2 || starts[0] != 0 || starts[1] != 100 || e.Now() != 200 {
+		t.Errorf("drain starts %v ending at %v, want [0 100] ending at 200", starts, e.Now())
 	}
 	if got := c.Utilization(); got != 1.0 {
 		t.Errorf("utilization = %v, want 1.0", got)
@@ -464,7 +480,7 @@ func TestCoreWorkArrivingWhileBusy(t *testing.T) {
 func TestCoreNegativeServiceClamped(t *testing.T) {
 	e := NewEngine()
 	c := NewCore(e)
-	c.Submit(Job{Run: func() Time { return -5 }})
+	c.Submit(func() Time { return -5 })
 	e.Run()
 	if c.BusyTime != 0 {
 		t.Errorf("BusyTime = %v, want 0 for clamped negative service", c.BusyTime)

@@ -59,14 +59,17 @@ if [ -n "$topo_calls" ]; then
 	exit 1
 fi
 
-echo "== one KV datapath, one Cornflakes TX writer, one shed sender"
-# KVServer serves every request through its RX-ring drainer, whose bound
-# job is the file's one core submission; core.Message.WriteFront is the one
-# place a stack walks a Cornflakes object's copied fields; and
-# driver.Node.SendShed is the one sender of shed replies.
-submits=$(grep -o 'Core\.Submit(' internal/driver/kvserver.go | wc -l)
-if [ "$submits" -gt 1 ]; then
-	echo "internal/driver/kvserver.go calls Core.Submit( $submits times (only the drain job may be submitted)"
+echo "== one request queue, one Cornflakes TX writer, one shed sender"
+# Every simulated server parks its requests in a sim.Queue, whose drain is
+# the one submission to a core, so the poll loop and admission path exist
+# once; core.Message.WriteFront is the one place a stack walks a
+# Cornflakes object's copied fields; and driver.Node.SendShed is the one
+# sender of shed replies.
+submits=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e '^internal/sim/' |
+	xargs grep -l '\.Submit(' || true)
+if [ -n "$submits" ]; then
+	echo "core work submitted outside internal/sim (queue requests in a sim.Queue):"
+	echo "$submits"
 	exit 1
 fi
 copy_walks=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e '^internal/core/' |
@@ -118,7 +121,7 @@ if [ "$fps" != "$(cat scripts/bench_fingerprints.golden)" ]; then
 	exit 1
 fi
 
-echo "== zero-alloc hot-path pins (DES engine, core, meter, cache fill, frame path, range walk, message pool, switch forward, serialize-and-send)"
+echo "== zero-alloc hot-path pins (DES engine, queue serve, meter, cache fill, frame path, range walk, message pool, switch forward, serialize-and-send)"
 go test ./internal/sim ./internal/costmodel ./internal/nic ./internal/cachesim ./internal/core ./internal/fabric ./internal/netstack -run 'AllocFree|TestTimerStaleAfterRecycle'
 
 echo "== go test -race ./... (includes the parallel sweep smoke)"
