@@ -139,28 +139,34 @@ func (s System) Marshal(m Msg) []byte {
 	}
 }
 
-// send transmits a server reply on the library's own datapath (§6.1.3):
-// Cornflakes serializes straight into transmit descriptors, Protobuf
-// marshals into DMA-safe memory (one copy of field data), FlatBuffers
-// builds one contiguous buffer the stack copies again, and Cap'n Proto's
-// segment list is gathered into the DMA buffer. Cornflakes and FlatBuffers
-// run on either stack; the other two are UDP-only.
-func (s System) send(m Msg) error {
+// Send transmits m on the library's own datapath (§6.1.3), the one send
+// path of every server, KV replies and RPC hops alike: Cornflakes
+// serializes straight into transmit descriptors, Protobuf marshals into
+// DMA-safe memory (one copy of field data), FlatBuffers builds one
+// contiguous buffer the stack copies again, and Cap'n Proto's segment list
+// is gathered into the DMA buffer. hdr, when given, is a frame header (the
+// RPC envelope) the stack writes right behind its packet header, ahead of
+// the body. Cornflakes and FlatBuffers run on either stack without one;
+// every other send is UDP-only.
+func (s System) Send(m Msg, hdr ...byte) error {
 	n, meter := m.n, m.n.Meter
 	switch s {
 	case SysCornflakes:
-		return n.stack.SendObject(m.cf)
+		return n.stack.SendObject(m.cf, hdr...)
 	case SysProtobuf:
 		size := baselines.ProtoSize(m.doc, meter)
 		return n.UDP.SendWith(size, func(dst []byte, dstSim uint64) int {
 			return baselines.ProtoMarshal(m.doc, dst, dstSim, meter)
-		})
+		}, hdr...)
 	case SysFlatBuffers:
 		buf, bufSim := baselines.FBBuildSim(m.doc, meter)
+		if len(hdr) > 0 {
+			return n.UDP.SendSegments([][]byte{buf}, []uint64{bufSim}, hdr...)
+		}
 		return n.stack.SendContiguous(buf, bufSim)
 	default:
 		segs, sims := baselines.CapnpFlatten(baselines.CapnpBuild(m.doc, meter))
-		return n.UDP.SendSegments(segs, sims)
+		return n.UDP.SendSegments(segs, sims, hdr...)
 	}
 }
 

@@ -158,7 +158,7 @@ func (s *EchoServer) handleLib(p *mem.Buf) {
 		b, sim := req.Elem(2, j)
 		resp.AddBytes(2, b, sim)
 	}
-	if err := s.Sys.send(resp); err != nil {
+	if err := s.Sys.Send(resp); err != nil {
 		s.Errors++
 	}
 	resp.Release()

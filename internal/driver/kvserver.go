@@ -61,14 +61,12 @@ type KVServer struct {
 	MaxBurst int
 
 	// OffloadSer models an RPCAcc/Dagger-style NIC serialization engine:
-	// each request's serialize + deserialize cycles are charged to the
-	// device instead of the host core, so they leave the core's capacity
-	// budget (the receipt still records them — the work happens, it just
-	// runs NIC-side). OffloadedTime accumulates the service time moved off
-	// the host, the observable the Fig 10 offload row divides out.
-	OffloadSer    bool
-	OffloadedTime sim.Time
-	lastSerCy     float64
+	// each request's serialize + deserialize cycles are credited off the
+	// host core's service time, so they leave the core's capacity budget
+	// (the receipt still records them — the work happens, it just runs
+	// NIC-side, with no device queue modelled).
+	OffloadSer bool
+	lastSerCy  float64
 
 	// Fault state (driven by faults.ScheduleNodePlan through the FaultNode
 	// interface). Down marks the node crashed: requests the drainer reaches
@@ -249,7 +247,6 @@ func (s *KVServer) hostTime(d sim.Time) sim.Time {
 	if off > d {
 		off = d
 	}
-	s.OffloadedTime += off
 	return d - off
 }
 
@@ -523,7 +520,7 @@ func (s *KVServer) send(resp Msg) {
 	if resp.cf != nil && s.UseSGArray {
 		err = s.N.UDP.SendObjectViaSGArray(resp.cf)
 	} else {
-		err = s.Sys.send(resp)
+		err = s.Sys.Send(resp)
 	}
 	if err != nil {
 		s.Errors++

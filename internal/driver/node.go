@@ -81,7 +81,7 @@ type Node struct {
 // node's stack through it.
 type stack interface {
 	SetRecvHandler(fn func(payload *mem.Buf))
-	SendObject(obj *core.Message) error
+	SendObject(obj *core.Message, hdr ...byte) error
 	SendContiguous(payload []byte, sim uint64) error
 }
 

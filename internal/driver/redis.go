@@ -134,7 +134,7 @@ func (s *RedisServer) handleCF(p *mem.Buf) {
 			resp.SetBytes(1, reply.Vals[0].Bytes(), reply.Vals[0].SimAddr())
 		}
 	}
-	if err := SysCornflakes.send(resp); err != nil {
+	if err := SysCornflakes.Send(resp); err != nil {
 		s.Errors++
 	}
 	resp.Release()

@@ -313,9 +313,9 @@ func Start(cfg Config) *Runner {
 	}
 
 	var (
-		nextID     = cfg.ClientID << 48
+		firstID    = cfg.ClientID << 48
+		nextID     = firstID
 		flows      = ru.flows
-		expired    = map[uint64]bool{} // ids whose flow ended or was re-sent
 		wasted     = map[uint64]bool{} // loser ids of decided hedge races
 		measureEnd = cfg.Warmup + cfg.Measure
 		// jitter is independent of the workload stream so enabling retries
@@ -387,7 +387,6 @@ func Start(cfg Config) *Runner {
 					return // resolved in the meantime
 				}
 				delete(flows, id)
-				expired[id] = true
 				// The hedge shares its primary's deadline: abandon the
 				// launched copy (its reply counts Late) or disarm the
 				// pending launch, so one timeout disposes the whole race.
@@ -395,7 +394,6 @@ func Start(cfg Config) *Runner {
 				if f.hedged {
 					if flows[f.hedgeID] == f {
 						delete(flows, f.hedgeID)
-						expired[f.hedgeID] = true
 						cfg.Tracer.AttemptEnd(f.hedgeID)
 					}
 					f.hedged = false
@@ -434,7 +432,6 @@ func Start(cfg Config) *Runner {
 		f.timer.Cancel()
 		f.hedgeTimer.Cancel()
 		delete(flows, id)
-		expired[id] = true
 		cfg.Tracer.AttemptEnd(id)
 		if f.hedged {
 			if id == f.hedgeID {
@@ -454,6 +451,8 @@ func Start(cfg Config) *Runner {
 	}
 
 	// stray counts a reply, shed or served, whose wire id has no live flow.
+	// Every id this run issued lies in [firstID, nextID), and one that is
+	// neither live nor a hedge loser has had its flow end or re-send.
 	stray := func(id uint64) {
 		switch {
 		case wasted[id]:
@@ -461,7 +460,7 @@ func Start(cfg Config) *Runner {
 			// redundancy cost of hedging, counted, never a second
 			// completion.
 			res.HedgeWasted++
-		case expired[id]:
+		case firstID <= id && id < nextID:
 			// A reply for an attempt we already resolved or retried:
 			// expected under timeouts (the original and the retry can both
 			// be answered), not a protocol error.

@@ -75,8 +75,12 @@ const fragPayloadBudget = MaxPayload - FragHeaderLen
 // SendObject serializes obj across as many frames as needed. Objects that
 // fit one frame still use the single-fragment format so the receiver path
 // is uniform. With SendContiguous and SetRecvHandler it gives a Segmenter
-// the same surface as UDP and TCPConn, so a server can run over it.
-func (s *Segmenter) SendObject(obj *core.Message) error {
+// the same surface as UDP and TCPConn, so a server can run over it. It
+// writes no frame header: a non-empty hdr fails.
+func (s *Segmenter) SendObject(obj *core.Message, hdr ...byte) error {
+	if len(hdr) > 0 {
+		return errFrameHeader
+	}
 	m := s.U.Meter
 	l := obj.Layout()
 	total := l.ObjectLen()
@@ -115,7 +119,7 @@ func (s *Segmenter) SendObject(obj *core.Message) error {
 		}
 		// Fragment header + any copied slice of `front` share the first
 		// entry; zero-copy pieces get their own (sliced) entries.
-		head, err := s.U.txPrep(FragHeaderLen)
+		head, err := s.U.txPrep(FragHeaderLen, nil)
 		if err != nil {
 			// Later fragments of this message cannot be sent either; the
 			// receiver's reassembly eviction reclaims the partial message.
@@ -175,7 +179,7 @@ func (s *Segmenter) SendContiguous(payload []byte, sim uint64) error {
 	m := s.U.Meter
 	msgID := s.nextMsgID
 	s.nextMsgID++
-	buf, err := s.U.txPrep(FragHeaderLen + len(payload))
+	buf, err := s.U.txPrep(FragHeaderLen+len(payload), nil)
 	if err != nil {
 		return err
 	}

@@ -154,8 +154,12 @@ func (c *TCPConn) writeTCPHeader(hdr []byte, seq, ack uint32, flags byte) {
 
 // SendObject serializes obj into one TCP segment using the same combined
 // serialize-and-send layout as the UDP stack, and retains buffer references
-// until the segment is acknowledged.
-func (c *TCPConn) SendObject(obj *core.Message) error {
+// until the segment is acknowledged. It writes no frame header: a
+// non-empty hdr fails.
+func (c *TCPConn) SendObject(obj *core.Message, hdr ...byte) error {
+	if len(hdr) > 0 {
+		return errFrameHeader
+	}
 	m := c.Meter
 	l := obj.Layout()
 	if TCPHeaderLen+l.ObjectLen() > JumboFrame {

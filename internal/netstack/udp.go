@@ -13,6 +13,7 @@
 package netstack
 
 import (
+	"errors"
 	"fmt"
 
 	"cornflakes/internal/core"
@@ -45,6 +46,10 @@ type ErrTooLarge struct{ Size int }
 func (e *ErrTooLarge) Error() string {
 	return fmt.Sprintf("netstack: %d-byte frame exceeds %d-byte jumbo frame", e.Size, JumboFrame)
 }
+
+// errFrameHeader reports a frame header handed to TCP-lite or the
+// Segmenter: only the UDP stack writes one.
+var errFrameHeader = errors.New("netstack: only the UDP stack writes a frame header")
 
 // UDP is one endpoint of the datagram stack.
 type UDP struct {
@@ -181,20 +186,23 @@ func (u *UDP) onFrame(f *nic.Frame) {
 	u.recv(buf)
 }
 
-// txPrep allocates a pinned transmit buffer with n bytes after the packet
-// header and writes the header. It fails with mem.ErrNoMem (counted in
-// TxNoMem) when the pinned pool is exhausted.
-func (u *UDP) txPrep(n int) (*mem.Buf, error) {
+// txPrep allocates a pinned transmit buffer with len(hdr)+n bytes after the
+// packet header, and writes the packet header and then the frame header hdr
+// (the RPC envelope), billed with one cache access. It fails with
+// mem.ErrNoMem (counted in TxNoMem) when the pinned pool is exhausted.
+func (u *UDP) txPrep(n int, hdr []byte) (*mem.Buf, error) {
 	m := u.Meter
-	buf, err := u.Alloc.TryAlloc(PacketHeaderLen + n)
+	front := PacketHeaderLen + len(hdr)
+	buf, err := u.Alloc.TryAlloc(front + n)
 	if err != nil {
 		u.TxNoMem++
 		return nil, err
 	}
 	m.Charge(m.CPU.DMABufAllocCy)
 	u.writeHeader(buf.Bytes())
+	copy(buf.Bytes()[PacketHeaderLen:], hdr)
 	m.Charge(m.CPU.PktHeaderCy)
-	m.Access(buf.SimAddr(), PacketHeaderLen)
+	m.Access(buf.SimAddr(), front)
 	return buf, nil
 }
 
@@ -362,22 +370,25 @@ func (r *Releaser) ReleaseSG(arg any) {
 var rawRel = &Releaser{}
 
 // SendObject is the combined serialize-and-send path (§3.2.3): the packet
-// header, object header and copied fields share the first scatter-gather
-// entry; each zero-copy field adds one entry pointing directly at pinned
-// application memory, with the refcount held until DMA completion.
-func (u *UDP) SendObject(obj *core.Message) error {
+// header, the frame header hdr (if any), the object header and the copied
+// fields share the first scatter-gather entry; each zero-copy field adds
+// one entry pointing directly at pinned application memory, with the
+// refcount held until DMA completion.
+func (u *UDP) SendObject(obj *core.Message, hdr ...byte) error {
 	m := u.Meter
 	l := obj.Layout()
-	if PacketHeaderLen+l.ObjectLen() > JumboFrame {
-		return &ErrTooLarge{Size: PacketHeaderLen + l.ObjectLen()}
+	front := PacketHeaderLen + len(hdr)
+	if front+l.ObjectLen() > JumboFrame {
+		return &ErrTooLarge{Size: front + l.ObjectLen()}
 	}
 
-	// First entry: packet header + object header region + copied data.
-	first, err := u.txPrep(l.HeaderLen + l.CopyLen)
+	// First entry: packet and frame headers + object header region +
+	// copied data.
+	first, err := u.txPrep(l.HeaderLen+l.CopyLen, hdr)
 	if err != nil {
 		return err
 	}
-	obj.WriteFront(l, first.Bytes()[PacketHeaderLen:], first.SimAddr()+PacketHeaderLen, m)
+	obj.WriteFront(l, first.Bytes()[front:], first.SimAddr()+uint64(front), m)
 
 	entries := append(u.txEntries[:0], nic.SGEntry{
 		Data:   first.Bytes(),
@@ -486,7 +497,7 @@ func (u *UDP) SendObjectViaSGArray(obj *core.Message) error {
 	})
 
 	// --- Networking layer: walk the array again, prepend header entry. ---
-	hdrBuf, err := u.txPrep(0)
+	hdrBuf, err := u.txPrep(0, nil)
 	if err != nil {
 		// Drop the references the serialization layer took into the array.
 		for _, e := range arr {
@@ -561,7 +572,7 @@ func (u *UDP) SendPrebuilt(payload []byte, sim uint64) error {
 // copying it into a DMA buffer (the FlatBuffers and Redis datapath:
 // "FlatBuffers and Redis use a contiguous buffer", §6.1.3).
 func (u *UDP) SendContiguous(payload []byte, sim uint64) error {
-	buf, err := u.txPrep(len(payload))
+	buf, err := u.txPrep(len(payload), nil)
 	if err != nil {
 		return err
 	}
@@ -571,34 +582,35 @@ func (u *UDP) SendContiguous(payload []byte, sim uint64) error {
 }
 
 // SendWith allocates a DMA buffer of the given payload size and lets fill
-// serialize directly into it (the Protobuf datapath: "Protobuf serializes
-// from Protobuf structs into DMA-safe memory directly", §6.1.3). fill
-// returns the actual payload length.
-func (u *UDP) SendWith(size int, fill func(dst []byte, dstSim uint64) int) error {
-	buf, err := u.txPrep(size)
+// serialize directly into it, behind the frame header hdr (the Protobuf
+// datapath: "Protobuf serializes from Protobuf structs into DMA-safe memory
+// directly", §6.1.3). fill returns the actual payload length.
+func (u *UDP) SendWith(size int, fill func(dst []byte, dstSim uint64) int, hdr ...byte) error {
+	buf, err := u.txPrep(size, hdr)
 	if err != nil {
 		return err
 	}
-	n := fill(buf.Bytes()[PacketHeaderLen:], buf.SimAddr()+PacketHeaderLen)
+	front := PacketHeaderLen + len(hdr)
+	n := fill(buf.Bytes()[front:], buf.SimAddr()+uint64(front))
 	if n < size {
-		buf.Resize(PacketHeaderLen + n)
+		buf.Resize(front + n)
 	}
 	return u.postOne(buf)
 }
 
-// SendSegments copies a list of segments into one DMA buffer (the Cap'n
-// Proto datapath: "a non-contiguous list of buffers that represent the
-// object", §6.1.3).
-func (u *UDP) SendSegments(segs [][]byte, sims []uint64) error {
+// SendSegments copies a list of segments into one DMA buffer, behind the
+// frame header hdr (the Cap'n Proto datapath: "a non-contiguous list of
+// buffers that represent the object", §6.1.3).
+func (u *UDP) SendSegments(segs [][]byte, sims []uint64, hdr ...byte) error {
 	total := 0
 	for _, s := range segs {
 		total += len(s)
 	}
-	buf, err := u.txPrep(total)
+	buf, err := u.txPrep(total, hdr)
 	if err != nil {
 		return err
 	}
-	cur := PacketHeaderLen
+	cur := PacketHeaderLen + len(hdr)
 	for i, s := range segs {
 		u.Meter.Copy(sims[i], buf.SimAddr()+uint64(cur), len(s))
 		copy(buf.Bytes()[cur:], s)
@@ -616,7 +628,7 @@ func (u *UDP) SendSegments(segs [][]byte, sims []uint64) error {
 // bookkeeping is charged. The caller's own references are untouched.
 func (u *UDP) SendPinned(bufs []*mem.Buf, safe bool) error {
 	m := u.Meter
-	hdrBuf, err := u.txPrep(0)
+	hdrBuf, err := u.txPrep(0, nil)
 	if err != nil {
 		return err
 	}

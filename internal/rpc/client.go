@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"cornflakes/internal/driver"
+	"cornflakes/internal/msgs"
 	"cornflakes/internal/workloads"
 )
 
@@ -24,16 +25,17 @@ type Client struct {
 	// ReqBytes sizes the call payload the client marshals per attempt.
 	ReqBytes int
 
-	codec  codec
 	keyBuf []byte
 	valBuf []byte
+	// out is the frame scratch: a built frame is valid until the next
+	// BuildStep, and loadgen copies it into a DMA buffer before then.
+	out []byte
 }
 
 // NewClient builds the load-generator endpoint on a rack node.
 func NewClient(n *driver.Node, sys driver.System, frontend byte) *Client {
 	return &Client{
 		N: n, Sys: sys, Frontend: frontend, Method: 1, ReqBytes: 64,
-		codec:  codec{sys: sys, n: n},
 		keyBuf: []byte("rpc"),
 	}
 }
@@ -41,18 +43,26 @@ func NewClient(n *driver.Node, sys driver.System, frontend byte) *Client {
 // Steps implements loadgen.Client: every RPC is one exchange.
 func (c *Client) Steps(workloads.Request) int { return 1 }
 
-// BuildStep implements loadgen.Client: marshal one call frame aimed at the
-// frontend. Like ClusterKVClient, addressing is a build-time side effect on
-// the node's UDP stack.
+// BuildStep implements loadgen.Client: one call frame aimed at the
+// frontend, the Header followed by the System.Marshal output of a PutReq
+// body. Like ClusterKVClient, addressing is a build-time side effect on the
+// node's UDP stack.
 func (c *Client) BuildStep(id uint64, _ workloads.Request, _ int) []byte {
 	if c.valBuf == nil {
 		c.valBuf = make([]byte, c.ReqBytes)
 	}
-	h := Header{Kind: KindCall, Method: c.Method, Hop: 0, CallID: id, RootID: id}
-	frame := c.codec.buildCall(h, c.keyBuf, c.valBuf)
+	m := c.Sys.NewMsg(c.N, msgs.PutReqSchema)
+	m.SetInt(0, id)
+	m.SetBytes(1, c.keyBuf, 0)
+	m.SetBytes(2, c.valBuf, 0)
+	body := c.Sys.Marshal(m)
+	m.Release()
+	var hdr [HeaderLen]byte
+	Header{Kind: KindCall, Method: c.Method, Hop: 0, CallID: id, RootID: id}.EncodeTo(hdr[:])
+	c.out = append(append(c.out[:0], hdr[:]...), body...)
 	c.N.Arena.Reset()
 	c.N.UDP.DstAddr = c.Frontend
-	return frame
+	return c.out
 }
 
 // ResponseID implements loadgen.Client: the root id rides in the header of

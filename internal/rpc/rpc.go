@@ -6,7 +6,10 @@
 // arXiv:2106.01482). Services compose behind the fabric switch on a
 // driver.Rack exactly like ClusterTestbed shards do, and every hop
 // marshals and unmarshals its frames through internal/costmodel, so
-// serialization cost compounds per hop of a chain.
+// serialization cost compounds per hop of a chain. A hop sends the way a
+// KV server replies, through driver.System.Send: each library's own
+// datapath, with the RPC header written by the stack behind its packet
+// header.
 //
 // Wire format: a 19-byte plain header — kind (call or reply), method, hop,
 // call id, root id — followed by a body serialized with the system under
@@ -20,14 +23,7 @@
 // classifies it exactly like a single-server shed.
 package rpc
 
-import (
-	"fmt"
-
-	"cornflakes/internal/driver"
-	"cornflakes/internal/mem"
-	"cornflakes/internal/msgs"
-	"cornflakes/internal/wire"
-)
+import "cornflakes/internal/wire"
 
 // Frame kinds. Values stay clear of driver.ShedByte (0xEE) so a shed
 // frame's leading byte can never alias a kind.
@@ -81,65 +77,4 @@ func PeekRootID(p []byte) (uint64, bool) {
 		return 0, false
 	}
 	return wire.GetU64(p[11:]), true
-}
-
-// codec builds and decodes RPC frames for one serialization system on one
-// node, charging that node's meter — serialization is modelled work here,
-// not bookkeeping. Calls carry a PutReq-shaped body (id, key, val);
-// replies carry a GetResp-shaped body (id, val).
-type codec struct {
-	sys driver.System
-	n   *driver.Node
-	// out is the frame scratch buffer: a built frame is valid until this
-	// codec's next build. Senders copy a frame into a DMA buffer before
-	// they return, and loadgen builds every attempt afresh.
-	out []byte
-}
-
-// buildCall serializes a call frame: header + PutReq body.
-func (c *codec) buildCall(h Header, key, val []byte) []byte {
-	m := c.sys.NewMsg(c.n, msgs.PutReqSchema)
-	m.SetInt(0, h.CallID)
-	m.SetBytes(1, key, 0)
-	m.SetBytes(2, val, 0)
-	return c.frame(h, m)
-}
-
-// buildReply serializes a reply frame: header + GetResp body.
-func (c *codec) buildReply(h Header, val []byte) []byte {
-	m := c.sys.NewMsg(c.n, msgs.GetRespSchema)
-	m.SetInt(0, h.CallID)
-	m.SetBytes(1, val, 0)
-	return c.frame(h, m)
-}
-
-// frame marshals and releases the body m behind the header h.
-func (c *codec) frame(h Header, m driver.Msg) []byte {
-	body := c.sys.Marshal(m)
-	m.Release()
-	n := HeaderLen + len(body)
-	if cap(c.out) < n {
-		c.out = make([]byte, n)
-	}
-	out := c.out[:n]
-	h.EncodeTo(out)
-	copy(out[HeaderLen:], body)
-	return out
-}
-
-// decodeBody deserializes a frame's body through the metered path and
-// discards the result: an RPC hop pays the full parse cost even though the
-// modelled services have no application state to keep. reply selects the
-// GetResp shape over the PutReq shape. Consumes p.
-func (c *codec) decodeBody(p *mem.Buf, reply bool) error {
-	schema := msgs.PutReqSchema
-	if reply {
-		schema = msgs.GetRespSchema
-	}
-	m, err := c.sys.Decode(c.n, schema, p, HeaderLen)
-	if err != nil {
-		return fmt.Errorf("rpc: decode %s body: %w", c.sys, err)
-	}
-	m.Release()
-	return nil
 }

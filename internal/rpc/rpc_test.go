@@ -8,6 +8,7 @@ import (
 	"cornflakes/internal/costmodel"
 	"cornflakes/internal/driver"
 	"cornflakes/internal/loadgen"
+	"cornflakes/internal/mem"
 	"cornflakes/internal/nic"
 	"cornflakes/internal/sim"
 	"cornflakes/internal/workloads"
@@ -220,5 +221,101 @@ func TestChainNamesPastNine(t *testing.T) {
 	}
 	if got := t10.phase("handle"); got != "rpc.h10.handle" {
 		t.Errorf("tier 10 handle phase %q, want rpc.h10.handle", got)
+	}
+}
+
+// corruptFrame is a Cornflakes-encoded call frame for root id 7, a body no
+// other system decodes.
+func corruptFrame() []byte {
+	return NewChain(chainCfg(driver.SysCornflakes, 1, 0)).Client.BuildStep(7, workloads.Request{}, 0)
+}
+
+// A call whose body fails to decode is dropped, as KVServer drops an
+// undecodable request: no app work, no fan-out and no reply, on every tier
+// of a chain.
+func TestUndecodableCallIsDropped(t *testing.T) {
+	frame := corruptFrame()
+	for _, sys := range []driver.System{driver.SysProtobuf, driver.SysFlatBuffers, driver.SysCapnProto} {
+		t.Run(sys.String(), func(t *testing.T) {
+			cfg := chainCfg(sys, 2, 1)
+			cfg.CallTimeout = 250 * sim.Microsecond
+			c := NewChain(cfg)
+			base := make([]int64, len(c.Services))
+			for i, s := range c.Services {
+				base[i] = s.N.Alloc.Stats().SlotsInUse
+				p := s.N.Alloc.Alloc(len(frame))
+				copy(p.Bytes(), frame)
+				s.onPayload(p)
+			}
+			c.Eng.Run()
+			for i, s := range c.Services {
+				if s.Errors != 1 || s.ChildCalls != 0 || s.RepliesSent != 0 {
+					t.Errorf("%s: errors %d, child calls %d, replies %d; want 1, 0, 0",
+						s.Name, s.Errors, s.ChildCalls, s.RepliesSent)
+				}
+				if got := s.N.Alloc.Stats().SlotsInUse; got != base[i] {
+					t.Errorf("%s: %d pinned slots in use after quiesce, want %d", s.Name, got, base[i])
+				}
+			}
+			assertLedgers(t, c)
+		})
+	}
+}
+
+// A child reply whose body fails to decode never becomes a KindReply
+// upstream. When it completes the fan-in, the call fails upstream at once;
+// when a sibling is still pending, it only counts in Errors and the
+// fan-in deadline settles the call.
+func TestUndecodableReplyFailsFanIn(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		fanout   int
+		timeouts uint64
+	}{
+		{"completes", 1, 0},
+		{"sibling-pending", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := chainCfg(driver.SysProtobuf, 1, tc.fanout)
+			cfg.CallTimeout = 100 * sim.Microsecond
+			c := NewChain(cfg)
+			parent := c.Services[0]
+			// Down leaves never answer: the injected reply is the only one.
+			for _, l := range c.Leaves {
+				l.N.UDP.Down = true
+			}
+			got := ""
+			c.Client.N.UDP.SetRecvHandler(func(p *mem.Buf) {
+				if _, ok := driver.ShedID(p.Bytes()); ok {
+					got = "shed"
+				} else {
+					got = "reply"
+				}
+				p.DecRef()
+			})
+			sendCall(t, c, 1)
+			for parent.PendingChildren() < tc.fanout {
+				c.Eng.RunUntil(c.Eng.Now() + 100*sim.Nanosecond)
+			}
+			var cid uint64
+			for _, inf := range parent.pend {
+				cid = inf.children[0]
+			}
+			frame := corruptFrame()
+			Header{Kind: KindReply, Method: 1, Hop: 2, CallID: cid, RootID: 1}.EncodeTo(frame)
+			p := parent.N.Alloc.Alloc(len(frame))
+			copy(p.Bytes(), frame)
+			parent.onPayload(p)
+			c.Eng.Run()
+			if got != "shed" || parent.FailsSent != 1 || parent.RepliesSent != 0 {
+				t.Fatalf("client saw %q; parent sent %d fails, %d replies; want shed, 1, 0",
+					got, parent.FailsSent, parent.RepliesSent)
+			}
+			if parent.Errors != 1 || parent.ChildReplies != 1 || parent.ChildTimeouts != tc.timeouts {
+				t.Fatalf("errors %d, child replies %d, timeouts %d; want 1, 1, %d",
+					parent.Errors, parent.ChildReplies, parent.ChildTimeouts, tc.timeouts)
+			}
+			assertLedgers(t, c)
+		})
 	}
 }

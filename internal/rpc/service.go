@@ -6,6 +6,7 @@ import (
 	"cornflakes/internal/costmodel"
 	"cornflakes/internal/driver"
 	"cornflakes/internal/mem"
+	"cornflakes/internal/msgs"
 	"cornflakes/internal/sim"
 	"cornflakes/internal/trace"
 )
@@ -56,7 +57,9 @@ type Service struct {
 	// unsampled roots are dropped by the tracer itself.
 	Tracer *trace.Tracer
 
-	codec codec
+	// hdr is the frame-header scratch of every send. The engine is serial,
+	// and each send copies it into the DMA buffer before it returns.
+	hdr [HeaderLen]byte
 
 	// pend maps outstanding downstream call ids to their fan-in state;
 	// expired remembers call ids abandoned by a fan-in timeout or sibling
@@ -161,32 +164,58 @@ type offloadSend struct {
 	src  byte
 }
 
-// drain serves the oldest element of the host queue.
+// drain serves the oldest element of the host queue, a call or a child
+// reply. Its body is deserialized through the metered path and discarded:
+// an RPC hop pays the full parse cost although the modelled services keep
+// no application state. A body that fails to decode counts in Errors, and
+// a call with one is dropped, as KVServer drops an undecodable request;
+// the caller's deadline covers it. The drain charges exactly this
+// element's host-side cycles to the core.
 func (s *Service) drain() sim.Time {
 	w := s.rxq.Pop(0)
-	if w.h.Kind == KindCall {
-		return s.serveCall(w.h, w.p, w.src)
-	}
-	return s.serveReply(w.p, w.inf, w.done)
-}
-
-// serveReply decodes one child reply and, when it completed the fan-in,
-// answers upstream and recycles the fan-in record.
-func (s *Service) serveReply(p *mem.Buf, inf *inflight, done bool) sim.Time {
 	m := s.N.Meter
-	m.SetCategory(costmodel.CatDeserialize)
-	if err := s.codec.decodeBody(p, true); err != nil {
-		s.Errors++
+	call := w.h.Kind == KindCall
+	schema := msgs.GetRespSchema
+	if call {
+		if s.Tracer != nil {
+			s.Tracer.Mark(w.h.RootID, s.N.Eng.Now(), s.phase("handle"))
+		}
+		s.Handled++
+		s.RecN++
+		schema = msgs.PutReqSchema
 	}
-	if done {
-		s.offload(s.emitReplyFn, inf.h, inf.src)
-		s.putInflight(inf)
+	m.SetCategory(costmodel.CatDeserialize)
+	body, err := s.Sys.Decode(s.N, schema, w.p, HeaderLen)
+	if err != nil {
+		s.Errors++
+	} else {
+		body.Release()
+	}
+	switch {
+	case call && err == nil:
+		s.serveCall(w.h, w.src)
+	case w.done:
+		s.fanIn(w.inf, err == nil)
 	}
 	s.N.Arena.Reset()
 	d := m.DrainTime()
 	s.HostRec.Add(m.TakeReceipt())
 	m.SetCategory(costmodel.CatRx)
 	return d
+}
+
+// fanIn answers upstream for the call whose fan-in a child reply just
+// completed, or fails the call there when that reply did not decode, and
+// recycles the fan-in record. An undecodable reply that does not complete
+// the fan-in only counts in Errors: a sibling failure or the timeout may
+// already have recycled the record for another call.
+func (s *Service) fanIn(inf *inflight, decoded bool) {
+	if decoded {
+		s.offload(s.emitReplyFn, inf.h, inf.src)
+	} else {
+		s.failTo(inf.h.CallID, inf.h.RootID, inf.src, "fail")
+	}
+	s.putInflight(inf)
 }
 
 // NewService wires a Service onto a node's UDP stack. The node must come
@@ -196,7 +225,6 @@ func NewService(n *driver.Node, sys driver.System, name string, hop int, addr by
 	s := &Service{
 		N: n, Sys: sys, Name: name, Hop: hop, Addr: addr,
 		FwdBytes: 64, RespBytes: 64,
-		codec:   codec{sys: sys, n: n},
 		pend:    make(map[uint64]*inflight),
 		expired: make(map[uint64]struct{}),
 		keyBuf:  []byte(name),
@@ -259,19 +287,10 @@ func (s *Service) onCall(h Header, p *mem.Buf, src byte) {
 	}
 }
 
-// serveCall is the host core's work for one call: metered deserialize, app
-// work, then either the reply (leaf) or the downstream fan-out. The drain
-// at the end charges exactly this call's host-side cycles to the core.
-func (s *Service) serveCall(h Header, p *mem.Buf, src byte) sim.Time {
-	if s.Tracer != nil {
-		s.Tracer.Mark(h.RootID, s.N.Eng.Now(), s.phase("handle"))
-	}
+// serveCall runs a decoded call's app work, then either the reply (leaf)
+// or the downstream fan-out.
+func (s *Service) serveCall(h Header, src byte) {
 	m := s.N.Meter
-	s.Handled++
-	m.SetCategory(costmodel.CatDeserialize)
-	if err := s.codec.decodeBody(p, false); err != nil {
-		s.Errors++
-	}
 	m.SetCategory(costmodel.CatApp)
 	m.Charge(s.AppCycles)
 	if len(s.Backends) == 0 {
@@ -279,12 +298,6 @@ func (s *Service) serveCall(h Header, p *mem.Buf, src byte) sim.Time {
 	} else {
 		s.offload(s.dispatchChildrenFn, h, src)
 	}
-	s.N.Arena.Reset()
-	d := m.DrainTime()
-	s.HostRec.Add(m.TakeReceipt())
-	s.RecN++
-	m.SetCategory(costmodel.CatRx)
-	return d
 }
 
 // offload runs one send for the call h from src — the upstream reply
@@ -319,16 +332,19 @@ func (s *Service) drainOffload() sim.Time {
 	return d
 }
 
-// emitReply sends the upstream reply for the call h to src.
+// emitReply sends the upstream reply for the call h to src: a GetResp body
+// behind a KindReply header.
 func (s *Service) emitReply(h Header, src byte) {
 	m := s.N.Meter
 	m.SetCategory(costmodel.CatSerialize)
 	if s.respBuf == nil {
 		s.respBuf = make([]byte, s.RespBytes)
 	}
+	resp := s.Sys.NewMsg(s.N, msgs.GetRespSchema)
+	resp.SetInt(0, h.CallID)
+	resp.SetBytes(1, s.respBuf, 0)
 	rh := Header{Kind: KindReply, Method: h.Method, Hop: byte(s.Hop), CallID: h.CallID, RootID: h.RootID}
-	frame := s.codec.buildReply(rh, s.respBuf)
-	if err := s.send(frame, src); err != nil {
+	if err := s.send(resp, rh, src); err != nil {
 		s.Errors++
 	} else {
 		s.RepliesSent++
@@ -353,10 +369,13 @@ func (s *Service) dispatchChildren(h Header, src byte) {
 		inf.children = append(inf.children, cid)
 		s.pend[cid] = inf
 		s.ChildCalls++
-		ch := Header{Kind: KindCall, Method: h.Method, Hop: byte(s.Hop), CallID: cid, RootID: h.RootID}
 		m.SetCategory(costmodel.CatSerialize)
-		frame := s.codec.buildCall(ch, s.keyBuf, s.fwdBuf)
-		if err := s.send(frame, addr); err != nil {
+		call := s.Sys.NewMsg(s.N, msgs.PutReqSchema)
+		call.SetInt(0, cid)
+		call.SetBytes(1, s.keyBuf, 0)
+		call.SetBytes(2, s.fwdBuf, 0)
+		ch := Header{Kind: KindCall, Method: h.Method, Hop: byte(s.Hop), CallID: cid, RootID: h.RootID}
+		if err := s.send(call, ch, addr); err != nil {
 			s.Errors++
 		}
 	}
@@ -366,11 +385,17 @@ func (s *Service) dispatchChildren(h Header, src byte) {
 	}
 }
 
-// send posts one built frame to the fabric address dst, billed to CatTx.
-func (s *Service) send(frame []byte, dst byte) error {
-	s.N.Meter.SetCategory(costmodel.CatTx)
+// send sends the body msg behind the header h to the fabric address dst
+// through System.Send, then releases msg. It is billed as KVServer bills
+// a reply: the send under the caller's CatSerialize, the release under
+// CatTx.
+func (s *Service) send(msg driver.Msg, h Header, dst byte) error {
+	h.EncodeTo(s.hdr[:])
 	s.N.UDP.DstAddr = dst
-	return s.N.UDP.SendContiguous(frame, mem.UnpinnedSimAddr(frame))
+	err := s.Sys.Send(msg, s.hdr[:]...)
+	s.N.Meter.SetCategory(costmodel.CatTx)
+	msg.Release()
+	return err
 }
 
 // onChildReply resolves a backend reply against the pending table. Replies

@@ -87,6 +87,19 @@ if [ -n "$shed_builds" ]; then
 	exit 1
 fi
 
+echo "== one reply datapath (rpc hops send through driver.System.Send)"
+# An RPC hop sends its calls and replies as a KV server sends a reply:
+# through driver.System.Send, each library's own datapath. A non-test file
+# under internal/rpc that copies a built frame into the stack, or hashes a
+# buffer's content into a send address, has forked a second datapath.
+rpc_sends=$(git ls-files 'internal/rpc/*.go' | grep -v '_test\.go$' |
+	xargs grep -l -e 'SendContiguous(' -e 'UnpinnedSimAddr(' || true)
+if [ -n "$rpc_sends" ]; then
+	echo "rpc frame sent outside driver.System.Send:"
+	echo "$rpc_sends"
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
