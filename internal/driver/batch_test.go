@@ -82,7 +82,8 @@ var blockedArrivals = []sim.Time{2 * sim.Microsecond, 3 * sim.Microsecond, 4 * s
 
 // blockedBacklog builds a testbed whose server core is held by a dummy
 // 10µs job from t=1µs while three requests arrive at blockedArrivals,
-// delivered at the server directly so arrival instants are exact.
+// handed to the server's payload handler directly so arrival instants are
+// exact.
 func blockedBacklog(t *testing.T, burst int) (*Testbed, *KVServer) {
 	t.Helper()
 	tb := NewTestbed(nic.MellanoxCX6())
@@ -103,7 +104,7 @@ func blockedBacklog(t *testing.T, burst int) (*Testbed, *KVServer) {
 		return b
 	}
 	for _, at := range blockedArrivals {
-		tb.Eng.At(at, func() { srv.Deliver(mkReq()) })
+		tb.Eng.At(at, func() { srv.onPayload(mkReq()) })
 	}
 	return tb, srv
 }

@@ -104,8 +104,7 @@ func (c *ClusterTestbed) NewClient(i int, sys System, replicas int) *ClusterKVCl
 // ClusterKVClient wraps a KVClient with consistent-hash routing: building
 // a request step aims the client's UDP stack at the owning shard's fabric
 // address, so the frame the stack emits is addressed before it leaves.
-// (The same side-effect-at-build-time idiom the multi-core dispatcher's
-// shard tag uses, lifted from payload bytes to the packet header.)
+// (MultiKVClient addresses a server core the same way.)
 type ClusterKVClient struct {
 	Inner *KVClient
 	udp   *netstack.UDP

@@ -60,14 +60,6 @@ type KVServer struct {
 	// default datapath.
 	MaxBurst int
 
-	// OffloadSer models an RPCAcc/Dagger-style NIC serialization engine:
-	// each request's serialize + deserialize cycles are credited off the
-	// host core's service time, so they leave the core's capacity budget
-	// (the receipt still records them — the work happens, it just runs
-	// NIC-side, with no device queue modelled).
-	OffloadSer bool
-	lastSerCy  float64
-
 	// Fault state (driven by faults.ScheduleNodePlan through the FaultNode
 	// interface). Down marks the node crashed: requests the drainer reaches
 	// are discarded (counted in DownDrops) and the netstack mirrors the
@@ -171,10 +163,6 @@ func preload(n *Node, store *kvstore.Store, recs []workloads.KV) {
 	n.Meter.TakeReceipt()
 }
 
-// Deliver injects a request payload directly (used by the multi-core
-// dispatcher, which performs its own RX handling).
-func (s *KVServer) Deliver(p *mem.Buf) { s.onPayload(p) }
-
 // EnableBatching sets the drain's burst cap and tells the UDP stack to
 // split its RX charge when the cap takes effect (see MaxBurst). A cap of 1
 // (or less) keeps the default one-request drain, so it changes nothing.
@@ -231,23 +219,6 @@ func (s *KVServer) SetGray(slowdown float64) {
 		return
 	}
 	s.Slowdown = slowdown
-}
-
-// hostTime deducts the offloaded serialization share from one request's
-// drained service time (a no-op unless OffloadSer is set). It must run on
-// the drain taken right after handle, while lastSerCy still describes that
-// request's receipt; the deduction is clamped so frame-delivery work folded
-// into the same drain can never go negative.
-func (s *KVServer) hostTime(d sim.Time) sim.Time {
-	if !s.OffloadSer {
-		return d
-	}
-	off := s.N.Meter.CPU.Cycles(s.lastSerCy)
-	s.lastSerCy = 0
-	if off > d {
-		off = d
-	}
-	return d - off
 }
 
 // scaled applies the gray-failure multiplier to one service time.
@@ -351,7 +322,7 @@ func (s *KVServer) drain() sim.Time {
 		// the TX batch flushes after the burst.
 		s.setReplyAddr(r.src)
 		s.handle(r.p, r.tid, r.traced)
-		total += s.scaled(s.hostTime(m.DrainTime()))
+		total += s.scaled(m.DrainTime())
 	}
 	if flush {
 		prev := m.SetCategory(costmodel.CatTx)
@@ -412,7 +383,6 @@ func (s *KVServer) handle(p *mem.Buf, tid uint64, traced bool) {
 		// inter-request work (completions, next RX) to the rx bucket.
 		s.N.Arena.Reset()
 		rec := m.TakeReceipt()
-		s.lastSerCy = rec.Cycles[costmodel.CatSerialize] + rec.Cycles[costmodel.CatDeserialize]
 		if s.OnReceipt != nil {
 			s.OnReceipt(rec)
 		}

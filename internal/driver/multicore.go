@@ -1,8 +1,6 @@
 package driver
 
 import (
-	"cornflakes/internal/netstack"
-	"cornflakes/internal/nic"
 	"cornflakes/internal/workloads"
 )
 
@@ -11,13 +9,14 @@ import (
 // results should extrapolate to multiple cores", but leaves "a full
 // multicore implementation to future work". This file is that future work:
 // K cores with private L1/L2 over a shared L3, per-core stores sharded by
-// key, per-core arenas/meters/allocator-free-lists, all behind one NIC
-// port with RSS-style dispatch.
+// key, per-core arenas/meters/allocators and UDP stacks, all behind one NIC
+// port whose receive-side scaling (Rack.Cores) steers each frame to its
+// core's stack.
 //
-// Requests carry a one-byte shard tag after the op byte (clients compute
-// it from the key, standing in for NIC RSS hashing); responses flow out of
-// each core's own transmit path onto the shared port, so wire and DMA
-// contention are shared while CPU work is fully parallel.
+// Clients address the owning core in the packet header (the key's shard,
+// standing in for the NIC's RSS hash); responses flow out of each core's
+// own transmit path onto the shared port, so wire and DMA contention are
+// shared while CPU work is fully parallel.
 
 // MultiKVServer runs one KVServer per core behind a shared port.
 type MultiKVServer struct {
@@ -25,34 +24,17 @@ type MultiKVServer struct {
 }
 
 // NewMultiKVServer runs nCores servers on the testbed's server and its
-// sibling cores (Rack.Cores): per-core node resources, caches sharing one
-// L3 (§6.6's topology), and the RSS dispatcher on the shared port.
+// sibling cores (Rack.Cores): per-core node resources and stacks, and
+// caches sharing one L3 (§6.6's topology).
 func NewMultiKVServer(tb *Testbed, nCores int, sys System) *MultiKVServer {
 	m := &MultiKVServer{}
 	for _, n := range tb.Cores(tb.Server, nCores) {
 		m.Cores = append(m.Cores, NewKVServer(n, sys))
 	}
-	tb.Server.Port.SetHandler(m.onFrame)
 	return m
 }
 
-// onFrame is the RSS dispatcher: it reads the shard tag, places the
-// payload in the owning core's pinned memory (the NIC steers DMA writes to
-// per-core RX rings), and delivers it to that core's server.
-func (m *MultiKVServer) onFrame(f *nic.Frame) {
-	if len(f.Data) <= netstack.PacketHeaderLen+2 {
-		return
-	}
-	payload := f.Data[netstack.PacketHeaderLen:]
-	shard := int(payload[0]) % len(m.Cores)
-	srv := m.Cores[shard]
-	srv.N.Meter.Charge(srv.N.Meter.CPU.RxPacketCy)
-	buf := srv.N.Alloc.Alloc(len(payload) - 1)
-	copy(buf.Bytes(), payload[1:]) // DMA write into the core's RX buffer
-	srv.Deliver(buf)
-}
-
-// Preload shards records across cores by the same tag the clients use.
+// Preload shards records across cores by the same hash the clients use.
 func (m *MultiKVServer) Preload(recs []workloads.KV) {
 	perCore := make([][]workloads.KV, len(m.Cores))
 	for _, r := range recs {
@@ -91,8 +73,9 @@ func shardOf(key []byte, nCores int) uint32 {
 	return h % uint32(nCores)
 }
 
-// MultiKVClient wraps a KVClient, prefixing the shard tag the dispatcher
-// consumes.
+// MultiKVClient wraps a KVClient with per-core addressing: building a
+// request step aims the client's UDP stack at the core that owns the key,
+// as ClusterKVClient aims it at a shard.
 type MultiKVClient struct {
 	Inner  *KVClient
 	NCores int
@@ -101,17 +84,10 @@ type MultiKVClient struct {
 // Steps implements loadgen.Client.
 func (c *MultiKVClient) Steps(req workloads.Request) int { return c.Inner.Steps(req) }
 
-// BuildStep implements loadgen.Client: [op][shard][serialized request].
+// BuildStep implements loadgen.Client.
 func (c *MultiKVClient) BuildStep(id uint64, req workloads.Request, step int) []byte {
-	inner := c.Inner.BuildStep(id, req, step)
-	out := make([]byte, 1, len(inner)+1)
-	out[0] = inner[0] // op byte stays first for KVServer.handle
-	out = append(out, byte(shardOf(req.Keys[0], c.NCores)))
-	out = append(out, inner[1:]...)
-	// Swap so the dispatcher sees [shard] first and strips it, leaving
-	// [op][request] for the server.
-	out[0], out[1] = out[1], out[0]
-	return out
+	c.Inner.N.UDP.DstAddr = byte(shardOf(req.Keys[0], c.NCores))
+	return c.Inner.BuildStep(id, req, step)
 }
 
 // ResponseID implements loadgen.Client.

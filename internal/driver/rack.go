@@ -90,13 +90,19 @@ func (r *Rack) AddNode(profile nic.Profile, cacheCfg cachesim.Config) (*Node, by
 }
 
 // Cores returns n followed by k−1 sibling UDP nodes on n's port, each with
-// its own allocator, arena, meter, core and L1/L2 over n's L3 (§6.6). The
-// caller installs the port handler that steers frames between them.
+// its own allocator, arena, meter, core and L1/L2 over n's L3 (§6.6), and
+// installs receive-side scaling on the port (netstack.Steer): a frame
+// whose destination byte is i reaches core i mod k through that core's
+// own stack, so a client addresses core i by setting its DstAddr to i.
 func (r *Rack) Cores(n *Node, k int) []*Node {
 	cores := []*Node{n}
+	stacks := []*netstack.UDP{n.UDP}
 	for i := 1; i < k; i++ {
-		cores = append(cores, r.addNode(n.Port, false, cachesim.NewShared(n.Cache)))
+		c := r.addNode(n.Port, false, cachesim.NewShared(n.Cache))
+		cores = append(cores, c)
+		stacks = append(stacks, c.UDP)
 	}
+	netstack.Steer(n.Port, stacks)
 	return cores
 }
 

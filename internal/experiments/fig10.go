@@ -25,13 +25,8 @@ func Fig10(sc Scale) *Report {
 	entries := []int{1, 2, 4, 6}
 	profiles := []nic.Profile{nic.IntelE810(), nic.MellanoxCX6()}
 	// 2 NICs × 4 entry counts; each cell measures an independent
-	// SG-vs-copy pair plus the RPCAcc-style offload variant (serialization
-	// charged to a NIC-side engine instead of the host core).
-	type cell struct {
-		sgVsCopy float64 // %Δ max tput, all-SG vs all-copy, host serialization
-		offGain  float64 // %Δ max tput, NIC-offloaded vs host all-SG
-	}
-	grid := make([]cell, len(profiles)*len(entries))
+	// SG-vs-copy pair: %Δ max tput, all-SG vs all-copy.
+	grid := make([]float64, len(profiles)*len(entries))
 	forEach(sc.workers(), len(grid), func(i int) {
 		prof, k := profiles[i/len(entries)], entries[i%len(entries)]
 		seg := total / k
@@ -48,45 +43,30 @@ func Fig10(sc Scale) *Report {
 			Sys: driver.SysCornflakes, Gen: gen, Profile: prof, SmallCache: true,
 			Threshold: core.ThresholdAllCopy, ThresholdSet: true, Scale: sc, Seed: 110,
 		})
-		off := kvCapacity(kvOpts{
-			Sys: driver.SysCornflakes, Gen: gen, Profile: prof, SmallCache: true,
-			Threshold: core.ThresholdAllZeroCopy, ThresholdSet: true, Offload: true,
-			Scale: sc, Seed: 110,
-		})
-		grid[i] = cell{
-			sgVsCopy: pct(sg.AchievedRps, cp.AchievedRps),
-			offGain:  pct(off.AchievedRps, sg.AchievedRps),
-		}
+		grid[i] = pct(sg.AchievedRps, cp.AchievedRps)
 	})
-	diffs := map[string]map[int]cell{}
+	diffs := map[string]map[int]float64{}
 	for pi, prof := range profiles {
 		row := []string{prof.Name}
-		offRow := []string{prof.Name + " offl"}
-		diffs[prof.Name] = map[int]cell{}
+		diffs[prof.Name] = map[int]float64{}
 		for ki, k := range entries {
-			c := grid[pi*len(entries)+ki]
-			diffs[prof.Name][k] = c
-			row = append(row, fmt.Sprintf("%+.1f%%", c.sgVsCopy))
-			offRow = append(offRow, fmt.Sprintf("%+.1f%%", c.offGain))
+			d := grid[pi*len(entries)+ki]
+			diffs[prof.Name][k] = d
+			row = append(row, fmt.Sprintf("%+.1f%%", d))
 		}
-		r.Rows = append(r.Rows, row, offRow)
+		r.Rows = append(r.Rows, row)
 	}
 	for _, prof := range profiles {
 		d := diffs[prof.Name]
 		r.AddCheck(fmt.Sprintf("%s: SG wins at 512B+ values", prof.Name),
-			d[1].sgVsCopy > 0 && d[2].sgVsCopy > 0,
-			"1024B %+.1f%%, 512B %+.1f%%", d[1].sgVsCopy, d[2].sgVsCopy)
+			d[1] > 0 && d[2] > 0,
+			"1024B %+.1f%%, 512B %+.1f%%", d[1], d[2])
 		r.AddCheck(fmt.Sprintf("%s: copy wins below 512B values", prof.Name),
-			d[6].sgVsCopy < 0,
-			"170B %+.1f%% (256B %+.1f%%)", d[6].sgVsCopy, d[4].sgVsCopy)
-		r.AddCheck(fmt.Sprintf("%s: NIC-side serialization never costs host capacity", prof.Name),
-			d[1].offGain > -2 && d[2].offGain > -2 && d[4].offGain > -2 && d[6].offGain > -2,
-			"offload gains %+.1f%% / %+.1f%% / %+.1f%% / %+.1f%%",
-			d[1].offGain, d[2].offGain, d[4].offGain, d[6].offGain)
+			d[6] < 0,
+			"170B %+.1f%% (256B %+.1f%%)", d[6], d[4])
 	}
 	r.Notes = append(r.Notes,
 		"E810 supports at most 8 SG entries, so only up to 6 values are compared (§6.3)",
-		"paper: the 512-byte threshold is consistent across both NICs",
-		"'offl' rows: RPCAcc-style NIC-side serialization engine vs host all-SG serialization")
+		"paper: the 512-byte threshold is consistent across both NICs")
 	return r
 }

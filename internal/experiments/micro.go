@@ -123,6 +123,10 @@ func newMicroServer(tb *driver.Testbed, nCores int, mode microMode, segSize, cou
 		}
 		s.shards = append(s.shards, shard)
 	}
+	// The raw-NIC microbenchmark replaces the cores' steered stacks with
+	// its own handler: its header entries complete free, where a stack
+	// bills each completion (CompletionCy plus a refcount line), and the
+	// 512-B crossover is calibrated on this TX billing.
 	s.port.SetHandler(s.onFrame)
 	return s
 }

@@ -150,9 +150,6 @@ type kvOpts struct {
 	// SmallCache shrinks the modelled L3 (see expCacheConfig) so that
 	// scaled-down stores stay DRAM-resident like the paper's.
 	SmallCache bool
-	// Offload charges (de)serialization to a NIC-side engine instead of
-	// the host core (KVServer.OffloadSer) — the RPCAcc-style deployment.
-	Offload bool
 	// Batch, when ≥ 1, sets the server's burst cap
 	// (KVServer.EnableBatching): each drain of its RX ring serves up to
 	// Batch requests. 0 and 1 both keep the default one-request drain; the
@@ -181,7 +178,6 @@ func newKVTestbed(o kvOpts) (*driver.Testbed, *driver.KVServer, *driver.KVClient
 		tb.Server.Ctx.Threshold = o.Threshold
 	}
 	srv.UseSGArray = o.UseSGArray
-	srv.OffloadSer = o.Offload
 	if o.Batch > 0 {
 		srv.EnableBatching(o.Batch)
 	}

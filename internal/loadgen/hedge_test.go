@@ -104,6 +104,23 @@ func TestHedgeLoserRetiredAsWasted(t *testing.T) {
 	}
 }
 
+// The decided races of TestHedgeLoserRetiredAsWasted leave no loser id
+// behind: each loser's reply retires its id, so the run's hedge-loser map
+// ends empty instead of holding one id per hedge.
+func TestHedgeLoserIDsRetired(t *testing.T) {
+	eng := sim.NewEngine()
+	d := &deafEndpoint{eng: eng, alloc: mem.NewAllocator(), echoDelay: 30 * sim.Microsecond}
+	ru := Start(hedgeCfg(eng, d))
+	eng.RunUntil(ru.Horizon())
+	res := ru.Finish()
+	if res.HedgeWasted == 0 || res.HedgeWasted != res.Hedges {
+		t.Fatalf("hedge wasted = %d of %d hedges, want every loser to answer", res.HedgeWasted, res.Hedges)
+	}
+	if n := len(ru.wasted); n != 0 {
+		t.Errorf("%d loser ids retained after every loser answered, want 0", n)
+	}
+}
+
 // A server slower than the deadline: the shared deadline abandons both
 // racers together, the flow times out, and both replies come back Late —
 // not wasted (no race was decided), not bad (satellite a).

@@ -56,9 +56,9 @@ func (p RetryPolicy) enabled() bool { return p.Deadline > 0 }
 // Delay (plus seeded jitter up to Jitter), a second copy of the request is
 // fired — at a different replica when the client routes by attempt — and
 // the first reply wins. The loser's reply is retired as HedgeWasted, never
-// double-completed. The zero value disables hedging; a disabled policy
-// adds no events and draws no randomness, so existing runs replay bit for
-// bit.
+// double-completed, and a duplicated copy of it counts Late. The zero
+// value disables hedging; a disabled policy adds no events and draws no
+// randomness, so existing runs replay bit for bit.
 type HedgePolicy struct {
 	// Delay is how long an attempt may run before its hedge fires. It
 	// should sit near the healthy p99 — early enough to rescue tail
@@ -179,8 +179,9 @@ type Result struct {
 
 	// Hedge accounting (warmup included, like Retries). Hedges counts
 	// second attempts launched; HedgeWins counts flows whose hedge (not
-	// primary) answered first; HedgeWasted counts replies that arrived for
-	// the losing side of a decided race. Every hedged flow still disposes
+	// primary) answered first; HedgeWasted counts the first reply that
+	// arrived for the losing side of a decided race (a duplicated copy of
+	// it counts in LateResponses). Every hedged flow still disposes
 	// exactly once, so Sent == Completed + Shed + TimedOut + Unresolved
 	// holds unchanged.
 	Hedges      uint64
@@ -258,6 +259,10 @@ type Runner struct {
 	// terminal path cancels the flow's timers and unregisters its wire ids
 	// first, so a parked flow has no live references.
 	flowPool []*flow
+	// wasted holds the loser ids of decided hedge races whose reply has not
+	// arrived yet; the reply retires its id, so the map holds only losers
+	// that never answered.
+	wasted map[uint64]bool
 }
 
 func (ru *Runner) getFlow() *flow {
@@ -294,9 +299,10 @@ func Start(cfg Config) *Runner {
 	eng := cfg.Eng
 	r := rand.New(rand.NewPCG(cfg.Seed, 0x10AD))
 	ru := &Runner{
-		cfg:   cfg,
-		res:   Result{OfferedRps: cfg.RatePerS, Latency: NewHistogram()},
-		flows: map[uint64]*flow{},
+		cfg:    cfg,
+		res:    Result{OfferedRps: cfg.RatePerS, Latency: NewHistogram()},
+		flows:  map[uint64]*flow{},
+		wasted: map[uint64]bool{},
 	}
 	if cfg.Buckets > 0 {
 		ru.res.BucketCompleted = make([]uint64, cfg.Buckets)
@@ -316,7 +322,7 @@ func Start(cfg Config) *Runner {
 		firstID    = cfg.ClientID << 48
 		nextID     = firstID
 		flows      = ru.flows
-		wasted     = map[uint64]bool{} // loser ids of decided hedge races
+		wasted     = ru.wasted
 		measureEnd = cfg.Warmup + cfg.Measure
 		// jitter is independent of the workload stream so enabling retries
 		// does not perturb which requests are generated. Each cluster client
@@ -452,13 +458,16 @@ func Start(cfg Config) *Runner {
 
 	// stray counts a reply, shed or served, whose wire id has no live flow.
 	// Every id this run issued lies in [firstID, nextID), and one that is
-	// neither live nor a hedge loser has had its flow end or re-send.
+	// neither live nor an unanswered hedge loser has had its flow end or
+	// re-send.
 	stray := func(id uint64) {
 		switch {
 		case wasted[id]:
 			// The losing side of a decided hedge race answered: the
 			// redundancy cost of hedging, counted, never a second
-			// completion.
+			// completion. Its id retires here, so a duplicated copy of
+			// the reply counts Late.
+			delete(wasted, id)
 			res.HedgeWasted++
 		case firstID <= id && id < nextID:
 			// A reply for an attempt we already resolved or retried:

@@ -186,6 +186,21 @@ func (u *UDP) onFrame(f *nic.Frame) {
 	u.recv(buf)
 }
 
+// Steer installs receive-side scaling on a port that sibling cores share:
+// the NIC hands each frame to the stack of core HdrDstOff mod len(stacks),
+// so every core receives, counts, drops and bills its frames in its own
+// stack. A frame too short to carry the byte goes to the first stack,
+// which discards it as a runt.
+func Steer(port *nic.Port, stacks []*UDP) {
+	port.SetHandler(func(f *nic.Frame) {
+		i := 0
+		if len(f.Data) > HdrDstOff {
+			i = int(f.Data[HdrDstOff]) % len(stacks)
+		}
+		stacks[i].onFrame(f)
+	})
+}
+
 // txPrep allocates a pinned transmit buffer with len(hdr)+n bytes after the
 // packet header, and writes the packet header and then the frame header hdr
 // (the RPC envelope), billed with one cache access. It fails with

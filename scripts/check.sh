@@ -100,6 +100,22 @@ if [ -n "$rpc_sends" ]; then
 	exit 1
 fi
 
+echo "== one way into a server (frames reach a server only through its node's stack)"
+# A node receives through its stack's onFrame, or through the receive-side
+# scaling Rack.Cores installs (netstack.Steer) when sibling cores share a
+# port. A non-test file outside nic, netstack and fabric that installs a
+# port handler has opened a side door past the stack's RX billing,
+# counters, drops and crash state. The §2.4 raw-NIC microbenchmark is the
+# one exception: its TX billing is what the 512-B crossover is calibrated on.
+port_handlers=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e '^internal/nic/' -e '^internal/netstack/' \
+	-e '^internal/fabric/' -e '^internal/experiments/micro\.go$' |
+	xargs grep -l '\.SetHandler(' || true)
+if [ -n "$port_handlers" ]; then
+	echo "port handler installed outside nic, netstack and fabric (receive through the node's stack):"
+	echo "$port_handlers"
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
