@@ -18,7 +18,8 @@ var (
 )
 
 // ClusterTestbed is the topology composer behind the cluster experiments:
-// N sharded KV servers and M load-generator clients on one Rack. It
+// N sharded KV servers and M load-generator clients on one Rack, the shards
+// switched nodes (NewClusterTestbed) or a server's cores (NewCoreShards). It
 // generalizes Testbed's back-to-back pair to the rack the paper's
 // "millions of users" deployments actually run in; the switch plumbing,
 // node construction, and frame ledger live on the embedded Rack so other
@@ -53,6 +54,20 @@ func NewClusterTestbed(nServers, nClients int, sys System, profile nic.Profile, 
 	for i := 0; i < nClients; i++ {
 		n, _ := c.AddNode(profile, cachesim.DefaultConfig())
 		c.Clients = append(c.Clients, n)
+	}
+	return c
+}
+
+// NewCoreShards makes the testbed's server a k-core KV server (§6.6's
+// future work): shard i runs on core i of tb.Cores(tb.Server, k) and is
+// addressed by i, the byte the shared port's receive-side scaling steers
+// on, so the testbed's client reaches a key's core as it would reach a
+// switched shard.
+func NewCoreShards(tb *Testbed, k int, sys System) *ClusterTestbed {
+	c := &ClusterTestbed{Rack: tb.Rack, Clients: []*Node{tb.Client}, Ring: loadgen.NewRing(k, 0)}
+	for i, n := range tb.Cores(tb.Server, k) {
+		c.Servers = append(c.Servers, NewKVServer(n, sys))
+		c.ServerAddrs = append(c.ServerAddrs, byte(i))
 	}
 	return c
 }
@@ -102,9 +117,9 @@ func (c *ClusterTestbed) NewClient(i int, sys System, replicas int) *ClusterKVCl
 }
 
 // ClusterKVClient wraps a KVClient with consistent-hash routing: building
-// a request step aims the client's UDP stack at the owning shard's fabric
-// address, so the frame the stack emits is addressed before it leaves.
-// (MultiKVClient addresses a server core the same way.)
+// a request step aims the client's UDP stack at the owning shard's
+// address, a fabric port or a server core, so the frame the stack emits is
+// addressed before it leaves.
 type ClusterKVClient struct {
 	Inner *KVClient
 	udp   *netstack.UDP

@@ -71,13 +71,15 @@ func TestSerialParallelFingerprints(t *testing.T) {
 			t.Logf("wrote %s (%d experiments)", reportGoldenPath, len(got))
 		})
 	}
-	// Three experiments run at Quick scale for depth: fig9 exercises the
+	// Four experiments run at Quick scale for depth: fig9 exercises the
 	// TCP stack, overload the shedding/retry layer (with a traced run so
 	// artifact bytes are pinned too), batching the batched RX/TX grid plus
-	// its own fingerprint rerun. Everything else in the registry —
-	// including cluster's multi-client racks — runs at a reduced scale so
-	// the whole registry stays covered without hours of sweep time.
-	deep := map[string]bool{"fig9": true, "overload": true, "batching": true}
+	// its own fingerprint rerun, and rpc its call chains, which collapse
+	// at the reduced scale (half its points complete nothing there).
+	// Everything else in the registry — including cluster's multi-client
+	// racks — runs at a reduced scale so the whole registry stays covered
+	// without hours of sweep time.
+	deep := map[string]bool{"fig9": true, "overload": true, "batching": true, "rpc": true}
 	traced := map[string]bool{"overload": true, "batching": true}
 	tiny := Scale{StoreKeys: 200, MeasureMs: 2, WarmupMs: 1, SweepPoints: 2, Cores: 4}
 

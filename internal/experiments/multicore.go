@@ -25,20 +25,19 @@ func ExtMulticore(sc Scale) *Report {
 		gen := workloads.NewTwitter(8*sc.StoreKeys, 190)
 		// Capacity via the utilization method, generalized to K cores.
 		return probe(func(rate float64) (loadgen.Result, float64) {
-			tb := driver.NewTestbedCfg(nic.MellanoxCX6(), expCacheConfig())
-			srv := driver.NewMultiKVServer(tb, nCores, driver.SysCornflakes)
-			srv.Preload(gen.Records())
+			tb := driver.NewCoreShards(driver.NewTestbedCfg(nic.MellanoxCX6(), expCacheConfig()), nCores, driver.SysCornflakes)
+			tb.Preload(gen.Records(), 1)
 			res := loadgen.Run(sc.withWindow(loadgen.Config{
-				Eng: tb.Eng, EP: tb.Client.UDP,
-				Gen: gen,
-				Client: &driver.MultiKVClient{
-					Inner:  driver.NewKVClient(tb.Client, driver.SysCornflakes),
-					NCores: nCores,
-				},
+				Eng: tb.Eng, EP: tb.Clients[0].UDP, Gen: gen,
+				Client:   tb.NewClient(0, driver.SysCornflakes, 1),
 				RatePerS: rate,
 				Seed:     191,
 			}))
-			return res, srv.Utilization()
+			u := 0.0 // mean utilization over the cores
+			for _, s := range tb.Servers {
+				u += s.N.Core.Utilization()
+			}
+			return res, u / float64(len(tb.Servers))
 		}).capacity(150_000 * float64(nCores)).AchievedRps
 	}
 

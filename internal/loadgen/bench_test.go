@@ -1,0 +1,27 @@
+package loadgen
+
+import (
+	"testing"
+
+	"cornflakes/internal/sim"
+)
+
+// BenchmarkRequestLifecycle is the load generator's micro-benchmark: one
+// request drawn, built, sent, echoed, matched and recorded, in an
+// underloaded open-loop run (100 krps on a 1 µs echo fixture). An op is
+// 10 µs of simulated time, one request on average, so ns/op is host time
+// per request; allocs/op includes the payload the fixture's client builds
+// and the copy its echo server sends back.
+func BenchmarkRequestLifecycle(b *testing.B) {
+	f := newEchoFixture(sim.Microsecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	res := Run(Config{
+		Eng: f.eng, EP: f.client, Gen: genConst{}, Client: idClient{pad: 56},
+		RatePerS: 100_000, Measure: sim.Time(b.N) * 10 * sim.Microsecond, Seed: 1,
+	})
+	if res.BadResponses != 0 {
+		b.Fatalf("%d bad responses", res.BadResponses)
+	}
+	b.ReportMetric(float64(res.Completed)/float64(b.N), "req/op")
+}

@@ -125,8 +125,8 @@ func (r *Ring) Rotation(key []byte) uint64 {
 	return mix64(fnv64a(key) ^ 0xFA170FE2)
 }
 
-// fnv64a is the 64-bit FNV-1a hash, the same function the shard-tag
-// dispatcher in driver uses, so routing is consistent across layers.
+// fnv64a is the 64-bit FNV-1a hash. Every use passes it through mix64,
+// which spreads near-identical inputs across the circle.
 func fnv64a(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {

@@ -59,3 +59,23 @@ func BenchmarkUDPSendObject(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTCPSendAck is TCP-lite's micro-benchmark: one 256-byte segment
+// sent with SendContiguous, delivered to the peer, acknowledged, and
+// released when the ack arrives.
+func BenchmarkTCPSendAck(b *testing.B) {
+	eng, ca, cb, _, _, _ := tcpPair()
+	cb.SetRecvHandler(func(p *mem.Buf) { p.DecRef() })
+	payload := make([]byte, 256)
+	addr := mem.UnpinnedSimAddr(payload)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := ca.SendContiguous(payload, addr); err != nil {
+			b.Fatal(err)
+		}
+		eng.Run()
+	}
+	if ca.Unacked() != 0 || ca.Retransmits != 0 {
+		b.Fatalf("%d segments unacked, %d retransmits", ca.Unacked(), ca.Retransmits)
+	}
+}

@@ -311,13 +311,17 @@ type txOp struct {
 	run     func() // bound once: op.dmaComplete
 }
 
-// rxOp is the pooled delivery of one frame.
+// rxOp is the pooled delivery of one frame copy.
 // The embedded Frame is handed to the receive handler by pointer and
-// reused afterwards (see Handler).
+// reused afterwards (see Handler). A copy that passed an Interceptor is
+// checked: it is discarded on arrival unless it still matches fcs, the
+// transmit-side frame check sequence, and its buffer is never recycled.
 type rxOp struct {
-	p     *Port // sending port: owns the pool, writes Delivered* stats
-	frame Frame
-	run   func() // bound once: op.deliver
+	p       *Port // sending port: owns the pool, writes Delivered* stats
+	frame   Frame
+	fcs     uint32
+	checked bool
+	run     func() // bound once: op.deliver
 }
 
 func (p *Port) getTxOp() *txOp {
@@ -509,19 +513,14 @@ func (op *txOp) dmaComplete() {
 			})
 		}
 	}
-	peer := p.peer
 	if p.Interceptor == nil {
 		observe(false)
-		// The pooled rx op carries the frame with no new closure.
-		rop := p.getRxOp()
-		rop.frame = Frame{Data: data, SentAt: sentAt}
-		p.eng.At(txDone+p.propag, rop.run)
+		p.deliverAt(txDone+p.propag, data, sentAt, 0, false)
 		return
 	}
 	// The hardware computed the FCS over the pristine frame; each wire
 	// copy is re-checked on arrival so corruption injected by the
-	// interceptor is discarded by the receiving NIC. (Interception is the
-	// cold fault path; it keeps plain closures.)
+	// interceptor is discarded by the receiving NIC.
 	fcs := frameFCS(data)
 	ds := p.Interceptor(data)
 	observe(len(ds) == 0)
@@ -547,45 +546,40 @@ func (op *txOp) dmaComplete() {
 			p.txFree = start + frameWire
 			depart = p.txFree
 		}
-		frame := d.Data
-		p.eng.At(depart+p.propag+extra, func() {
-			if frameFCS(frame) != fcs {
-				peer.RxFCSErrors++
-				return
-			}
-			p.arrive(frame, sentAt)
-		})
+		p.deliverAt(depart+p.propag+extra, d.Data, sentAt, fcs, true)
 	}
 }
 
-// arrive delivers one intact frame to the peer's handler, charging both
-// ends' delivery stats.
-func (p *Port) arrive(frame []byte, sentAt sim.Time) {
-	peer := p.peer
-	p.DeliveredFrames++
-	p.DeliveredBytes += uint64(len(frame))
-	peer.RxFrames++
-	peer.RxBytes += uint64(len(frame))
-	if peer.handler != nil {
-		peer.handler(&Frame{Data: frame, SentAt: sentAt})
-	}
+// deliverAt schedules one frame copy's arrival at the peer on a pooled rx
+// op, so a steady-state delivery schedules no new closure.
+func (p *Port) deliverAt(at sim.Time, data []byte, sentAt sim.Time, fcs uint32, checked bool) {
+	op := p.getRxOp()
+	op.frame = Frame{Data: data, SentAt: sentAt}
+	op.fcs, op.checked = fcs, checked
+	p.eng.At(at, op.run)
 }
 
-// deliver is the pooled delivery: identical to arrive but the Frame struct
-// is reused across deliveries.
+// deliver hands one frame copy to the peer's handler, charging both ends'
+// delivery stats, or discards a checked copy that fails its FCS. An
+// unchecked frame's buffer goes back to the pool afterwards unless the
+// peer retains it.
 func (op *rxOp) deliver() {
 	p := op.p
 	peer := p.peer
-	p.DeliveredFrames++
-	p.DeliveredBytes += uint64(len(op.frame.Data))
-	peer.RxFrames++
-	peer.RxBytes += uint64(len(op.frame.Data))
 	data := op.frame.Data
-	if peer.handler != nil {
-		peer.handler(&op.frame)
-	}
-	if !peer.RetainsRx {
-		p.putData(data)
+	if op.checked && frameFCS(data) != op.fcs {
+		peer.RxFCSErrors++
+	} else {
+		p.DeliveredFrames++
+		p.DeliveredBytes += uint64(len(data))
+		peer.RxFrames++
+		peer.RxBytes += uint64(len(data))
+		if peer.handler != nil {
+			peer.handler(&op.frame)
+		}
+		if !op.checked && !peer.RetainsRx {
+			p.putData(data)
+		}
 	}
 	op.frame = Frame{}
 	p.rxPool = append(p.rxPool, op)

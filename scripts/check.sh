@@ -116,6 +116,20 @@ if [ -n "$port_handlers" ]; then
 	exit 1
 fi
 
+echo "== one KV shard router (a KV client reaches its shard only through ClusterKVClient)"
+# A KV client addresses a shard, a switched node or a sibling core, by
+# setting its stack's DstAddr; ClusterKVClient does it from the one
+# placement ring (loadgen.Ring) ClusterTestbed.Preload also places keys by.
+# Any other non-test file under internal/driver that sets DstAddr, apart
+# from the KV server's reply path, has forked a second placement.
+shard_routers=$(git ls-files 'internal/driver/*.go' | grep -v -e '_test\.go$' -e '^internal/driver/cluster\.go$' \
+	-e '^internal/driver/kvserver\.go$' | xargs grep -l -E '\.DstAddr[[:space:]]*=([^=]|$)' || true)
+if [ -n "$shard_routers" ]; then
+	echo "stack DstAddr set in internal/driver outside cluster.go and kvserver.go (route through ClusterKVClient):"
+	echo "$shard_routers"
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
