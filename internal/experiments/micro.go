@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cornflakes/internal/cachesim"
-	"cornflakes/internal/costmodel"
 	"cornflakes/internal/driver"
 	"cornflakes/internal/loadgen"
 	"cornflakes/internal/mem"
@@ -53,28 +52,20 @@ func expCacheConfig() cachesim.Config {
 // microServer serves the microbenchmark on one or more cores sharing one
 // NIC port. The buffer array is sharded across cores; requests address
 // (shard, start) and the port handler demultiplexes to the owning core,
-// each with private L1/L2 and a shared L3 (§6.6).
+// each with private L1/L2 and a shared L3 (§6.6). Each core replies through
+// its own UDP stack, which builds, bills and counts the frame.
 type microServer struct {
-	port    *nic.Port
-	alloc   *mem.Allocator
-	cores   []*driver.Node
-	shards  [][]*mem.Buf
-	mode    microMode
-	segSize int
-	count   int // buffers per request
+	cores  []*driver.Node
+	shards [][]*mem.Buf
+	mode   microMode
 
-	// Per-core completion hooks and the serve-path scratch. The safe mode's
-	// hook charges CompletionCy and the refcount line on the owning core's
-	// meter (§2.3), the copy mode's only CompletionCy (there is no shared
-	// buffer to protect), and the raw mode's nothing (§2.4). The engine is
-	// serial, and serve runs to completion inside one drain, so one
-	// scratch per server never aliases; the NIC copies the gather list at
-	// post time.
-	safeRels []netstack.Releaser
-	copyRels []netstack.Releaser
-	rawRel   netstack.Releaser
-	segs     []*mem.Buf
-	entries  []nic.SGEntry
+	// The serve-path scratch: the response's buffers, and for the copy
+	// mode their bytes and simulated addresses. The engine is serial, and
+	// serve runs to completion inside one drain, so one scratch per server
+	// never aliases.
+	segs []*mem.Buf
+	data [][]byte
+	sims []uint64
 	// rxqs[i] is core i's queue of requests for shard i.
 	rxqs []*sim.Queue[microReq]
 }
@@ -90,24 +81,22 @@ type microReq struct {
 const microReqLen = 16
 
 // newMicroServer serves one shard per core of tb.Cores(tb.Server, nCores),
-// with the server's allocator holding every buffer and response.
+// with the server's allocator holding every shard buffer; each core's stack
+// allocates its own responses.
 func newMicroServer(tb *driver.Testbed, nCores int, mode microMode, segSize, count, workingSet int) *microServer {
 	s := &microServer{
-		port: tb.Server.Port, alloc: tb.Server.Alloc, cores: tb.Cores(tb.Server, nCores),
-		mode: mode, segSize: segSize, count: count,
+		cores: tb.Cores(tb.Server, nCores), mode: mode,
+		segs: make([]*mem.Buf, count), data: make([][]byte, count), sims: make([]uint64, count),
 	}
 	for shard, n := range s.cores {
-		s.safeRels = append(s.safeRels, netstack.Releaser{Meter: n.Meter, Refcount: true})
-		s.copyRels = append(s.copyRels, netstack.Releaser{Meter: n.Meter})
 		var q *sim.Queue[microReq]
 		q = sim.NewQueue[microReq](n.Core, driver.RxRingDepth, func() sim.Time {
 			r := q.Pop(0)
-			s.serve(n.Meter, shard, r.start, r.id)
+			s.serve(n, shard, r.start, r.id)
 			return n.Meter.DrainTime()
 		})
 		s.rxqs = append(s.rxqs, q)
 	}
-	s.segs = make([]*mem.Buf, count)
 	perShard := workingSet / nCores / segSize
 	if perShard < count {
 		perShard = count
@@ -115,7 +104,7 @@ func newMicroServer(tb *driver.Testbed, nCores int, mode microMode, segSize, cou
 	for i := 0; i < nCores; i++ {
 		shard := make([]*mem.Buf, perShard)
 		for j := range shard {
-			b := s.alloc.Alloc(segSize)
+			b := tb.Server.Alloc.Alloc(segSize)
 			for k := 0; k < segSize; k += 64 {
 				b.Bytes()[k] = byte(i + j + k)
 			}
@@ -123,11 +112,12 @@ func newMicroServer(tb *driver.Testbed, nCores int, mode microMode, segSize, cou
 		}
 		s.shards = append(s.shards, shard)
 	}
-	// The raw-NIC microbenchmark replaces the cores' steered stacks with
-	// its own handler: its header entries complete free, where a stack
-	// bills each completion (CompletionCy plus a refcount line), and the
-	// 512-B crossover is calibrated on this TX billing.
-	s.port.SetHandler(s.onFrame)
+	// The microbenchmark receives past the cores' steered stacks, as a
+	// poll-mode driver does: serve bills RX when the core takes a request,
+	// so a frame the full ring refuses costs nothing, where a stack bills
+	// every frame on arrival. maxTput probes past the knee, and billing
+	// refused frames there flattens Fig 3's raw-SG column.
+	tb.Server.Port.SetHandler(s.onFrame)
 	return s
 }
 
@@ -144,65 +134,30 @@ func (s *microServer) onFrame(f *nic.Frame) {
 	s.rxqs[shard].Push(microReq{start: start, id: id})
 }
 
-// serve builds and posts the response, charging the owning core's meter.
-// The response payload is [u64 id | buffer data...].
-func (s *microServer) serve(m *costmodel.Meter, shard, start int, id uint64) {
-	cpu := m.CPU
-	m.Charge(cpu.RxPacketCy)
+// serve sends the response on the owning core's stack, after charging the
+// core the RX cost of taking the request. The response payload is
+// [u64 id | buffer data...]: the copy mode copies the buffers behind the id
+// (SendSegments), and both scatter-gather modes post each buffer as its
+// own entry (SendPinned), with the safety bookkeeping of §2.3 or, for raw
+// SG, none of it (§2.4).
+func (s *microServer) serve(n *driver.Node, shard, start int, id uint64) {
+	n.Meter.Charge(n.Meter.CPU.RxPacketCy)
 	bufs := s.shards[shard]
-	segs := s.segs
-	for i := range segs {
-		segs[i] = bufs[(start+i)%len(bufs)]
+	for i := range s.segs {
+		s.segs[i] = bufs[(start+i)%len(bufs)]
 	}
-
+	var idb [8]byte
+	wire.PutU64(idb[:], id)
+	var err error
 	if s.mode == microCopy {
-		total := 8 + s.count*s.segSize
-		out := s.alloc.Alloc(netstack.PacketHeaderLen + total)
-		m.Charge(cpu.DMABufAllocCy + cpu.PktHeaderCy)
-		m.Access(out.SimAddr(), netstack.PacketHeaderLen)
-		wire.PutU64(out.Bytes()[netstack.PacketHeaderLen:], id)
-		cur := netstack.PacketHeaderLen + 8
-		for _, b := range segs {
-			m.Copy(b.SimAddr(), out.SimAddr()+uint64(cur), b.Len())
-			copy(out.Bytes()[cur:], b.Bytes())
-			cur += b.Len()
+		for i, b := range s.segs {
+			s.data[i], s.sims[i] = b.Bytes(), b.SimAddr()
 		}
-		m.Charge(cpu.TxDescCy)
-		s.entries = append(s.entries[:0], nic.SGEntry{
-			Data: out.Bytes(), Sim: out.SimAddr(),
-			Rel:    &s.copyRels[shard],
-			RelArg: out,
-		})
-		s.port.Send(s.entries)
-		return
+		err = n.UDP.SendSegments(s.data, s.sims, idb[:]...)
+	} else {
+		err = n.UDP.SendPinned(s.segs, s.mode == microSGSafe, idb[:]...)
 	}
-
-	hdr := s.alloc.Alloc(netstack.PacketHeaderLen + 8)
-	m.Charge(cpu.DMABufAllocCy + cpu.PktHeaderCy)
-	m.Access(hdr.SimAddr(), netstack.PacketHeaderLen)
-	wire.PutU64(hdr.Bytes()[netstack.PacketHeaderLen:], id)
-	entries := append(s.entries[:0], nic.SGEntry{
-		Data: hdr.Bytes(), Sim: hdr.SimAddr(),
-		Rel: &s.rawRel, RelArg: hdr,
-	})
-	m.Charge(cpu.TxDescCy)
-	for _, b := range segs {
-		b.IncRef() // the NIC's in-flight reference
-		m.SGPost()
-		e := nic.SGEntry{Data: b.Bytes(), Sim: b.SimAddr(), RelArg: b}
-		if s.mode == microSGSafe {
-			// Memory transparency + safety: pinned-range lookup, refcount
-			// update now and at completion (§2.3).
-			m.Charge(cpu.RegistryLookupCy)
-			m.MetadataAccess(b.RefcountSimAddr())
-			e.Rel = &s.safeRels[shard]
-		} else {
-			e.Rel = &s.rawRel // raw: physics only, no charges
-		}
-		entries = append(entries, e)
-	}
-	s.entries = entries[:0]
-	if err := s.port.Send(entries); err != nil {
+	if err != nil {
 		panic(fmt.Sprintf("microbench: %v", err))
 	}
 }

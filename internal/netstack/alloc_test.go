@@ -50,3 +50,39 @@ func TestSendObjectAllocFree(t *testing.T) {
 		t.Fatalf("delivered %d frames, want %d", delivered, 8+101)
 	}
 }
+
+// TestTCPSendAckAllocFree pins TCP-lite's send/ack loop: once the pinned
+// slabs and the NIC's frame state are warm, sending two 256-byte segments
+// with SendContiguous, delivering them and releasing each on its ack must
+// not allocate. Acknowledged segments are reused, the RTO callback is
+// bound once, and the unacked queue keeps its backing array when an ack
+// leaves a segment in flight.
+func TestTCPSendAckAllocFree(t *testing.T) {
+	eng, ca, cb, _, _, _ := tcpPair()
+	delivered := 0
+	cb.SetRecvHandler(func(p *mem.Buf) {
+		delivered++
+		p.DecRef()
+	})
+	payload := make([]byte, 256)
+	addr := mem.UnpinnedSimAddr(payload)
+	cycle := func() {
+		for range 2 {
+			if err := ca.SendContiguous(payload, addr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Run()
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(100, cycle)
+	if allocs != 0 {
+		t.Fatalf("TCP send/ack cycle allocated %.2f allocs (want 0)", allocs)
+	}
+	if delivered != 2*(8+101) || ca.Unacked() != 0 || ca.Retransmits != 0 {
+		t.Fatalf("delivered %d segments (want %d), %d unacked, %d retransmits",
+			delivered, 2*(8+101), ca.Unacked(), ca.Retransmits)
+	}
+}

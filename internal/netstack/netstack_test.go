@@ -499,9 +499,9 @@ func TestTCPTooLarge(t *testing.T) {
 	}
 }
 
-// TestReleaserModes pins the three completion behaviours of Releaser: the
-// zero value only drops the NIC's reference, a Meter adds CompletionCy,
-// and Refcount also touches the buffer's refcount line.
+// TestReleaserModes pins the three completion behaviours of releaser: the
+// zero value only drops the NIC's reference, a meter adds CompletionCy,
+// and refcount also touches the buffer's refcount line.
 func TestReleaserModes(t *testing.T) {
 	for _, c := range []struct {
 		name            string
@@ -515,9 +515,9 @@ func TestReleaserModes(t *testing.T) {
 		n := newNode()
 		buf := n.alloc.Alloc(64)
 		buf.IncRef() // the NIC's reference
-		r := Releaser{Refcount: c.refcount}
+		r := releaser{refcount: c.refcount}
 		if c.meter {
-			r.Meter = n.meter
+			r.meter = n.meter
 		}
 		r.ReleaseSG(buf)
 		if got := buf.Refcount(); got != 1 {

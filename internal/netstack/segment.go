@@ -171,23 +171,17 @@ func (s *Segmenter) SendObject(obj *core.Message, hdr ...byte) error {
 // SendContiguous sends an already-serialized payload as a single-fragment
 // message, so a Segmenter endpoint is a drop-in transport (it satisfies
 // loadgen.Endpoint): plain requests and segmented responses share the
-// fragment framing.
+// fragment framing. It is a one-segment UDP.SendSegments with the fragment
+// header as the frame header.
 func (s *Segmenter) SendContiguous(payload []byte, sim uint64) error {
 	if FragHeaderLen+len(payload) > MaxPayload {
 		return &ErrTooLarge{Size: PacketHeaderLen + FragHeaderLen + len(payload)}
 	}
-	m := s.U.Meter
-	msgID := s.nextMsgID
+	var fh [FragHeaderLen]byte
+	putFragHeader(fh[:], s.nextMsgID, 0, 1, len(payload))
 	s.nextMsgID++
-	buf, err := s.U.txPrep(FragHeaderLen+len(payload), nil)
-	if err != nil {
-		return err
-	}
-	putFragHeader(buf.Bytes()[PacketHeaderLen:], msgID, 0, 1, len(payload))
-	m.Copy(sim, buf.SimAddr()+PacketHeaderLen+FragHeaderLen, len(payload))
-	copy(buf.Bytes()[PacketHeaderLen+FragHeaderLen:], payload)
 	s.TxFragments++
-	return s.U.postOne(buf)
+	return s.U.SendSegments([][]byte{payload}, []uint64{sim}, fh[:]...)
 }
 
 // putFragHeader writes fragment frag of count of message msgID, an object

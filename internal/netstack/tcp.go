@@ -91,13 +91,18 @@ type TCPConn struct {
 	unacked  []*segment
 	rto      sim.Time
 	rtoTimer sim.Timer
+	// free holds acknowledged segments for reuse, and rtoFn is onRTO
+	// bound once (a method value allocates on every use), so a steady
+	// send/ack loop allocates nothing.
+	free  []*segment
+	rtoFn func()
 
 	recv func(payload *mem.Buf)
 
 	// Completion hooks: a segment's header+copy buffer pays CompletionCy,
 	// each zero-copy buffer also its refcount line. txEntries is
 	// transmit's gather-list scratch (the NIC copies the list at post).
-	firstRel, zcRel Releaser
+	firstRel, zcRel releaser
 	txEntries       []nic.SGEntry
 
 	// OnRetransmit, when set, is called with the segment's message payload
@@ -131,8 +136,9 @@ type TCPConn struct {
 // must run TCP; the connection is modelled as pre-established.
 func NewTCPConn(eng *sim.Engine, port *nic.Port, alloc *mem.Allocator, meter *costmodel.Meter) *TCPConn {
 	c := &TCPConn{Eng: eng, Port: port, Alloc: alloc, Meter: meter, rto: defaultRTO}
-	c.firstRel = Releaser{Meter: meter}
-	c.zcRel = Releaser{Meter: meter, Refcount: true}
+	c.firstRel = releaser{meter: meter}
+	c.zcRel = releaser{meter: meter, refcount: true}
+	c.rtoFn = c.onRTO
 	port.SetHandler(c.onFrame)
 	return c
 }
@@ -172,7 +178,7 @@ func (c *TCPConn) SendObject(obj *core.Message, hdr ...byte) error {
 	}
 	obj.WriteFront(l, first.Bytes()[TCPHeaderLen:], first.SimAddr()+TCPHeaderLen, m)
 
-	seg := &segment{seq: c.sendSeq, length: l.ObjectLen(), first: first}
+	seg := c.newSegment(l.ObjectLen(), first)
 	obj.IterateZCEntries(func(buf *mem.Buf) {
 		// One reference for retransmission retention...
 		m.MetadataAccess(buf.RefcountSimAddr())
@@ -199,6 +205,29 @@ func (c *TCPConn) prepFirst(n int) (*mem.Buf, error) {
 	return first, nil
 }
 
+// newSegment returns a segment of length bytes at the next sequence
+// number, whose first DMA buffer is first, reusing an acknowledged one
+// when there is one.
+func (c *TCPConn) newSegment(length int, first *mem.Buf) *segment {
+	var seg *segment
+	if n := len(c.free); n > 0 {
+		seg = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		seg = &segment{}
+	}
+	seg.seq, seg.length, seg.first = c.sendSeq, length, first
+	return seg
+}
+
+// recycle returns a segment whose references are dropped to the free
+// list, keeping its zc array for the next segment.
+func (c *TCPConn) recycle(seg *segment) {
+	clear(seg.zc)
+	*seg = segment{zc: seg.zc[:0]}
+	c.free = append(c.free, seg)
+}
+
 // enqueue consumes seg's sequence space, queues it for retransmission and
 // sends it, rolling both back when the NIC refuses the first transmission.
 func (c *TCPConn) enqueue(seg *segment) error {
@@ -223,6 +252,7 @@ func (c *TCPConn) rollback(seg *segment) {
 	for _, b := range seg.zc {
 		b.DecRef()
 	}
+	c.recycle(seg)
 	c.TxSegments--
 }
 
@@ -235,7 +265,7 @@ func (c *TCPConn) SendContiguous(payload []byte, sim uint64) error {
 	}
 	c.Meter.Copy(sim, first.SimAddr()+TCPHeaderLen, len(payload))
 	copy(first.Bytes()[TCPHeaderLen:], payload)
-	return c.enqueue(&segment{seq: c.sendSeq, length: len(payload), first: first})
+	return c.enqueue(c.newSegment(len(payload), first))
 }
 
 // transmit posts one segment to the NIC, taking per-post references for the
@@ -268,7 +298,7 @@ func (c *TCPConn) armRTO() {
 	if c.rtoTimer.Pending() || len(c.unacked) == 0 {
 		return
 	}
-	c.rtoTimer = c.Eng.After(c.rto, c.onRTO)
+	c.rtoTimer = c.Eng.After(c.rto, c.rtoFn)
 }
 
 func (c *TCPConn) onRTO() {
@@ -293,7 +323,7 @@ func (c *TCPConn) onRTO() {
 	}
 	// Re-arm unconditionally (rule 2): a refused post must be retried at
 	// the next timeout, not abandoned with the segment stuck in flight.
-	c.rtoTimer = c.Eng.After(c.rto, c.onRTO)
+	c.rtoTimer = c.Eng.After(c.rto, c.rtoFn)
 }
 
 // sendAck emits a header-only ACK frame. ACKs are fire-and-forget: if the
@@ -375,9 +405,8 @@ func (c *TCPConn) onFrame(f *nic.Frame) {
 // processAck releases segments fully covered by the cumulative ack.
 func (c *TCPConn) processAck(ack uint32) {
 	m := c.Meter
-	advanced := false
-	for len(c.unacked) > 0 {
-		seg := c.unacked[0]
+	acked := 0
+	for _, seg := range c.unacked {
 		if int32(ack-seg.seq) < int32(seg.length) {
 			break
 		}
@@ -389,11 +418,16 @@ func (c *TCPConn) processAck(ack uint32) {
 			m.MetadataAccess(b.RefcountSimAddr())
 			b.DecRef()
 		}
-		c.unacked = c.unacked[1:]
 		c.sendUna = seg.seq + uint32(seg.length)
-		advanced = true
+		c.recycle(seg)
+		acked++
 	}
-	if advanced {
+	if acked > 0 {
+		// Shift the survivors to the front rather than slicing the head
+		// off, so the queue keeps its one backing array.
+		n := copy(c.unacked, c.unacked[acked:])
+		clear(c.unacked[n:])
+		c.unacked = c.unacked[:n]
 		c.rto = defaultRTO
 		c.rtoTimer.Cancel()
 		c.armRTO()

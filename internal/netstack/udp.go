@@ -111,7 +111,7 @@ type UDP struct {
 	txEntries []nic.SGEntry
 	// rel is the completion hook of every entry whose release is charged
 	// here: CompletionCy plus the buffer's refcount line.
-	rel Releaser
+	rel releaser
 
 	// Stats.
 	TxPackets, RxPackets uint64
@@ -128,7 +128,7 @@ type UDP struct {
 // NewUDP attaches a UDP endpoint to a NIC port.
 func NewUDP(eng *sim.Engine, port *nic.Port, alloc *mem.Allocator, meter *costmodel.Meter) *UDP {
 	u := &UDP{Eng: eng, Port: port, Alloc: alloc, Meter: meter}
-	u.rel = Releaser{Meter: meter, Refcount: true}
+	u.rel = releaser{meter: meter, refcount: true}
 	port.SetHandler(u.onFrame)
 	return u
 }
@@ -356,25 +356,25 @@ func (u *UDP) FlushTx() error {
 	return err
 }
 
-// Releaser is the DMA-completion hook of every gather entry the stacks
+// releaser is the DMA-completion hook of every gather entry the stacks
 // post, with the entry's *mem.Buf as its RelArg: it drops the NIC's
-// reference on the buffer. With a Meter it first charges CompletionCy, and
-// with Refcount also touches the buffer's refcount line, the safety
-// bookkeeping of §2.3. The zero Releaser charges nothing: the raw
+// reference on the buffer. With a meter it first charges CompletionCy, and
+// with refcount also touches the buffer's refcount line, the safety
+// bookkeeping of §2.3. The zero releaser charges nothing: the raw
 // scatter-gather upper bound (§2.4), and paths that amortize their
-// completion share up front. A *Releaser in an SGEntry's Rel is a plain
+// completion share up front. A *releaser in an SGEntry's Rel is a plain
 // pointer, so posting an entry allocates nothing.
-type Releaser struct {
-	Meter    *costmodel.Meter
-	Refcount bool
+type releaser struct {
+	meter    *costmodel.Meter
+	refcount bool
 }
 
 // ReleaseSG implements nic.SGReleaser.
-func (r *Releaser) ReleaseSG(arg any) {
+func (r *releaser) ReleaseSG(arg any) {
 	buf := arg.(*mem.Buf)
-	if m := r.Meter; m != nil {
+	if m := r.meter; m != nil {
 		m.Charge(m.CPU.CompletionCy)
-		if r.Refcount {
+		if r.refcount {
 			m.MetadataAccess(buf.RefcountSimAddr())
 		}
 	}
@@ -382,7 +382,7 @@ func (r *Releaser) ReleaseSG(arg any) {
 }
 
 // rawRel releases with no metered cost.
-var rawRel = &Releaser{}
+var rawRel = &releaser{}
 
 // SendObject is the combined serialize-and-send path (§3.2.3): the packet
 // header, the frame header hdr (if any), the object header and the copied
@@ -585,15 +585,10 @@ func (u *UDP) SendPrebuilt(payload []byte, sim uint64) error {
 
 // SendContiguous transmits an already-serialized contiguous payload by
 // copying it into a DMA buffer (the FlatBuffers and Redis datapath:
-// "FlatBuffers and Redis use a contiguous buffer", §6.1.3).
+// "FlatBuffers and Redis use a contiguous buffer", §6.1.3): a one-segment
+// SendSegments.
 func (u *UDP) SendContiguous(payload []byte, sim uint64) error {
-	buf, err := u.txPrep(len(payload), nil)
-	if err != nil {
-		return err
-	}
-	u.Meter.Copy(sim, buf.SimAddr()+PacketHeaderLen, len(payload))
-	copy(buf.Bytes()[PacketHeaderLen:], payload)
-	return u.postOne(buf)
+	return u.SendSegments([][]byte{payload}, []uint64{sim})
 }
 
 // SendWith allocates a DMA buffer of the given payload size and lets fill
@@ -635,15 +630,17 @@ func (u *UDP) SendSegments(segs [][]byte, sims []uint64, hdr ...byte) error {
 }
 
 // SendPinned transmits pinned buffers zero-copy, one SG entry each, after a
-// header entry. With safe=true it performs (and charges) the full
-// memory-safety protocol: registry lookup, refcount increment now,
-// metered decrement at completion. With safe=false it models the "raw
-// scatter-gather" upper bound of §2.4: the buffers are still held until
-// DMA completes (that is physics, not software), but none of the software
-// bookkeeping is charged. The caller's own references are untouched.
-func (u *UDP) SendPinned(bufs []*mem.Buf, safe bool) error {
+// header entry holding the packet header and the frame header hdr. With
+// safe=true it performs (and charges) the full memory-safety protocol:
+// registry lookup, refcount increment now, metered decrement at
+// completion. With safe=false it models the "raw scatter-gather" upper
+// bound of §2.4: the buffers are still held until DMA completes (that is
+// physics, not software), but none of the software bookkeeping is
+// charged. The header entry pays its completion either way. The caller's
+// own references are untouched.
+func (u *UDP) SendPinned(bufs []*mem.Buf, safe bool, hdr ...byte) error {
 	m := u.Meter
-	hdrBuf, err := u.txPrep(0, nil)
+	hdrBuf, err := u.txPrep(0, hdr)
 	if err != nil {
 		return err
 	}
