@@ -12,7 +12,10 @@
 //
 // -cpuprofile/-memprofile write pprof profiles of the experiment runs (use
 // -parallel 1 so samples land on the serial hot loops rather than sweep
-// workers); `make profile` wraps the common invocation.
+// workers); `make profile` wraps the common invocation. Each experiment
+// runs under the profiler label exp=<id>, which its sweep workers inherit,
+// so one profile of `-exp all` splits by experiment:
+// `go tool pprof -tags cpu.prof`, or `-tagfocus exp=rpc` for one.
 //
 // -parallel (default GOMAXPROCS) only changes wall-clock: sweep points run
 // on independent testbeds and merge in point order, so reports are
@@ -22,6 +25,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -116,7 +120,8 @@ func run() int {
 		done++
 		fmt.Fprintf(os.Stderr, "[%d/%d] %s (workers=%d) ...\n", done, total, id, sc.Workers)
 		start := time.Now()
-		rep := fn(sc)
+		var rep *experiments.Report
+		pprof.Do(context.Background(), pprof.Labels("exp", id), func(context.Context) { rep = fn(sc) })
 		fmt.Println(rep)
 		fmt.Printf("(%s took %.1fs)\n\n", id, time.Since(start).Seconds())
 		if *csvDir != "" {

@@ -85,8 +85,8 @@ type CPU struct {
 	// TxDoorbellCy is the share of TxDescCy that is the doorbell MMIO
 	// write (sfence + posted PCIe write). The unbatched datapath pays it
 	// per packet inside TxDescCy; batched TX charges TxDescCy−TxDoorbellCy
-	// per queued frame and TxDoorbellCy once per flushed chunk. Must stay
-	// ≤ TxDescCy.
+	// per posted frame and TxDoorbellCy once per MaxTxBurst chunk when the
+	// batch ends. Must stay ≤ TxDescCy.
 	TxDoorbellCy float64
 
 	// DMABufAllocCy is the cost of taking a pinned transmit buffer from

@@ -48,17 +48,17 @@ type KVServer struct {
 	ShedQueue int
 	ShedWater float64
 
-	// MaxBurst caps how many requests one drain of the software RX ring
-	// serves (EnableBatching wires it). It takes effect on the plain UDP
-	// stack at 2 or more: one drain then amortizes its core dispatch,
-	// the poll-loop share of the RX cost, and — through a TX batch flushed
-	// at the end of the burst — the reply doorbells. The burst is adaptive
-	// by construction: a drain serves min(backlog, MaxBurst), so it
-	// collapses to single-request service at low load and only grows with
-	// genuine backlog. Below 2, and on TCP-lite or segmented servers, every
-	// drain serves one request with no TX batch and no RxPollCy split: the
-	// default datapath.
-	MaxBurst int
+	// maxBurst caps how many requests one drain of the software RX ring
+	// serves; EnableBatching is its one setter, since the stack's RX charge
+	// split must follow it. It takes effect on the plain UDP stack at 2 or
+	// more: one drain then amortizes its core dispatch, the poll-loop share
+	// of the RX cost, and — through a TX batch around the burst's replies —
+	// the reply doorbells. The burst is adaptive by construction: a drain
+	// serves min(backlog, maxBurst), so it collapses to single-request
+	// service at low load and only grows with genuine backlog. Below 2, and
+	// on TCP-lite or segmented servers, every drain serves one request with
+	// no TX batch and no RxPollCy split: the default datapath.
+	maxBurst int
 
 	// Fault state (driven by faults.ScheduleNodePlan through the FaultNode
 	// interface). Down marks the node crashed: requests the drainer reaches
@@ -164,22 +164,22 @@ func preload(n *Node, store *kvstore.Store, recs []workloads.KV) {
 }
 
 // EnableBatching sets the drain's burst cap and tells the UDP stack to
-// split its RX charge when the cap takes effect (see MaxBurst). A cap of 1
+// split its RX charge when the cap takes effect (see maxBurst). A cap of 1
 // (or less) keeps the default one-request drain, so it changes nothing.
 func (s *KVServer) EnableBatching(maxBurst int) {
-	s.MaxBurst = maxBurst
+	s.maxBurst = maxBurst
 	if s.N.UDP != nil {
 		s.N.UDP.RxBatched = s.burst() > 1
 	}
 }
 
-// burst is how many requests one drain may serve: MaxBurst on the plain
+// burst is how many requests one drain may serve: maxBurst on the plain
 // UDP stack when it is at least 2, and 1 otherwise. TCP-lite and segmented
 // replies flow through connection or fragment state the TX batch bracket
 // does not cover.
 func (s *KVServer) burst() int {
-	if _, udp := s.N.stack.(*netstack.UDP); udp && s.MaxBurst >= 2 {
-		return s.MaxBurst
+	if _, udp := s.N.stack.(*netstack.UDP); udp && s.maxBurst >= 2 {
+		return s.maxBurst
 	}
 	return 1
 }
@@ -282,11 +282,12 @@ func (s *KVServer) setReplyAddr(src byte) {
 // Per-request accounting is exact: request i's queue wait is its time in
 // the ring plus the service of the i−1 burst members ahead of it (the
 // ring's Pop records it), and each request's receipt is taken by handle.
-// A burst cap of 2 or more also pays one poll-loop share per drain and
-// brackets the replies in a TX batch flushed at the end; the flush's
-// doorbell cycles land in the drain total so the core stays busy for every
-// cycle charged. While the node is down the drain costs nothing: each
-// request it reaches is dropped into DownDrops.
+// A burst of 2 or more also pays one poll-loop share per drain and
+// brackets the replies in a TX batch: each reply posts as it is sent, and
+// the batch's doorbell cycles, charged when it ends, land in the drain
+// total so the core stays busy for every cycle charged. While the node is
+// down the drain costs nothing: each request it reaches is dropped into
+// DownDrops.
 func (s *KVServer) drain() sim.Time {
 	burst := s.burst()
 	b := min(s.PendingDepth(), burst)
@@ -297,8 +298,8 @@ func (s *KVServer) drain() sim.Time {
 		// withheld per frame (RxBatched).
 		m.Charge(m.CPU.RxPollCy)
 	}
-	flush := b > 1 && !s.Down
-	if flush {
+	batch := b > 1 && !s.Down
+	if batch {
 		s.N.UDP.BeginTxBatch()
 	}
 	var total sim.Time
@@ -306,7 +307,7 @@ func (s *KVServer) drain() sim.Time {
 		r := s.rxq.Pop(total)
 		if r.traced {
 			s.Trace.Mark(r.tid, t0, trace.PhaseHandle)
-			if flush {
+			if batch {
 				s.Trace.Note(r.tid, fmt.Sprintf("batched: burst=%d pos=%d", b, i))
 			}
 		}
@@ -317,18 +318,13 @@ func (s *KVServer) drain() sim.Time {
 			r.p.DecRef()
 			continue
 		}
-		// Reply headers are written at send time inside handle, so pointing
-		// the stack at this request's source here is sufficient even though
-		// the TX batch flushes after the burst.
 		s.setReplyAddr(r.src)
 		s.handle(r.p, r.tid, r.traced)
 		total += s.scaled(m.DrainTime())
 	}
-	if flush {
+	if batch {
 		prev := m.SetCategory(costmodel.CatTx)
-		if err := s.N.UDP.FlushTx(); err != nil {
-			s.Errors++
-		}
+		s.N.UDP.EndTxBatch()
 		m.SetCategory(prev)
 		total += s.scaled(m.DrainTime())
 	}

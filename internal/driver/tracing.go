@@ -30,31 +30,29 @@ func peekResponseID(sys System, p []byte) (uint64, bool) {
 	return sys.PeekID(p)
 }
 
-// AttachTracer wires a tracer into a testbed's transport layers, using the
-// given peek functions to map frames back to request ids:
+// AttachKVTracer wires a tracer through every layer of a UDP KV testbed,
+// mapping frames back to request ids with the server system's peeks:
 //
 //   - the client NIC port's Observer marks each request's TX chain
 //     (PhaseReqWire at DMA completion, PhaseReqProp at wire exit, PhaseQueue
 //     at server delivery) and notes frames lost on the wire;
 //   - the server NIC port's Observer marks the response TX chain
 //     (PhaseRspWire, PhaseRspProp) for replies and shed replies alike;
-//   - RX-side drops (runt frames, buffer exhaustion) and TCP-lite RTO
-//     retransmissions become notes on the owning flow.
+//   - RX-side drops (runt frames, buffer exhaustion) become notes on the
+//     owning flow;
+//   - KVServer.Trace takes the server-side hooks (PhaseHandle at core
+//     dispatch, PhaseShed on admission-control rejection, per-request
+//     receipts).
 //
-// Frames whose id cannot be peeked (ACKs, corrupted frames) are skipped.
+// Frames whose id cannot be peeked are skipped.
 // The hooks are pure observation: no timing or buffer behaviour changes.
-func AttachTracer(tb *Testbed, tr *trace.Tracer,
-	peekReq, peekResp func(p []byte) (uint64, bool)) {
-
-	hdrLen := netstack.PacketHeaderLen
-	if tb.Client.TCP != nil {
-		hdrLen = netstack.TCPHeaderLen
-	}
+func AttachKVTracer(tb *Testbed, srv *KVServer, tr *trace.Tracer) {
+	sys := srv.Sys
 	payloadOf := func(frame []byte) ([]byte, bool) {
-		if len(frame) <= hdrLen {
+		if len(frame) <= netstack.PacketHeaderLen {
 			return nil, false
 		}
-		return frame[hdrLen:], true
+		return frame[netstack.PacketHeaderLen:], true
 	}
 
 	tb.Client.Port.Observer = func(r nic.TxRecord) {
@@ -62,7 +60,7 @@ func AttachTracer(tb *Testbed, tr *trace.Tracer,
 		if !ok {
 			return
 		}
-		id, ok := peekReq(p)
+		id, ok := peekRequestID(sys, p)
 		if !ok {
 			return
 		}
@@ -79,7 +77,7 @@ func AttachTracer(tb *Testbed, tr *trace.Tracer,
 		if !ok {
 			return
 		}
-		id, ok := peekResp(p)
+		id, ok := peekResponseID(sys, p)
 		if !ok {
 			return
 		}
@@ -90,46 +88,16 @@ func AttachTracer(tb *Testbed, tr *trace.Tracer,
 		tr.Mark(id, r.DMADone, trace.PhaseRspWire)
 		tr.Mark(id, r.TxDone, trace.PhaseRspProp)
 	}
-
-	if tb.Server.UDP != nil {
-		tb.Server.UDP.OnDrop = func(p []byte, reason string) {
-			if id, ok := peekReq(p); ok {
-				tr.Note(id, "request dropped at server RX: "+reason)
-			}
+	tb.Server.UDP.OnDrop = func(p []byte, reason string) {
+		if id, ok := peekRequestID(sys, p); ok {
+			tr.Note(id, "request dropped at server RX: "+reason)
 		}
 	}
-	if tb.Client.UDP != nil {
-		tb.Client.UDP.OnDrop = func(p []byte, reason string) {
-			if id, ok := peekResp(p); ok {
-				tr.Note(id, "response dropped at client RX: "+reason)
-			}
+	tb.Client.UDP.OnDrop = func(p []byte, reason string) {
+		if id, ok := peekResponseID(sys, p); ok {
+			tr.Note(id, "response dropped at client RX: "+reason)
 		}
 	}
-	if tb.Client.TCP != nil {
-		tb.Client.TCP.OnRetransmit = func(p []byte) {
-			if id, ok := peekReq(p); ok {
-				tr.Note(id, "request retransmitted (RTO)")
-			}
-		}
-	}
-	if tb.Server.TCP != nil {
-		tb.Server.TCP.OnRetransmit = func(p []byte) {
-			if id, ok := peekResp(p); ok {
-				tr.Note(id, "response retransmitted (RTO)")
-			}
-		}
-	}
-}
-
-// AttachKVTracer wires a tracer through every layer of a KV testbed: the
-// transport hooks of AttachTracer with the KV codecs' peek functions, plus
-// the server-side hooks (PhaseHandle at core dispatch, PhaseShed on
-// admission-control rejection, per-request receipts) via KVServer.Trace.
-func AttachKVTracer(tb *Testbed, srv *KVServer, tr *trace.Tracer) {
-	sys := srv.Sys
-	AttachTracer(tb, tr,
-		func(p []byte) (uint64, bool) { return peekRequestID(sys, p) },
-		func(p []byte) (uint64, bool) { return peekResponseID(sys, p) })
 	srv.Trace = tr
 }
 

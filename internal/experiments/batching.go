@@ -201,7 +201,8 @@ func Batching(sc Scale) *Report {
 	// On request (Scale.Trace / cf-bench -trace), re-run an overloaded
 	// point with the tracing layer attached and the burst cap enabled, and
 	// ship the export as an artifact: the per-request view of batch
-	// assembly (queue spans ending at a shared drain instant) and flush.
+	// assembly (queue spans ending at a shared drain instant) and of the
+	// burst's replies, which post back to back at that instant.
 	if sc.Trace {
 		burst := batchingBursts[len(batchingBursts)-1]
 		tr := TracedOverloadRun(sc, burst, rates[hi], trace.Config{

@@ -265,20 +265,20 @@ func SoakKV(seed uint64) SoakResult {
 		tb.Client.TCP.SendContiguous(p, mem.UnpinnedSimAddr(p))
 	}
 	tb.Client.TCP.SetRecvHandler(func(p *mem.Buf) {
-		m, err := msgs.DeserializeGetM(tb.Client.Ctx, p)
+		// A failed decode has already dropped p.
+		m, err := driver.SysCornflakes.Decode(tb.Client, msgs.GetMSchema, p, 0)
 		if err != nil {
-			p.DecRef()
 			res.Mismatches++
 			res.Completed++
 			sendNext()
 			return
 		}
-		ks := keysOf(m.Id())
-		if m.ValsLen() != len(ks) {
+		ks := keysOf(m.Int(0))
+		if m.Len(2) != len(ks) {
 			res.Mismatches++
 		} else {
 			for j, k := range ks {
-				if !bytes.Equal(m.Vals(j), vals[k]) {
+				if v, _ := m.Elem(2, j); !bytes.Equal(v, vals[k]) {
 					res.Mismatches++
 					break
 				}

@@ -105,12 +105,6 @@ type TCPConn struct {
 	firstRel, zcRel releaser
 	txEntries       []nic.SGEntry
 
-	// OnRetransmit, when set, is called with the segment's message payload
-	// just before each RTO retransmission, so a tracer can annotate the
-	// request whose request or response frame was lost. The payload must
-	// not be retained.
-	OnRetransmit func(payload []byte)
-
 	// Stats.
 	TxSegments, RxSegments uint64
 	Retransmits            uint64
@@ -311,12 +305,6 @@ func (c *TCPConn) onRTO() {
 	c.rto *= 2
 	if c.rto > maxRTO {
 		c.rto = maxRTO
-	}
-	if c.OnRetransmit != nil {
-		first := c.unacked[0].first.Bytes()
-		if len(first) > TCPHeaderLen {
-			c.OnRetransmit(first[TCPHeaderLen:])
-		}
 	}
 	if err := c.transmit(c.unacked[0]); err != nil {
 		c.RtxSendErrors++

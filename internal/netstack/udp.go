@@ -93,21 +93,13 @@ type UDP struct {
 	// the full RxPacketCy per frame.
 	RxBatched bool
 
-	// txOpen/txStore/txLens implement TX batching: between BeginTxBatch and
-	// FlushTx, post() copies gather lists into the flat txStore (frame i
-	// owns txLens[i] consecutive entries) instead of handing each to the
-	// NIC, and FlushTx posts them all through Port.SendBatch under
-	// amortized doorbells. The flat store means queued frames never alias
-	// the caller's (reused) entry scratch, and the batch costs zero
-	// allocations once the store has grown to the burst high-water mark.
-	txOpen  bool
-	txStore []nic.SGEntry
-	txLens  []int
-	// txFrames is FlushTx's scratch for the per-frame subslice headers
-	// SendBatch consumes; txEntries is the gather-list scratch the send
-	// paths build each frame in (safe to reuse: the NIC copies the list at
-	// post time, and batched posts copy it into txStore).
-	txFrames  [][]nic.SGEntry
+	// txOpen marks a TX batch (BeginTxBatch…EndTxBatch), and txPosted
+	// counts the frames handed to the NIC inside it: post rings the
+	// doorbell on the first frame of every MaxTxBurst chunk and posts the
+	// rest behind it. txEntries is the gather-list scratch the send paths
+	// build each frame in (safe to reuse: the NIC copies the list at post).
+	txOpen    bool
+	txPosted  int
 	txEntries []nic.SGEntry
 	// rel is the completion hook of every entry whose release is charged
 	// here: CompletionCy plus the buffer's refcount line.
@@ -120,8 +112,8 @@ type UDP struct {
 	// supply a transmit buffer; RxNoMem counts received frames dropped for
 	// want of an RX buffer (the NIC would have overrun its posted ring).
 	TxNoMem, RxNoMem uint64
-	// TxFlushErrs counts frames unwound because a batched flush failed
-	// partway (each unposted frame of the failing flush counts once).
+	// TxFlushErrs counts the frames a TX batch failed to post: each one
+	// the NIC refused between BeginTxBatch and EndTxBatch.
 	TxFlushErrs uint64
 }
 
@@ -243,11 +235,12 @@ func (u *UDP) postOne(buf *mem.Buf) error {
 // plus one SGPost per entry beyond the first. On failure every entry's
 // completion hook runs immediately so buffer references are not leaked.
 //
-// Inside a TX batch (BeginTxBatch…FlushTx) the gather list is queued
-// instead of posted: the doorbell share of the descriptor cost is deferred
-// to the flush (where it amortizes per chunk), size/entry-limit violations
-// are still detected — and unwound — here at queue time, and
-// TxPackets/TxZCEntries are counted at flush for frames actually posted.
+// Inside a TX batch (BeginTxBatch…EndTxBatch) the frame posts at once as
+// well, but only the first frame of each MaxTxBurst chunk rings the doorbell
+// (Port.Send), the rest post behind it (Port.SendBehind), and the doorbell
+// share of the descriptor cost waits for EndTxBatch, which charges it once
+// per chunk. A frame the NIC refuses unwinds alone, counted in
+// TxFlushErrs; later frames of the batch still post.
 func (u *UDP) post(entries []nic.SGEntry) error {
 	m := u.Meter
 	if u.txOpen {
@@ -262,20 +255,22 @@ func (u *UDP) post(entries []nic.SGEntry) error {
 	for _, e := range entries {
 		total += len(e.Data)
 	}
-	err := error(nil)
+	var err error
 	switch {
 	case total > JumboFrame:
 		err = &ErrTooLarge{Size: total}
-	case u.txOpen && len(entries) > u.Port.Profile().MaxSGEntries:
-		// Validate at queue time what Port.Send would reject, so a bad
-		// frame fails its own post instead of poisoning the whole flush.
-		err = &nic.ErrTooManyEntries{Entries: len(entries), Max: u.Port.Profile().MaxSGEntries}
-	case u.txOpen:
-		u.txStore = append(u.txStore, entries...)
-		u.txLens = append(u.txLens, len(entries))
-		return nil
-	default:
+	case !u.txOpen:
 		err = u.Port.Send(entries)
+	default:
+		if u.txPosted%u.txBurst() == 0 {
+			err = u.Port.Send(entries)
+		} else {
+			err = u.Port.SendBehind(entries)
+		}
+		u.txPosted++
+		if err != nil {
+			u.TxFlushErrs++
+		}
 	}
 	if err != nil {
 		// A refused post unwinds inline: the completion charges the release
@@ -301,60 +296,24 @@ func fireReleases(entries []nic.SGEntry) {
 	}
 }
 
-// BeginTxBatch opens a TX batch: subsequent post()s queue their gather
-// lists until FlushTx. The server's batch drainer brackets each drained
-// burst with Begin/Flush so all replies of the burst share doorbells.
+// BeginTxBatch opens a TX batch: the frames posted until EndTxBatch share
+// doorbells, one per MaxTxBurst chunk. The server's batch drainer brackets
+// each drained burst with Begin/End.
 func (u *UDP) BeginTxBatch() { u.txOpen = true }
 
-// FlushTx closes the TX batch and posts the queued frames through
-// Port.SendBatch, charging one TxDoorbellCy per MaxTxBurst chunk — the
-// deferred doorbell share of the descriptor costs post() withheld. On a
-// mid-batch send failure the remaining frames are unwound (references
-// released under CatTx, counted in TxFlushErrs) and the error returned;
-// frames already posted stay posted.
-func (u *UDP) FlushTx() error {
-	u.txOpen = false
-	if len(u.txLens) == 0 {
-		return nil
-	}
-	m := u.Meter
-	// Rebuild the per-frame views over the flat store. The subslice headers
-	// live in the reused txFrames scratch; the store itself is stable for
-	// the duration of the flush (nothing appends mid-SendBatch).
-	frames := u.txFrames[:0]
-	off := 0
-	for _, n := range u.txLens {
-		frames = append(frames, u.txStore[off:off+n:off+n])
-		off += n
-	}
-	burst := u.Port.Profile().MaxTxBurst
-	if burst < 1 {
-		burst = 1
-	}
-	chunks := (len(frames) + burst - 1) / burst
-	m.Charge(float64(chunks) * m.CPU.TxDoorbellCy)
-	posted, err := u.Port.SendBatch(frames)
-	for i := 0; i < posted; i++ {
-		u.TxPackets++
-		u.TxZCEntries += uint64(len(frames[i]) - 1)
-	}
-	if err != nil {
-		prev := m.SetCategory(costmodel.CatTx)
-		for _, f := range frames[posted:] {
-			u.TxFlushErrs++
-			fireReleases(f)
-		}
-		m.SetCategory(prev)
-	}
-	// Drop the stored buffer references so the scratch arrays do not pin
-	// DMA buffers past the flush.
-	clear(u.txStore)
-	u.txStore = u.txStore[:0]
-	u.txLens = u.txLens[:0]
-	clear(frames)
-	u.txFrames = frames[:0]
-	return err
+// EndTxBatch closes the TX batch and charges the doorbell share the
+// batch's posts withheld: one TxDoorbellCy per MaxTxBurst chunk of the
+// frames handed to the NIC.
+func (u *UDP) EndTxBatch() {
+	burst := u.txBurst()
+	chunks := (u.txPosted + burst - 1) / burst
+	u.Meter.Charge(float64(chunks) * u.Meter.CPU.TxDoorbellCy)
+	u.txOpen, u.txPosted = false, 0
 }
+
+// txBurst is how many frames of a TX batch share one doorbell: the NIC's
+// MaxTxBurst, at least 1.
+func (u *UDP) txBurst() int { return max(u.Port.Profile().MaxTxBurst, 1) }
 
 // releaser is the DMA-completion hook of every gather entry the stacks
 // post, with the entry's *mem.Buf as its RelArg: it drops the NIC's

@@ -6,55 +6,10 @@ import (
 	"cornflakes/internal/sim"
 )
 
-// TestSendBatchEmpty: an empty batch is a no-op — no doorbell, no frames.
-func TestSendBatchEmpty(t *testing.T) {
-	eng := sim.NewEngine()
-	a, _ := newPair(eng)
-	n, err := a.SendBatch(nil)
-	if n != 0 || err != nil {
-		t.Fatalf("SendBatch(nil) = (%d, %v), want (0, nil)", n, err)
-	}
-	if a.TxFrames != 0 || a.TxDoorbells != 0 {
-		t.Errorf("empty batch posted work: frames=%d doorbells=%d", a.TxFrames, a.TxDoorbells)
-	}
-}
-
-// TestSendBatchOfOneMatchesSend: a one-frame batch must be indistinguishable
-// from Send — same delivery time, same counters — so the B=1 adaptive floor
-// really is the unbatched path.
-func TestSendBatchOfOneMatchesSend(t *testing.T) {
-	run := func(batch bool) (sim.Time, uint64) {
-		eng := sim.NewEngine()
-		a, b := newPair(eng)
-		var at sim.Time
-		b.SetHandler(func(f *Frame) { at = eng.Now() })
-		entries := []SGEntry{{Data: make([]byte, 1500)}}
-		if batch {
-			if n, err := a.SendBatch([][]SGEntry{entries}); n != 1 || err != nil {
-				t.Fatalf("SendBatch = (%d, %v)", n, err)
-			}
-		} else {
-			if err := a.Send(entries); err != nil {
-				t.Fatal(err)
-			}
-		}
-		eng.Run()
-		return at, a.TxDoorbells
-	}
-	sendAt, sendDB := run(false)
-	batchAt, batchDB := run(true)
-	if sendAt == 0 || batchAt != sendAt {
-		t.Errorf("arrival: Send %v, SendBatch-of-1 %v", sendAt, batchAt)
-	}
-	if sendDB != 1 || batchDB != 1 {
-		t.Errorf("doorbells: Send %d, SendBatch-of-1 %d, want 1 each", sendDB, batchDB)
-	}
-}
-
-// TestSendBatchAmortizesDoorbells: a burst within MaxTxBurst pays one
-// doorbell; its last frame departs earlier than the same frames sent
-// individually, by exactly (N−1) doorbells of DMA occupancy when the DMA
-// engine is the bottleneck.
+// TestSendBatchAmortizesDoorbells: a burst sent as one Send and N−1
+// SendBehinds pays one doorbell; its last frame departs earlier than the
+// same frames sent individually, by exactly (N−1) doorbells of DMA
+// occupancy when the DMA engine is the bottleneck.
 func TestSendBatchAmortizesDoorbells(t *testing.T) {
 	// Tiny frames on a CX-6 with a fast (1 Tbps) wire: frame spacing is
 	// DMA-bound in both runs — even with the doorbell amortized away the
@@ -70,19 +25,14 @@ func TestSendBatchAmortizesDoorbells(t *testing.T) {
 		var last sim.Time
 		var got int
 		b.SetHandler(func(f *Frame) { got++; last = eng.Now() })
-		var lists [][]SGEntry
 		for i := 0; i < frames; i++ {
-			lists = append(lists, []SGEntry{{Data: make([]byte, 64)}})
-		}
-		if batch {
-			if n, err := a.SendBatch(lists); n != frames || err != nil {
-				t.Fatalf("SendBatch = (%d, %v)", n, err)
+			entries := []SGEntry{{Data: make([]byte, 64)}}
+			send := a.Send
+			if batch && i > 0 {
+				send = a.SendBehind
 			}
-		} else {
-			for _, l := range lists {
-				if err := a.Send(l); err != nil {
-					t.Fatal(err)
-				}
+			if err := send(entries); err != nil {
+				t.Fatal(err)
 			}
 		}
 		eng.Run()
@@ -103,29 +53,10 @@ func TestSendBatchAmortizesDoorbells(t *testing.T) {
 	}
 }
 
-// TestSendBatchChunksByMaxTxBurst: a burst larger than MaxTxBurst pays one
-// doorbell per chunk.
-func TestSendBatchChunksByMaxTxBurst(t *testing.T) {
-	prof := MellanoxCX6()
-	prof.MaxTxBurst = 4
-	eng := sim.NewEngine()
-	a, _ := Link(eng, prof, MellanoxCX6(), 0)
-	var lists [][]SGEntry
-	for i := 0; i < 10; i++ {
-		lists = append(lists, []SGEntry{{Data: []byte{byte(i)}}})
-	}
-	if n, err := a.SendBatch(lists); n != 10 || err != nil {
-		t.Fatalf("SendBatch = (%d, %v)", n, err)
-	}
-	if a.TxDoorbells != 3 { // ceil(10/4)
-		t.Errorf("TxDoorbells = %d, want 3 for 10 frames at burst 4", a.TxDoorbells)
-	}
-}
-
-// TestSendBatchStopsAtBadFrame: a frame exceeding MaxSGEntries mid-burst
-// stops the batch there — earlier frames are posted, the bad frame and
-// everything after it are untouched (no releases pending).
-func TestSendBatchStopsAtBadFrame(t *testing.T) {
+// TestSendBehindRefusesBadFrame: a frame exceeding MaxSGEntries behind a
+// doorbell is refused on its own — no reference taken, nothing released,
+// not counted — and the frames around it still post.
+func TestSendBehindRefusesBadFrame(t *testing.T) {
 	prof := MellanoxCX6()
 	prof.MaxSGEntries = 2
 	eng := sim.NewEngine()
@@ -145,23 +76,25 @@ func TestSendBatchStopsAtBadFrame(t *testing.T) {
 		}
 		return l
 	}
-	batch := [][]SGEntry{mk(0, 1), mk(1, 3), mk(2, 1)} // middle frame over the limit
-	n, err := a.SendBatch(batch)
-	if n != 1 {
-		t.Errorf("posted %d frames, want 1 (stop at the bad frame)", n)
+	if err := a.Send(mk(0, 1)); err != nil {
+		t.Fatal(err)
 	}
+	err := a.SendBehind(mk(1, 3)) // over the limit
 	if _, ok := err.(*ErrTooManyEntries); !ok {
 		t.Errorf("error %T %v, want *ErrTooManyEntries", err, err)
 	}
+	if err := a.SendBehind(mk(2, 1)); err != nil {
+		t.Fatal(err)
+	}
 	eng.Run()
-	if delivered != 1 {
-		t.Errorf("delivered %d frames, want 1", delivered)
+	if delivered != 2 {
+		t.Errorf("delivered %d frames, want 2", delivered)
 	}
-	if !released[0] || released[1] || released[2] {
-		t.Errorf("releases %v: only the posted frame's buffers may be released", released)
+	if !released[0] || released[1] || !released[2] {
+		t.Errorf("releases %v: only the posted frames' buffers may be released", released)
 	}
-	if a.TxFrames != 1 {
-		t.Errorf("TxFrames = %d, want 1", a.TxFrames)
+	if a.TxFrames != 2 || a.TxDoorbells != 1 {
+		t.Errorf("TxFrames = %d, TxDoorbells = %d, want 2 and 1", a.TxFrames, a.TxDoorbells)
 	}
 }
 

@@ -54,10 +54,11 @@ type Profile struct {
 	// DMAGbps is the DMA engine's effective read bandwidth.
 	DMAGbps float64
 	// MaxTxBurst is the largest number of frames the driver may post under
-	// a single doorbell ring (the hardware TX queue's burst limit). SendBatch
-	// splits larger bursts into chunks of this size, each paying one
-	// doorbell. Zero or one means the NIC takes no amortization: every
-	// frame pays the full per-doorbell cost, as in Send.
+	// a single doorbell ring (the hardware TX queue's burst limit): a
+	// batching driver rings it with Send for the first frame of each chunk
+	// of this size and posts the rest with SendBehind. Zero or one means
+	// the NIC takes no amortization: every frame pays the full
+	// per-doorbell cost, as in Send.
 	MaxTxBurst int
 }
 
@@ -110,7 +111,7 @@ func IntelE810() Profile {
 }
 
 // SGReleaser is an entry's completion hook: a long-lived implementor
-// (netstack.Releaser) receives the entry's RelArg back at DMA-completion
+// (the netstack releaser) receives the entry's RelArg back at DMA-completion
 // time. Passing a pointer through the arg interface does not allocate, so
 // posting an entry allocates nothing.
 type SGReleaser interface {
@@ -254,9 +255,9 @@ type Port struct {
 	DeliveredFrames uint64
 	DeliveredBytes  uint64
 
-	// TxDoorbells counts doorbell rings: one per Send, one per MaxTxBurst
-	// chunk in SendBatch. The amortization the batched datapath buys is
-	// visible as TxDoorbells < TxFrames.
+	// TxDoorbells counts doorbell rings: one per Send, none per
+	// SendBehind. The amortization the batched datapath buys is visible as
+	// TxDoorbells < TxFrames.
 	TxDoorbells uint64
 
 	// txPool and rxPool recycle the per-frame transmit and delivery state
@@ -398,37 +399,16 @@ func (p *Port) Send(entries []SGEntry) error {
 	return p.send(entries, p.prof.PacketOccupancyNs)
 }
 
-// SendBatch posts a burst of frames under amortized doorbells: frames are
-// chunked by the profile's MaxTxBurst, and only the first frame of each
-// chunk pays the per-doorbell DMA occupancy — the rest issue back-to-back.
-// Frames are posted in order; on error it returns how many frames were
-// posted before the failing one (the failing frame and everything after it
-// are untouched — no buffer references taken, no releases pending). An
-// empty batch is a no-op.
-func (p *Port) SendBatch(frames [][]SGEntry) (int, error) {
-	if len(frames) == 0 {
-		return 0, nil
-	}
-	burst := p.prof.MaxTxBurst
-	if burst < 1 {
-		burst = 1
-	}
-	for i, f := range frames {
-		db := 0.0
-		if i%burst == 0 {
-			p.TxDoorbells++
-			db = p.prof.PacketOccupancyNs
-		}
-		if err := p.send(f, db); err != nil {
-			return i, err
-		}
-	}
-	return len(frames), nil
+// SendBehind posts a frame behind the doorbell an earlier Send rang: one
+// more descriptor of the same burst, so it rings nothing and pays no
+// per-doorbell DMA occupancy. Otherwise it is Send. Which frames share a
+// doorbell is the driver's choice (netstack.UDP's TX batch).
+func (p *Port) SendBehind(entries []SGEntry) error {
+	return p.send(entries, 0)
 }
 
 // send posts one frame charging doorbellNs of per-doorbell DMA occupancy
-// (the full cost for unbatched sends and chunk leaders, zero for the
-// follower frames of a batch).
+// (the full cost for Send, zero for SendBehind).
 func (p *Port) send(entries []SGEntry, doorbellNs float64) error {
 	if len(entries) == 0 {
 		return fmt.Errorf("nic: empty gather list")

@@ -17,7 +17,7 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== one codec per system (library codecs and Cornflakes forks only in driver.System, no msgs codec in driver)"
+echo "== one codec per system (library codecs and Cornflakes forks only in driver.System, no msgs codec under internal/)"
 # The per-library wire decisions live in internal/driver/codec.go; any other
 # non-test file that calls a baseline codec has copied one back out, and any
 # other non-test file under internal/ that compares against SysCornflakes
@@ -37,12 +37,13 @@ if [ -n "$cf_forks" ]; then
 	echo "$cf_forks"
 	exit 1
 fi
-# The generated msgs API is a second Cornflakes codec: driver code builds and
-# decodes every message through driver.Msg instead.
-msgs_calls=$(git ls-files 'internal/driver/*.go' | grep -v '_test\.go$' |
+# The generated msgs API is a second Cornflakes codec: code under internal/
+# builds and decodes every message through driver.Msg instead. The examples
+# show the generated API on purpose.
+msgs_calls=$(git ls-files 'internal/*.go' | grep -v -e '_test\.go$' -e '^internal/msgs/' |
 	xargs grep -l -E 'msgs\.(New|Deserialize)' || true)
 if [ -n "$msgs_calls" ]; then
-	echo "generated msgs constructors or decoders called in internal/driver (use driver.Msg):"
+	echo "generated msgs constructors or decoders called under internal/ (use driver.Msg):"
 	echo "$msgs_calls"
 	exit 1
 fi
@@ -121,12 +122,13 @@ fi
 
 echo "== one TX builder (gather lists built only in nic, netstack and fabric)"
 # A stack's send paths are the one place a gather list is built and its
-# completion billed (serialize-and-send, §3.2.3), and the one place a sent
-# frame is counted (TxPackets, TxZCEntries, TxNoMem). A non-test file
-# outside nic, netstack and fabric that names nic.SGEntry or posts a batch
-# of frames has built a frame past the stack.
+# completion billed (serialize-and-send, §3.2.3), the one place a sent
+# frame is counted (TxPackets, TxZCEntries, TxNoMem), and the one place
+# that decides which frames share a doorbell (UDP's TX batch). A non-test
+# file outside nic, netstack and fabric that names nic.SGEntry or posts a
+# frame behind a doorbell has built a frame past the stack.
 tx_builders=$(git ls-files '*.go' | grep -v -e '_test\.go$' -e '^internal/nic/' -e '^internal/netstack/' \
-	-e '^internal/fabric/' | xargs grep -l -e 'nic\.SGEntry' -e '\.SendBatch(' || true)
+	-e '^internal/fabric/' | xargs grep -l -e 'nic\.SGEntry' -e '\.SendBehind(' || true)
 if [ -n "$tx_builders" ]; then
 	echo "gather list built outside nic, netstack and fabric (send through the node's stack):"
 	echo "$tx_builders"
