@@ -1,9 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -36,12 +38,15 @@ func foldDir(t *testing.T, dir string) (string, bool) {
 	if err := os.WriteFile(specPath, []byte(testSpec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var out strings.Builder
-	ok, err := fold(&out, specPath, dir)
+	f, err := fold(specPath, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out.String(), ok
+	var out strings.Builder
+	if err := f.print(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out.String(), f.OK
 }
 
 // row returns the summary row of one workload and metric, split on blanks.
@@ -75,8 +80,9 @@ func TestFoldMediansIQRRatioAndWins(t *testing.T) {
 		t.Errorf("fold reported a failure:\n%s", out)
 	}
 	ns := row(t, out, "w1", "host_ns_per_req")
-	// Columns: workload metric pmed unit piqr cmed unit ciqr ratio won bound inside.
-	want := []string{"w1", "host_ns_per_req", "110", "ns", "20", "100", "ns", "10", "0.9091", "4/5", "0.25", "yes"}
+	// Columns: workload metric pmed unit piqr cmed unit ciqr ratio won bound
+	// inside verdict.
+	want := []string{"w1", "host_ns_per_req", "110", "ns", "20", "100", "ns", "10", "0.9091", "4/5", "0.25", "yes", "within", "spread"}
 	if strings.Join(ns, " ") != strings.Join(want, " ") {
 		t.Errorf("host_ns_per_req row %q, want %q", ns, want)
 	}
@@ -123,7 +129,7 @@ func TestFoldRejectsUnevenPairs(t *testing.T) {
 	if err := os.WriteFile(specPath, []byte(testSpec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fold(&strings.Builder{}, specPath, dir); err == nil {
+	if _, err := fold(specPath, dir); err == nil {
 		t.Error("fold accepted 2 parent runs against 1 change run")
 	}
 }
@@ -135,5 +141,97 @@ func TestQuantileType7(t *testing.T) {
 	}
 	if m := median([]float64{1, 2, 3, 10}); m != 2.5 {
 		t.Errorf("median of 4 = %v, want 2.5", m)
+	}
+}
+
+// TestFoldVerdicts covers each verdict on ten synthetic pairs: a gain needs
+// nine wins in ten and a median gain beyond the parent's IQR, in the
+// metric's better direction; a ratio outside the bound is a regression.
+func TestFoldVerdicts(t *testing.T) {
+	// parent is ten host times with median 104.5 and IQR 4.5.
+	parent := []float64{100, 101, 102, 103, 104, 105, 106, 107, 108, 109}
+	shift := func(d float64, except ...int) []float64 {
+		c := make([]float64, len(parent))
+		for i, p := range parent {
+			c[i] = p + d
+		}
+		for _, i := range except {
+			c[i] = parent[i] // a tie, which counts for neither side
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name     string
+		ns, rps  []float64 // change values; the parent's goodput is 1000
+		nsV, rpV string
+	}{
+		{"gain in all ten", shift(-20), nil, gain, withinSpread},
+		{"gain in nine", shift(-20, 3), nil, gain, withinSpread},
+		{"eight wins", shift(-20, 3, 7), nil, withinSpread, withinSpread},
+		{"ten wins inside the IQR", shift(-4), nil, withinSpread, withinSpread},
+		{"slower inside the bound", shift(10), nil, withinSpread, withinSpread},
+		{"regression", shift(30), nil, regression, withinSpread},
+		{"higher goodput", nil, []float64{1050, 1050, 1050, 1050, 1050, 1050, 1050, 1050, 1050, 1050}, withinSpread, gain},
+		{"lower goodput", nil, []float64{950, 950, 950, 950, 950, 950, 950, 950, 950, 950}, withinSpread, regression},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for i := range parent {
+				ns, rps := parent[i], 1000.0
+				if tc.ns != nil {
+					ns = tc.ns[i]
+				}
+				if tc.rps != nil {
+					rps = tc.rps[i]
+				}
+				writeRun(t, dir, "w1", "parent", i+1, "abc", parent[i], 1000, 0)
+				writeRun(t, dir, "w1", "change", i+1, "abc", ns, rps, 0)
+			}
+			out, _ := foldDir(t, dir)
+			for _, c := range []struct{ metric, want string }{{"host_ns_per_req", tc.nsV}, {"sim_goodput_rps", tc.rpV}} {
+				if got := strings.Join(row(t, out, "w1", c.metric)[12:], " "); got != c.want {
+					t.Errorf("%s verdict %q, want %q", c.metric, got, c.want)
+				}
+			}
+		})
+	}
+}
+
+// TestFoldWritesJSON round-trips the fold through its JSON file.
+func TestFoldWritesJSON(t *testing.T) {
+	dir := t.TempDir()
+	for i := 1; i <= 3; i++ {
+		writeRun(t, dir, "w2", "parent", i, "abc", 100, 1000, 0)
+		writeRun(t, dir, "w2", "change", i, "abd", 130, 1000, 1)
+	}
+	specPath := filepath.Join(dir, "BENCHMARK.json")
+	if err := os.WriteFile(specPath, []byte(testSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fold(specPath, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "fold.json")
+	if err := f.write(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got folded
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, f) {
+		t.Errorf("JSON round trip changed the fold:\n%+v\nwant\n%+v", got, f)
+	}
+	if got.OK || len(got.Rows) != 2 || got.Rows[0].Verdict != regression || got.Rows[0].Ratio != 1.3 {
+		t.Errorf("fold %+v: want not OK and host_ns_per_req a regression at ratio 1.3", got)
+	}
+	n := got.Notes[0]
+	if n.Seed != 1 || n.Pairs != 3 || n.Matched || n.ChangeFingerprint != "abd" || n.ChangeFailed != 3 {
+		t.Errorf("workload note %+v", n)
 	}
 }

@@ -86,11 +86,13 @@ func DefaultConfig() Config {
 }
 
 // level is one set-associative cache level. tags and stamps are flat
-// set-major arrays (way w of set s lives at s*ways+w). A stamp of zero
-// marks an empty way: the clock starts at zero and is pre-incremented
-// before every store, so live stamps are always ≥ 1. Empty ways are filled
-// front-to-back before any eviction, matching the reference model's
-// grow-until-full behavior, and never reappear except via flushAll.
+// set-major arrays (way w of set s lives at s*ways+w), nil until the first
+// access through a hierarchy over the level (Hierarchy.allocate), so a
+// level nothing touches costs no memory. A stamp of zero marks an empty
+// way: the clock starts at zero and is pre-incremented before every store,
+// so live stamps are always ≥ 1. Empty ways are filled front-to-back
+// before any eviction, matching the reference model's grow-until-full
+// behavior, and never reappear except via flushAll.
 type level struct {
 	cfg     LevelConfig
 	numSets int
@@ -111,14 +113,21 @@ func newLevel(cfg LevelConfig) *level {
 	if numSets <= 0 {
 		numSets = 1
 	}
-	n := numSets * cfg.Ways
 	return &level{
 		cfg:     cfg,
 		numSets: numSets,
 		ways:    cfg.Ways,
 		pow2:    numSets&(numSets-1) == 0,
-		tags:    make([]uint64, n),
-		stamps:  make([]uint64, n),
+	}
+}
+
+// allocate gives the level its tag and stamp arrays, all ways empty, unless
+// it has them already.
+func (l *level) allocate() {
+	if l.tags == nil {
+		n := l.numSets * l.ways
+		l.tags = make([]uint64, n)
+		l.stamps = make([]uint64, n)
 	}
 }
 
@@ -174,8 +183,12 @@ func (l *level) fill(line uint64) (uint64, bool) {
 	return victim, true
 }
 
-// contains probes without touching stamps, stats, or the clock.
+// contains probes without touching stamps, stats, or the clock. A level
+// without arrays holds nothing.
 func (l *level) contains(line uint64) bool {
+	if l.tags == nil {
+		return false
+	}
 	base := l.setIndex(line) * l.ways
 	for i, tag := range l.tags[base : base+l.ways] {
 		if tag == line && l.stamps[base+i] != 0 {
@@ -198,7 +211,11 @@ type LevelStats struct {
 }
 
 // Hierarchy is a three-level cache in front of DRAM. L3 may be shared with
-// other hierarchies (see NewShared) to model multiple cores.
+// other hierarchies (see NewShared) to model multiple cores. Its levels
+// allocate their arrays on its first Access or AccessRange; until then
+// Stats reads zero, Contains reports HitDRAM and Flush does nothing, so a
+// hierarchy nothing accesses (a load generator's) costs no array memory
+// and no time to zero it.
 type Hierarchy struct {
 	cfg    Config
 	l1, l2 *level
@@ -243,12 +260,27 @@ func NewShared(base *Hierarchy) *Hierarchy {
 // purposes (the line is brought in, dirtiness is not modelled because the
 // paper's costs are read-latency dominated).
 func (h *Hierarchy) Access(addr uint64) (HitLevel, float64) {
+	if h.l1.tags == nil {
+		h.allocate()
+	}
 	line := addr &^ uint64(LineSize-1)
 	if h.l1.lookup(line) {
 		return HitL1, h.cfg.L1.LatencyCy
 	}
 	return h.missBelowL1(line)
 }
+
+// allocate gives every level of h its arrays on h's first access. A shared
+// L3 is allocated once, by the first access of any hierarchy over it.
+func (h *Hierarchy) allocate() {
+	h.l1.allocate()
+	h.l2.allocate()
+	h.l3.allocate()
+}
+
+// Allocated reports whether h's private levels have their arrays, that is,
+// whether h has been accessed.
+func (h *Hierarchy) Allocated() bool { return h.l1.tags != nil }
 
 // missBelowL1 resolves a line that already missed (and was counted by) L1:
 // probe L2 and L3, fill upward, and charge DRAM with stream detection on a
@@ -296,6 +328,9 @@ func (h *Hierarchy) AccessRange(addr uint64, n int) (cycles float64, dramLines i
 	line := addr &^ uint64(LineSize-1)
 	nLines := int((addr+uint64(n)-1)/LineSize-line/LineSize) + 1
 	l1 := h.l1
+	if l1.tags == nil {
+		h.allocate()
+	}
 	idx := l1.setIndex(line)
 	l1Cy := h.cfg.L1.LatencyCy
 	for k := 0; k < nLines; k++ {

@@ -215,7 +215,11 @@ func (r *Receipt) Scale(n float64) {
 // Meter accumulates cycle charges for one core. All functional code on that
 // core shares the meter; the owning event loop drains it into service time.
 type Meter struct {
-	CPU   CPU
+	CPU CPU
+	// Cache is the hierarchy every data and metadata touch goes through.
+	// Nil models no cache: Access and AccessWord then charge nothing and
+	// leave the cache model alone. Load generators run on such a meter,
+	// since only a server's meter is ever drained into simulated time.
 	Cache *cachesim.Hierarchy
 
 	cat     Category
@@ -231,7 +235,8 @@ type Meter struct {
 	SGEntriesPosts uint64
 }
 
-// NewMeter builds a meter over the given CPU and cache hierarchy.
+// NewMeter builds a meter over the given CPU and cache hierarchy (nil for
+// none).
 func NewMeter(cpu CPU, cache *cachesim.Hierarchy) *Meter {
 	return &Meter{CPU: cpu, Cache: cache}
 }
@@ -279,13 +284,19 @@ func (m *Meter) Charge(cy float64) {
 
 // Access touches n bytes at the simulated address, charging cache costs.
 func (m *Meter) Access(simAddr uint64, n int) {
+	if m.Cache == nil {
+		return
+	}
 	cy, _ := m.Cache.AccessRange(simAddr, n)
 	m.Charge(cy)
 }
 
-// AccessWord touches a single word (one line) and reports whether it missed
-// to DRAM.
+// AccessWord touches a single word (one line) and reports the level it hit;
+// without a cache every touch is a free L1 hit.
 func (m *Meter) AccessWord(simAddr uint64) cachesim.HitLevel {
+	if m.Cache == nil {
+		return cachesim.HitL1
+	}
 	lvl, cy := m.Cache.Access(simAddr)
 	m.Charge(cy)
 	return lvl

@@ -188,3 +188,29 @@ func TestCrossoverCalibration(t *testing.T) {
 		t.Errorf("at 512B copy/zero-copy ratio = %.2f (copy %.0f, zc %.0f); want near 1", ratio, c, z)
 	}
 }
+
+// TestMeterWithoutCache pins the load generator's meter: with no hierarchy,
+// touches charge nothing and never miss, while copies keep their fixed
+// setup and per-byte cost and every counter.
+func TestMeterWithoutCache(t *testing.T) {
+	m := NewMeter(DefaultCPU(), nil)
+	m.Access(0x1000, 4096)
+	if lvl := m.AccessWord(0x1000); lvl != cachesim.HitL1 {
+		t.Errorf("AccessWord = %v, want a free L1 hit", lvl)
+	}
+	m.MetadataAccess(0x2000)
+	if got := m.Drain(); got != 0 {
+		t.Errorf("touches charged %v cycles, want 0", got)
+	}
+	if m.MetadataTouch != 1 || m.MetadataMisses != 0 {
+		t.Errorf("metadata touches %d, misses %d; want 1, 0", m.MetadataTouch, m.MetadataMisses)
+	}
+	m.Copy(0x1000, 0x9000, 1000)
+	cpu := DefaultCPU()
+	if got, want := m.Drain(), cpu.CopySetupCy+1000*cpu.CopyPerByteCy; got != want {
+		t.Errorf("copy charged %v cycles, want %v", got, want)
+	}
+	if m.BytesCopied != 1000 {
+		t.Errorf("BytesCopied = %d, want 1000", m.BytesCopied)
+	}
+}

@@ -29,7 +29,7 @@ type ClusterTestbed struct {
 	// Servers[i] is the KV shard reachable at ServerAddrs[i].
 	Servers     []*KVServer
 	ServerAddrs []byte
-	// Clients[i] is a load-generator endpoint.
+	// Clients[i] is a load-generator endpoint, unmetered (Rack.AddClient).
 	Clients []*Node
 	// Ring maps keys to server indexes; clients and Preload share it, so
 	// routing and placement always agree.
@@ -52,7 +52,7 @@ func NewClusterTestbed(nServers, nClients int, sys System, profile nic.Profile, 
 		c.ServerAddrs = append(c.ServerAddrs, addr)
 	}
 	for i := 0; i < nClients; i++ {
-		n, _ := c.AddNode(profile, cachesim.DefaultConfig())
+		n, _ := c.AddClient(profile)
 		c.Clients = append(c.Clients, n)
 	}
 	return c

@@ -8,8 +8,9 @@ import (
 
 // KVClient encodes workload requests and decodes response ids for one
 // serialization system; it plugs into loadgen.Run. The load generator
-// machine is not the measured resource (§6.1.1), so client-side encoding
-// costs land on the client node's meter and are not reported.
+// machine is not the measured resource (§6.1.1), so client-side costs are
+// not metered: the client node's meter models no cache (see unmetered) and
+// is never drained into simulated time.
 type KVClient struct {
 	Sys System
 	N   *Node

@@ -78,6 +78,18 @@ func (r *Rack) addNode(port *nic.Port, useTCP bool, cache *cachesim.Hierarchy) *
 	return n
 }
 
+// unmetered makes n a load generator's node and returns it: its meter
+// models no cache, so its sends, receives and decodes do no cache-model
+// work. The paper measures one server core while a dedicated machine
+// generates the load (§6.1.1), and only a server's meter is drained into
+// simulated time, so nothing a load generator's cache could hold reaches a
+// result. n keeps its hierarchy for readers of every node's Cache; left
+// untouched, it holds no level arrays.
+func unmetered(n *Node) *Node {
+	n.Meter.Cache = nil
+	return n
+}
+
 // AddNode plugs a fresh UDP node into the switch and returns it with its
 // fabric address.
 func (r *Rack) AddNode(profile nic.Profile, cacheCfg cachesim.Config) (*Node, byte) {
@@ -87,6 +99,13 @@ func (r *Rack) AddNode(profile nic.Profile, cacheCfg cachesim.Config) (*Node, by
 	r.Addrs = append(r.Addrs, addr)
 	r.switched = append(r.switched, n)
 	return n, addr
+}
+
+// AddClient plugs a load generator into the switch: a UDP node whose meter
+// models no cache (see unmetered).
+func (r *Rack) AddClient(profile nic.Profile) (*Node, byte) {
+	n, addr := r.AddNode(profile, cachesim.DefaultConfig())
+	return unmetered(n), addr
 }
 
 // Cores returns n followed by k−1 sibling UDP nodes on n's port, each with
@@ -108,7 +127,7 @@ func (r *Rack) Cores(n *Node, k int) []*Node {
 
 // Testbed is a client and server pair joined by one direct link,
 // mirroring the back-to-back machine pairs of §6.1.1: a two-node Rack
-// whose switch stays idle.
+// whose switch stays idle. The client is a load generator (see unmetered).
 type Testbed struct {
 	*Rack
 	Client, Server *Node
@@ -134,7 +153,7 @@ func NewTCPTestbed(profile nic.Profile) *Testbed {
 func newTestbed(profile nic.Profile, cacheCfg cachesim.Config, useTCP bool) *Testbed {
 	r := NewRack(fabric.Config{})
 	pc, ps := nic.Link(r.Eng, profile, profile, propagation)
-	client := r.addNode(pc, useTCP, cachesim.New(cachesim.DefaultConfig()))
+	client := unmetered(r.addNode(pc, useTCP, cachesim.New(cachesim.DefaultConfig())))
 	server := r.addNode(ps, useTCP, cachesim.New(cacheCfg))
 	return &Testbed{Rack: r, Client: client, Server: server}
 }

@@ -6,22 +6,39 @@ import (
 	"cornflakes/internal/sim"
 )
 
+// benchRetry is the KV bench workloads' retry policy. In an underloaded
+// run its deadline never fires, so each request arms and cancels one
+// deadline timer.
+var benchRetry = RetryPolicy{
+	Deadline: 300 * sim.Microsecond, MaxRetries: 2,
+	Backoff: 30 * sim.Microsecond, MaxBackoff: 240 * sim.Microsecond,
+}
+
 // BenchmarkRequestLifecycle is the load generator's micro-benchmark: one
 // request drawn, built, sent, echoed, matched and recorded, in an
-// underloaded open-loop run (100 krps on a 1 µs echo fixture). An op is
-// 10 µs of simulated time, one request on average, so ns/op is host time
-// per request; allocs/op includes the payload the fixture's client builds
-// and the copy its echo server sends back.
+// underloaded open-loop run (100 krps on a 1 µs echo fixture), without a
+// retry policy and with the one every bench workload runs. An op is 10 µs
+// of simulated time, one request on average, so ns/op is host time per
+// request; allocs/op includes the payload the fixture's client builds and
+// the copy its echo server sends back.
 func BenchmarkRequestLifecycle(b *testing.B) {
-	f := newEchoFixture(sim.Microsecond)
-	b.ReportAllocs()
-	b.ResetTimer()
-	res := Run(Config{
-		Eng: f.eng, EP: f.client, Gen: genConst{}, Client: idClient{pad: 56},
-		RatePerS: 100_000, Measure: sim.Time(b.N) * 10 * sim.Microsecond, Seed: 1,
-	})
-	if res.BadResponses != 0 {
-		b.Fatalf("%d bad responses", res.BadResponses)
+	for _, tc := range []struct {
+		name  string
+		retry RetryPolicy
+	}{{"no-retry", RetryPolicy{}}, {"retry", benchRetry}} {
+		b.Run(tc.name, func(b *testing.B) {
+			f := newEchoFixture(sim.Microsecond)
+			b.ReportAllocs()
+			b.ResetTimer()
+			res := Run(Config{
+				Eng: f.eng, EP: f.client, Gen: genConst{}, Client: idClient{pad: 56},
+				RatePerS: 100_000, Measure: sim.Time(b.N) * 10 * sim.Microsecond, Seed: 1,
+				Retry: tc.retry,
+			})
+			if res.BadResponses != 0 {
+				b.Fatalf("%d bad responses", res.BadResponses)
+			}
+			b.ReportMetric(float64(res.Completed)/float64(b.N), "req/op")
+		})
 	}
-	b.ReportMetric(float64(res.Completed)/float64(b.N), "req/op")
 }

@@ -102,9 +102,10 @@ type Config struct {
 	// Exec, when set, is what Run/RunMany drive instead of Eng, such as a
 	// testbed's Exec handle (which is its engine). Nil means drive Eng.
 	Exec sim.Runner
-	// EP is the client-side endpoint (its meter is the client's own CPU,
-	// which is not the measured resource — the paper's load generator has
-	// 16 threads on a dedicated machine).
+	// EP is the client-side endpoint. A load generator's costs are not
+	// metered: the paper's load generator is a dedicated 16-thread machine
+	// (§6.1.1), so package driver builds client nodes whose meter models no
+	// cache, and no client meter is drained into simulated time.
 	EP       Endpoint
 	Gen      workloads.Generator
 	Client   Client
@@ -240,6 +241,11 @@ type flow struct {
 	// respBytes sums the flow's answered intermediate steps; it joins the
 	// run's byte count only if the flow completes.
 	respBytes uint64
+	// bound holds the flow's timer callbacks: the hedge launch, the
+	// deadline of the attempt whose primary is primaryID, and the backoff
+	// re-send. They are bound to the flow once, when it is built, and kept
+	// across reuse, so arming a timer allocates nothing.
+	bound struct{ hedge, deadline, resend func() }
 }
 
 // Runner is one in-flight load generation run. Start schedules all of a
@@ -265,17 +271,20 @@ type Runner struct {
 	wasted map[uint64]bool
 }
 
-func (ru *Runner) getFlow() *flow {
+// getFlow takes a parked flow, or builds one with build when none is
+// parked.
+func (ru *Runner) getFlow(build func() *flow) *flow {
 	if k := len(ru.flowPool); k > 0 {
 		f := ru.flowPool[k-1]
 		ru.flowPool = ru.flowPool[:k-1]
 		return f
 	}
-	return &flow{}
+	return build()
 }
 
+// putFlow parks f, cleared but for its bound timer callbacks.
 func (ru *Runner) putFlow(f *flow) {
-	*f = flow{}
+	*f = flow{bound: f.bound}
 	ru.flowPool = append(ru.flowPool, f)
 }
 
@@ -358,76 +367,90 @@ func Start(cfg Config) *Runner {
 		// this frame resolve through the wire id registered here.
 		cfg.Tracer.Attempt(f.tr, id, eng.Now())
 		announce(route)
-		payload := cfg.Client.BuildStep(id, f.req, f.step)
-		cfg.EP.SendContiguous(payload, mem.UnpinnedSimAddr(payload))
+		// The client's meter models no cache, so no simulated source
+		// address is read: the payload goes out from address 0.
+		cfg.EP.SendContiguous(cfg.Client.BuildStep(id, f.req, f.step), 0)
 		return id
 	}
 
-	var sendStep func(f *flow)
-
-	// launchHedge fires the second racer of f's current attempt, routed as
-	// route index route+1 so failover routing picks a different replica
-	// than the primary.
-	launchHedge := func(f *flow) {
+	// hedge fires the second racer of f's current attempt, routed as route
+	// index route+1 so failover routing picks a different replica than the
+	// primary. Its timer is cancelled whenever the attempt resolves or
+	// expires, so the primary it races is always f.primaryID.
+	hedge := func(f *flow) {
+		if flows[f.primaryID] != f {
+			return // primary already resolved; no hedge needed
+		}
 		f.hedgeID = sendAttempt(f, f.route+1)
 		f.hedged = true
 		res.Hedges++
 	}
 
-	sendStep = func(f *flow) {
-		id := sendAttempt(f, f.route)
-		f.primaryID = id
+	// expire ends f's current attempt at its deadline: it retries after a
+	// backoff while the flow's budget lasts, and times the flow out after.
+	// Resolving an attempt cancels its deadline, and only a resolved or
+	// expired attempt is followed by another, so the expiring attempt's
+	// primary is always f.primaryID.
+	expire := func(f *flow) {
+		id := f.primaryID
+		if flows[id] != f {
+			return // resolved in the meantime
+		}
+		delete(flows, id)
+		// The hedge shares its primary's deadline: abandon the launched
+		// copy (its reply counts Late) or disarm the pending launch, so one
+		// timeout disposes the whole race.
+		f.hedgeTimer.Cancel()
+		if f.hedged {
+			if flows[f.hedgeID] == f {
+				delete(flows, f.hedgeID)
+				cfg.Tracer.AttemptEnd(f.hedgeID)
+			}
+			f.hedged = false
+			f.route++ // the hedge consumed the next failover slot
+		}
+		willRetry := f.attempts < cfg.Retry.MaxRetries
+		cfg.Tracer.Timeout(f.tr, id, eng.Now(), willRetry)
+		if !willRetry {
+			if f.measured {
+				res.TimedOut++
+			}
+			cfg.Tracer.EndFlow(f.tr, eng.Now(), trace.OutcomeTimedOut)
+			ru.putFlow(f)
+			return
+		}
+		// Capped exponential backoff plus jitter of up to half the
+		// backoff, so synchronized clients do not retry in phase.
+		bo := cfg.Retry.backoffFor(f.attempts)
+		f.attempts++
+		f.route++
+		res.Retries++
+		delay := bo + jitter.Duration(bo/2)
+		if delay <= 0 {
+			delay = 1 // After(0) would re-enter sendStep inline
+		}
+		eng.After(delay, f.bound.resend)
+	}
+
+	sendStep := func(f *flow) {
+		f.primaryID = sendAttempt(f, f.route)
 		f.hedged = false
 		if cfg.Hedge.enabled() {
 			delay := cfg.Hedge.Delay + hedgeRng.Duration(cfg.Hedge.Jitter)
-			f.hedgeTimer = eng.After(delay, func() {
-				if flows[id] != f {
-					return // primary already resolved; no hedge needed
-				}
-				launchHedge(f)
-			})
+			f.hedgeTimer = eng.After(delay, f.bound.hedge)
 		}
 		if cfg.Retry.enabled() {
-			f.timer = eng.After(cfg.Retry.Deadline, func() {
-				if flows[id] != f {
-					return // resolved in the meantime
-				}
-				delete(flows, id)
-				// The hedge shares its primary's deadline: abandon the
-				// launched copy (its reply counts Late) or disarm the
-				// pending launch, so one timeout disposes the whole race.
-				f.hedgeTimer.Cancel()
-				if f.hedged {
-					if flows[f.hedgeID] == f {
-						delete(flows, f.hedgeID)
-						cfg.Tracer.AttemptEnd(f.hedgeID)
-					}
-					f.hedged = false
-					f.route++ // the hedge consumed the next failover slot
-				}
-				willRetry := f.attempts < cfg.Retry.MaxRetries
-				cfg.Tracer.Timeout(f.tr, id, eng.Now(), willRetry)
-				if !willRetry {
-					if f.measured {
-						res.TimedOut++
-					}
-					cfg.Tracer.EndFlow(f.tr, eng.Now(), trace.OutcomeTimedOut)
-					ru.putFlow(f)
-					return
-				}
-				// Capped exponential backoff plus jitter of up to half the
-				// backoff, so synchronized clients do not retry in phase.
-				bo := cfg.Retry.backoffFor(f.attempts)
-				f.attempts++
-				f.route++
-				res.Retries++
-				delay := bo + jitter.Duration(bo/2)
-				if delay <= 0 {
-					delay = 1 // After(0) would re-enter sendStep inline
-				}
-				eng.After(delay, func() { sendStep(f) })
-			})
+			f.timer = eng.After(cfg.Retry.Deadline, f.bound.deadline)
 		}
+	}
+
+	// newFlow builds a flow with its timer callbacks bound.
+	newFlow := func() *flow {
+		f := &flow{}
+		f.bound.hedge = func() { hedge(f) }
+		f.bound.deadline = func() { expire(f) }
+		f.bound.resend = func() { sendStep(f) }
+		return f
 	}
 
 	// resolve ends the current attempt's bookkeeping for a delivered id.
@@ -547,7 +570,7 @@ func Start(cfg Config) *Runner {
 			return
 		}
 		req := cfg.Gen.Next(r)
-		f := ru.getFlow()
+		f := ru.getFlow(newFlow)
 		f.req, f.start, f.measured = req, now, now >= cfg.Warmup
 		if f.measured {
 			res.Sent++

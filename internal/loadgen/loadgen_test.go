@@ -115,7 +115,7 @@ func newEchoFixture(service sim.Time) *echoFixture {
 	eng := sim.NewEngine()
 	pc, ps := nic.Link(eng, nic.MellanoxCX6(), nic.MellanoxCX6(), sim.FromNanos(1000))
 	cAlloc, sAlloc := mem.NewAllocator(), mem.NewAllocator()
-	cMeter := costmodel.NewMeter(costmodel.DefaultCPU(), cachesim.New(cachesim.DefaultConfig()))
+	cMeter := costmodel.NewMeter(costmodel.DefaultCPU(), nil) // a load generator's: no cache model
 	sMeter := costmodel.NewMeter(costmodel.DefaultCPU(), cachesim.New(cachesim.DefaultConfig()))
 	f := &echoFixture{
 		eng:     eng,

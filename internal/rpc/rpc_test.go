@@ -319,3 +319,25 @@ func TestUndecodableReplyFailsFanIn(t *testing.T) {
 		})
 	}
 }
+
+// The chain's client is a load generator, built unmetered: after a run its
+// hierarchy has done no cache-model work and allocated no level arrays,
+// while every tier's has.
+func TestChainClientUnmetered(t *testing.T) {
+	c := NewChain(chainCfg(driver.SysCornflakes, 2, 2))
+	if res := runChain(t, c, 50_000, loadgen.RetryPolicy{}, loadgen.HedgePolicy{}); res.Completed == 0 {
+		t.Fatal("no requests completed")
+	}
+	cl := c.Client.N
+	if s := cl.Cache.Stats(); cl.Meter.Cache != nil || s != ([3]cachesim.LevelStats{}) || cl.Cache.DRAMAccesses != 0 || cl.Cache.Allocated() {
+		t.Errorf("client hierarchy reads %+v, %d DRAM accesses, allocated %v; want an unmetered, untouched client",
+			s, cl.Cache.DRAMAccesses, cl.Cache.Allocated())
+	}
+	for _, s := range c.Services {
+		st := s.N.Cache.Stats()
+		if st[0].Hits == 0 || st[0].Misses == 0 || s.N.Cache.DRAMAccesses == 0 || !s.N.Cache.Allocated() {
+			t.Errorf("%s: hierarchy reads %+v, %d DRAM accesses, allocated %v; want all non-zero",
+				s.Name, st, s.N.Cache.DRAMAccesses, s.N.Cache.Allocated())
+		}
+	}
+}

@@ -101,6 +101,20 @@ if [ -n "$rpc_sends" ]; then
 	exit 1
 fi
 
+echo "== unmetered load generators (loadgen hashes no payload into a send address)"
+# Every builder makes its load-generator nodes unmetered (driver's
+# unmetered, Rack.AddClient): their meter models no cache, so a send
+# address computed for a client's payload is never read. A non-test file
+# under internal/loadgen that hashes a payload's content into one spends
+# host time on every request for nothing.
+lg_hashes=$(git ls-files 'internal/loadgen/*.go' | grep -v '_test\.go$' |
+	xargs grep -l 'UnpinnedSimAddr(' || true)
+if [ -n "$lg_hashes" ]; then
+	echo "payload hashed into a send address under internal/loadgen (client nodes are unmetered):"
+	echo "$lg_hashes"
+	exit 1
+fi
+
 echo "== one way into a server (frames reach a server only through its node's stack)"
 # A node receives through its stack's onFrame, or through the receive-side
 # scaling Rack.Cores installs (netstack.Steer) when sibling cores share a
@@ -183,8 +197,8 @@ if [ "$fps" != "$(cat scripts/bench_fingerprints.golden)" ]; then
 	exit 1
 fi
 
-echo "== zero-alloc hot-path pins (DES engine, queue serve, meter, cache fill, frame path, range walk, message pool, switch forward, serialize-and-send, TCP send/ack)"
-go test ./internal/sim ./internal/costmodel ./internal/nic ./internal/cachesim ./internal/core ./internal/fabric ./internal/netstack -run 'AllocFree|TestTimerStaleAfterRecycle'
+echo "== zero-alloc hot-path pins (DES engine, queue serve, meter, cache fill, frame path, range walk, message pool, switch forward, serialize-and-send, TCP send/ack, request lifecycle)"
+go test ./internal/sim ./internal/costmodel ./internal/nic ./internal/cachesim ./internal/core ./internal/fabric ./internal/netstack ./internal/loadgen -run 'AllocFree|TestTimerStaleAfterRecycle'
 
 echo "== go test -race ./... (includes the parallel sweep smoke)"
 # The experiments package runs every reproduction at Quick scale; under the
