@@ -9,42 +9,51 @@ import "testing"
 // allocating again.
 
 // TestScheduleDispatchAllocFree pins 0 allocs/event on the steady-state
-// schedule→fire loop: after warmup the heap slice, the event free list,
-// and the (pre-created) callback are all reused.
+// schedule→fire loop in both tiers: after warmup the heap slice, the
+// calendar's buckets, the event free list, and the (pre-created) callback
+// are all reused. Each run schedules near events a nanosecond apart and
+// across the whole calendar horizon, a 250 µs timer that fires and an
+// 800 µs one that is cancelled, as a fan-in timer and a request deadline
+// are.
 func TestScheduleDispatchAllocFree(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
-	// Warm the free list and heap capacity.
-	for i := 0; i < 64; i++ {
-		e.After(Nanosecond, fn)
-	}
-	e.Run()
 	const perRun = 100
-	allocs := testing.AllocsPerRun(100, func() {
+	run := func() {
 		for i := 0; i < perRun; i++ {
 			e.After(Time(i)*Nanosecond, fn)
+			e.After(Time(i)*(calBuckets<<calShift)/perRun, fn)
 		}
+		e.After(250*Microsecond, fn)
+		e.After(800*Microsecond, fn).Cancel()
 		e.Run()
-	})
+	}
+	// Warm the free list, the heap's capacity and the calendar.
+	run()
+	allocs := testing.AllocsPerRun(100, run)
 	if allocs != 0 {
-		t.Fatalf("steady-state schedule+dispatch allocated %.2f allocs per %d events (want 0)", allocs, perRun)
+		t.Fatalf("steady-state schedule+dispatch allocated %.2f allocs per %d events (want 0)", allocs, 2*perRun+2)
 	}
 }
 
 // TestCancelRecyclesAllocFree pins the cancel path: schedule + cancel must
-// recycle the event without garbage.
+// recycle the event without garbage, from the calendar and from the heap.
 func TestCancelRecyclesAllocFree(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
-	for i := 0; i < 8; i++ {
-		e.After(Nanosecond, fn).Cancel()
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		tm := e.After(Nanosecond, fn)
-		if !tm.Cancel() {
+	run := func() {
+		near := e.After(Nanosecond, fn)
+		e.After(250*Microsecond, fn)
+		far := e.After(800*Microsecond, fn)
+		if !near.Cancel() || !far.Cancel() {
 			t.Fatal("cancel failed")
 		}
-	})
+		e.Run()
+	}
+	for i := 0; i < 8; i++ {
+		run()
+	}
+	allocs := testing.AllocsPerRun(100, run)
 	if allocs != 0 {
 		t.Fatalf("schedule+cancel allocated %.2f allocs (want 0)", allocs)
 	}
@@ -115,10 +124,12 @@ func BenchmarkEngineScheduleDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineTimerMix models the rpc-fanout event mix: 512 standing
+// BenchmarkEngineTimerMix is a timer-heavy stress mix: 512 standing
 // deadline timers, one cancelled and re-armed 800 µs out per iteration
 // (loadgen and rpc cancel most deadlines on completion), plus 8 ns-scale
-// link, DMA and core events run to completion.
+// link, DMA and core events run to completion. It holds far more timers
+// than the bench workloads: rpc-fanout has about 39 far and 19 near
+// events pending at a pop. BenchmarkEngineFanoutRequest models that mix.
 func BenchmarkEngineTimerMix(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}
@@ -136,6 +147,37 @@ func BenchmarkEngineTimerMix(b *testing.B) {
 			e.After(Time(j)*Nanosecond, fn)
 		}
 		e.RunUntil(e.Now() + 8*Nanosecond)
+	}
+}
+
+// BenchmarkEngineFanoutRequest replays one rpc-fanout request's queue
+// traffic per op: four 250 µs fan-in timers and an 800 µs deadline, 84
+// near events due 8 ns–4 µs ahead, run to completion, and the cancels of
+// an earlier request's five timers, all of which complete in time. Eight
+// requests' timers stand at once, 40 far events, as the bench workload's
+// census reads about 39.
+func BenchmarkEngineFanoutRequest(b *testing.B) {
+	e := NewEngine()
+	fn := func() {}
+	const inFlight = 8
+	var timers [inFlight][5]Timer
+	b.ReportAllocs()
+	for i := 0; i < b.N+inFlight; i++ {
+		if i == inFlight {
+			b.ResetTimer()
+		}
+		req := &timers[i%inFlight]
+		for _, tm := range req {
+			tm.Cancel()
+		}
+		for j := range 4 {
+			req[j] = e.After(250*Microsecond, fn)
+		}
+		req[4] = e.After(800*Microsecond, fn)
+		for j := range 84 {
+			e.After(8*Nanosecond+Time(j)*(4*Microsecond-8*Nanosecond)/83, fn)
+		}
+		e.RunUntil(e.Now() + 4*Microsecond)
 	}
 }
 

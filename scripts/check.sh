@@ -101,16 +101,19 @@ if [ -n "$rpc_sends" ]; then
 	exit 1
 fi
 
-echo "== unmetered load generators (loadgen hashes no payload into a send address)"
+echo "== unmetered load generators (no client hashes a payload into a send address)"
 # Every builder makes its load-generator nodes unmetered (driver's
 # unmetered, Rack.AddClient): their meter models no cache, so a send
 # address computed for a client's payload is never read. A non-test file
-# under internal/loadgen that hashes a payload's content into one spends
-# host time on every request for nothing.
-lg_hashes=$(git ls-files 'internal/loadgen/*.go' | grep -v '_test\.go$' |
-	xargs grep -l 'UnpinnedSimAddr(' || true)
+# under internal/loadgen, or the soak's client in
+# internal/experiments/soak.go, that hashes a payload's content into one
+# spends host time on every request for nothing.
+lg_hashes=$({
+	git ls-files 'internal/loadgen/*.go' | grep -v '_test\.go$'
+	git ls-files internal/experiments/soak.go
+} | xargs grep -l 'UnpinnedSimAddr(' || true)
 if [ -n "$lg_hashes" ]; then
-	echo "payload hashed into a send address under internal/loadgen (client nodes are unmetered):"
+	echo "payload hashed into a client's send address (client nodes are unmetered):"
 	echo "$lg_hashes"
 	exit 1
 fi
