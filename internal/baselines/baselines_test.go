@@ -273,9 +273,10 @@ func TestFBBuilderGrowth(t *testing.T) {
 func capnpWire(t *testing.T, d *Doc, m *costmodel.Meter) []byte {
 	t.Helper()
 	cm := CapnpBuild(d, m)
-	segs, _ := CapnpFlatten(cm)
+	var f CapnpFrame
+	CapnpFlatten(&f, cm)
 	var out []byte
-	for _, s := range segs {
+	for _, s := range f.Segs {
 		out = append(out, s...)
 	}
 	return out

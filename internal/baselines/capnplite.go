@@ -159,19 +159,30 @@ func (b *capnpBuilder) writeStruct(d *Doc) (int, int) {
 	return seg, off
 }
 
-// CapnpFlatten frames the segments into one contiguous byte stream for
-// transmission: u32 segment count, u32 per-segment length, segment bytes.
-// (The builder output stays segmented; the netstack copies the segments
-// into a DMA buffer in this framing.)
-func CapnpFlatten(cm *CapnpMessage) ([][]byte, []uint64) {
-	hdr := make([]byte, 4+4*len(cm.Segs))
+// CapnpFrame is a message framed for transmission: Segs is the segment
+// table (u32 segment count, u32 per-segment length) followed by the
+// builder's segments, and Sims their simulated addresses. A sender keeps
+// one and reflattens into it, so framing allocates nothing once its arrays
+// have grown; Segs is valid until the next CapnpFlatten into the frame.
+type CapnpFrame struct {
+	Segs [][]byte
+	Sims []uint64
+	hdr  []byte
+}
+
+// CapnpFlatten frames cm into f for transmission, reusing f's arrays. (The
+// builder output stays segmented; the netstack copies f.Segs into a DMA
+// buffer in this framing.) The segment table's simulated address is the
+// hash of its contents, as for any unpinned buffer.
+func CapnpFlatten(f *CapnpFrame, cm *CapnpMessage) {
+	hdr := append(f.hdr[:0], make([]byte, 4+4*len(cm.Segs))...)
 	wire.PutU32(hdr, uint32(len(cm.Segs)))
 	for i, s := range cm.Segs {
 		wire.PutU32(hdr[4+4*i:], uint32(len(s)))
 	}
-	segs := append([][]byte{hdr}, cm.Segs...)
-	sims := append([]uint64{mem.UnpinnedSimAddr(hdr)}, cm.Sims...)
-	return segs, sims
+	f.hdr = hdr
+	f.Segs = append(append(f.Segs[:0], hdr), cm.Segs...)
+	f.Sims = append(append(f.Sims[:0], mem.UnpinnedSimAddr(hdr)), cm.Sims...)
 }
 
 // CapnpDecode parses a framed capnplite message into a Doc with zero-copy

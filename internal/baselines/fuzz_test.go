@@ -81,9 +81,10 @@ func FuzzCapnpDecode(f *testing.F) {
 	d.SetInt(0, 1)
 	d.AddBytes(2, []byte("y"), 0)
 	cm := CapnpBuild(d, m)
-	segs, _ := CapnpFlatten(cm)
+	var fr CapnpFrame
+	CapnpFlatten(&fr, cm)
 	var wire []byte
-	for _, s := range segs {
+	for _, s := range fr.Segs {
 		wire = append(wire, s...)
 	}
 	f.Add(wire)

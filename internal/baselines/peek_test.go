@@ -58,9 +58,10 @@ func TestCapnpPeekID(t *testing.T) {
 	d := NewDoc(idSchema())
 	d.SetInt(0, 31337)
 	cm := CapnpBuild(d, m)
-	segs, _ := CapnpFlatten(cm)
+	var f CapnpFrame
+	CapnpFlatten(&f, cm)
 	var wire []byte
-	for _, s := range segs {
+	for _, s := range f.Segs {
 		wire = append(wire, s...)
 	}
 	id, ok := CapnpPeekID(wire)
@@ -74,9 +75,9 @@ func TestCapnpPeekID(t *testing.T) {
 	d2 := NewDoc(idSchema())
 	d2.SetBytes(1, []byte("x"), 0)
 	cm2 := CapnpBuild(d2, m)
-	segs2, _ := CapnpFlatten(cm2)
+	CapnpFlatten(&f, cm2)
 	var wire2 []byte
-	for _, s := range segs2 {
+	for _, s := range f.Segs {
 		wire2 = append(wire2, s...)
 	}
 	if _, ok := CapnpPeekID(wire2); ok {

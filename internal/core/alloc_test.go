@@ -40,8 +40,8 @@ func TestMessagePoolAllocFree(t *testing.T) {
 		buf := c.Alloc.Alloc(len(data))
 		copy(buf.Bytes(), data)
 		cycle := func() {
-			buf.IncRef() // Deserialize takes over a reference; keep ours
-			got, err := c.Deserialize(s, buf)
+			// Deserialize takes over the view it is given; keep ours.
+			got, err := c.Deserialize(s, buf.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -505,8 +505,8 @@ func TestEchoKeepsRecvBufferAliveViaCFPtr(t *testing.T) {
 	if !p.IsZeroCopy() {
 		t.Fatal("view into received pinned buffer did not recover")
 	}
-	got.Release() // drop the receive reference
-	if buf.Refcount() != 1 {
+	got.Release() // drop the receive reference; it ends buf's view too
+	if p.ZCBuf().Refcount() != 1 {
 		t.Fatalf("refcount = %d, want 1 (CFPtr keeps it alive)", buf.Refcount())
 	}
 	if !bytes.Equal(p.Bytes(), payload) {

@@ -1,19 +1,25 @@
 package core
 
 import (
+	"slices"
+
 	"cornflakes/internal/mem"
 	"cornflakes/internal/wire"
 )
 
-// Marshal assembles the complete serialized object into a fresh byte slice:
-// header region, then copied data, then zero-copy data. The networking
-// stack never calls this — it writes the header and copy region into a DMA
-// buffer and lets the NIC gather the zero-copy entries (§3.2.3) — but tests,
-// tools, and the non-scatter-gather fallback path use it, and its output is
-// byte-identical to what a receiver sees after NIC gather.
-func Marshal(m *Message) []byte {
+// AppendMarshal appends the complete serialized object to dst and returns
+// the extended slice: header region, then copied data, then zero-copy
+// data. The networking stack never calls this — it writes the header and
+// copy region into a DMA buffer and lets the NIC gather the zero-copy
+// entries (§3.2.3) — but load-generator clients, tests and tools use it,
+// and its output is byte-identical to what a receiver sees after NIC
+// gather. A client that passes the same scratch back each time marshals
+// without allocating once the scratch has grown.
+func AppendMarshal(dst []byte, m *Message) []byte {
 	l := m.Layout()
-	out := make([]byte, l.ObjectLen())
+	start := len(dst)
+	dst = slices.Grow(dst, l.ObjectLen())[:start+l.ObjectLen()]
+	out := dst[start:]
 	m.WriteHeader(out)
 	cur := l.HeaderLen
 	m.IterateCopyEntries(func(data []byte, sim uint64) {
@@ -24,8 +30,11 @@ func Marshal(m *Message) []byte {
 		copy(out[cur:], buf.Bytes())
 		cur += buf.Len()
 	})
-	return out
+	return dst
 }
+
+// Marshal is AppendMarshal into a fresh slice.
+func Marshal(m *Message) []byte { return AppendMarshal(nil, m) }
 
 // PeekID extracts field 0 of a serialized message when it is a present
 // integer field — the request/response id convention every RPC schema in

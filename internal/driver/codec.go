@@ -1,6 +1,8 @@
 package driver
 
 import (
+	"slices"
+
 	"cornflakes/internal/baselines"
 	"cornflakes/internal/core"
 	"cornflakes/internal/mem"
@@ -112,32 +114,44 @@ func (s System) Decode(n *Node, schema *core.Schema, p *mem.Buf, off int) (Msg, 
 	return Msg{n: n, doc: d, buf: p}, nil
 }
 
-// Marshal serializes m into one contiguous buffer. This is the client
-// side, where the bytes are handed to the stack as a plain payload:
-// Cornflakes lays out header, copied and zero-copy data (its field costs
-// were charged as the setters ran), Protobuf marshals at a fresh simulated
-// address, FlatBuffers returns its builder's buffer, and Cap'n Proto's
-// segments are concatenated, each baseline charging m's node's meter.
-func (s System) Marshal(m Msg) []byte {
+// capnpFrame is the Cap'n Proto framing scratch each node keeps (Node's
+// capnp field), named here so the baselines stay inside this file.
+type capnpFrame = baselines.CapnpFrame
+
+// AppendMarshal appends m, serialized into one contiguous buffer, to dst
+// and returns the extended slice. This is the client side, where the bytes
+// are handed to the stack as a plain payload: Cornflakes lays out header,
+// copied and zero-copy data (its field costs were charged as the setters
+// ran), Protobuf marshals at a fresh simulated address, FlatBuffers copies
+// out its builder's buffer, and Cap'n Proto's segments are concatenated,
+// each baseline charging m's node's meter. A client that passes its own
+// scratch back each time marshals a Cornflakes or Protobuf message without
+// allocating once the scratch has grown.
+func (s System) AppendMarshal(dst []byte, m Msg) []byte {
 	meter := m.n.Meter
 	switch s {
 	case SysCornflakes:
-		return core.Marshal(m.cf)
+		return core.AppendMarshal(dst, m.cf)
 	case SysProtobuf:
-		buf := make([]byte, baselines.ProtoSize(m.doc, meter))
-		n := baselines.ProtoMarshal(m.doc, buf, meter.AllocSimAddr(len(buf)), meter)
-		return buf[:n]
+		size := baselines.ProtoSize(m.doc, meter)
+		start := len(dst)
+		dst = slices.Grow(dst, size)[:start+size]
+		n := baselines.ProtoMarshal(m.doc, dst[start:], meter.AllocSimAddr(size), meter)
+		return dst[:start+n]
 	case SysFlatBuffers:
-		return baselines.FBBuild(m.doc, meter)
+		return append(dst, baselines.FBBuild(m.doc, meter)...)
 	default:
-		segs, _ := baselines.CapnpFlatten(baselines.CapnpBuild(m.doc, meter))
-		var out []byte
-		for _, seg := range segs {
-			out = append(out, seg...)
+		f := &m.n.capnp
+		baselines.CapnpFlatten(f, baselines.CapnpBuild(m.doc, meter))
+		for _, seg := range f.Segs {
+			dst = append(dst, seg...)
 		}
-		return out
+		return dst
 	}
 }
+
+// Marshal is AppendMarshal into a fresh slice.
+func (s System) Marshal(m Msg) []byte { return s.AppendMarshal(nil, m) }
 
 // Send transmits m on the library's own datapath (§6.1.3), the one send
 // path of every server, KV replies and RPC hops alike: Cornflakes
@@ -165,8 +179,9 @@ func (s System) Send(m Msg, hdr ...byte) error {
 		}
 		return n.stack.SendContiguous(buf, bufSim)
 	default:
-		segs, sims := baselines.CapnpFlatten(baselines.CapnpBuild(m.doc, meter))
-		return n.UDP.SendSegments(segs, sims, hdr...)
+		f := &n.capnp
+		baselines.CapnpFlatten(f, baselines.CapnpBuild(m.doc, meter))
+		return n.UDP.SendSegments(f.Segs, f.Sims, hdr...)
 	}
 }
 

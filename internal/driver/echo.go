@@ -172,35 +172,43 @@ type EchoClient struct {
 	N         *Node
 	FieldSize int
 	NumFields int
+
+	// out is the request scratch BuildStep writes into, and field the
+	// library echo's field pattern.
+	out, field []byte
 }
 
 // Steps implements loadgen.Client.
 func (c *EchoClient) Steps(workloads.Request) int { return 1 }
 
-// BuildStep implements loadgen.Client.
+// BuildStep implements loadgen.Client. The request lives in the client's
+// scratch and is valid until its next BuildStep.
 func (c *EchoClient) BuildStep(id uint64, _ workloads.Request, _ int) []byte {
 	if c.Mode != EchoLib {
-		b := make([]byte, 8+c.FieldSize*c.NumFields)
+		b := append(c.out[:0], make([]byte, 8+c.FieldSize*c.NumFields)...)
 		wire.PutU64(b, id)
 		for i := range b[8:] {
 			b[8+i] = byte(i)
 		}
+		c.out = b
 		return b
 	}
 	// Library echo: a GetM with NumFields values of FieldSize bytes.
-	field := make([]byte, c.FieldSize)
-	for i := range field {
-		field[i] = byte(i)
+	if len(c.field) != c.FieldSize {
+		c.field = make([]byte, c.FieldSize)
+		for i := range c.field {
+			c.field[i] = byte(i)
+		}
 	}
 	defer c.N.Arena.Reset()
 	m := c.Sys.NewMsg(c.N, msgs.GetMSchema)
 	m.SetInt(0, id)
 	for i := 0; i < c.NumFields; i++ {
-		m.AddBytes(2, field, 0)
+		m.AddBytes(2, c.field, 0)
 	}
-	out := c.Sys.Marshal(m)
+	c.out = c.Sys.AppendMarshal(c.out[:0], m)
 	m.Release()
-	return out
+	return c.out
 }
 
 // ResponseID implements loadgen.Client.

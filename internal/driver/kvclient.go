@@ -14,6 +14,8 @@ import (
 type KVClient struct {
 	Sys System
 	N   *Node
+	// out is the request scratch BuildStep writes into.
+	out []byte
 }
 
 // NewKVClient builds a codec over the client node.
@@ -48,7 +50,8 @@ func opByte(op workloads.Op) byte {
 }
 
 // BuildStep implements loadgen.Client: the op byte, then the request in
-// that op's schema.
+// that op's schema. The request lives in the client's scratch and is valid
+// until its next BuildStep.
 func (c *KVClient) BuildStep(id uint64, req workloads.Request, step int) []byte {
 	defer c.N.Arena.Reset()
 	op := opByte(req.Op)
@@ -68,9 +71,9 @@ func (c *KVClient) BuildStep(id uint64, req workloads.Request, step int) []byte 
 			m.SetInt(2, uint64(step))
 		}
 	}
-	out := append([]byte{op}, c.Sys.Marshal(m)...)
+	c.out = c.Sys.AppendMarshal(append(c.out[:0], op), m)
 	m.Release()
-	return out
+	return c.out
 }
 
 // ResponseID implements loadgen.Client.

@@ -74,6 +74,9 @@ type Node struct {
 	// stack is the transport the node's server runs over: UDP or TCP,
 	// whichever the node was built with, or a Segmenter over its UDP.
 	stack stack
+	// capnp is the frame a Cap'n Proto message is flattened into before
+	// the stack copies it out (System.Send, System.AppendMarshal).
+	capnp capnpFrame
 }
 
 // stack is the transport surface netstack.UDP, netstack.TCPConn and

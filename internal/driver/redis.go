@@ -158,6 +158,8 @@ func redisReqSchema(cmd byte) *core.Schema {
 type RedisClient struct {
 	Mode redis.Mode
 	N    *Node
+	// out is the request scratch a Cornflakes-mode BuildStep writes into.
+	out []byte
 }
 
 // NewRedisClient builds the codec.
@@ -168,7 +170,8 @@ func NewRedisClient(n *Node, mode redis.Mode) *RedisClient {
 // Steps implements loadgen.Client.
 func (c *RedisClient) Steps(workloads.Request) int { return 1 }
 
-// BuildStep implements loadgen.Client.
+// BuildStep implements loadgen.Client. A Cornflakes-mode request lives in
+// the client's scratch and is valid until its next BuildStep.
 func (c *RedisClient) BuildStep(id uint64, req workloads.Request, _ int) []byte {
 	m := c.N.Meter
 	if c.Mode == redis.ModeRESP {
@@ -209,9 +212,9 @@ func (c *RedisClient) BuildStep(id uint64, req workloads.Request, _ int) []byte 
 	default:
 		msg.SetBytes(1, req.Keys[0], 0)
 	}
-	out := append([]byte{cmd}, SysCornflakes.Marshal(msg)...)
+	c.out = SysCornflakes.AppendMarshal(append(c.out[:0], cmd), msg)
 	msg.Release()
-	return out
+	return c.out
 }
 
 // ResponseID implements loadgen.Client.

@@ -105,14 +105,57 @@ type swPort struct {
 	// drained is the drain callback, bound once in PlugIn so a forwarded
 	// frame leaving the wire schedules no new closure.
 	drained func()
+	// gathering holds the frames posted on link whose egress DMA has not
+	// completed yet, in post order. The port's DMA completes in post
+	// order, so egressDone hands the head back to its sender.
+	gathering frameFIFO
 }
 
 func (p *swPort) drain() { p.outstanding-- }
 
-// fwdFrame is one frame in its switching delay, bound for port out.
+// fwdFrame is one frame the switch holds, bound for port out. owner is the
+// endpoint port whose frame pool data came from (nil for a copy that
+// passed an interceptor, which is never given back).
 type fwdFrame struct {
-	out  *swPort
-	data []byte
+	out   *swPort
+	data  []byte
+	owner *nic.Port
+}
+
+// release gives the frame's buffer back to the endpoint that sent it: the
+// switch calls it once the egress port has gathered the frame, or at once
+// when it drops the frame.
+func (f fwdFrame) release() {
+	if f.owner != nil {
+		f.owner.Recycle(f.data)
+	}
+}
+
+// frameFIFO is a queue of frames that keeps its array: a push into a full
+// array with a spent prefix slides the waiting frames down instead of
+// growing, so the array stays as long as the most frames ever queued.
+type frameFIFO struct {
+	q    []fwdFrame
+	head int
+}
+
+func (f *frameFIFO) push(fr fwdFrame) {
+	if len(f.q) == cap(f.q) && f.head > 0 {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, fr)
+}
+
+func (f *frameFIFO) pop() fwdFrame {
+	fr := f.q[f.head]
+	f.q[f.head] = fwdFrame{}
+	f.head++
+	if f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return fr
 }
 
 // Switch is the ToR component.
@@ -122,13 +165,12 @@ type Switch struct {
 	ports  []*swPort
 	byAddr [256]*swPort
 
-	// fwd[fwdHead:] holds the frames in their switching delay, in arrival
-	// order. Every frame waits the same LatencyNs and arrivals never go
-	// back in time, so the forward events fire in arrival order and each
-	// takes the head. forwardHead is bound once in New, so ingress
-	// schedules no closure per frame.
-	fwd         []fwdFrame
-	fwdHead     int
+	// fwd holds the frames in their switching delay, in arrival order.
+	// Every frame waits the same LatencyNs and arrivals never go back in
+	// time, so the forward events fire in arrival order and each takes the
+	// head. forwardHead is bound once in New, so ingress schedules no
+	// closure per frame.
+	fwd         frameFIFO
 	forwardHead func()
 
 	// misrouted counts frames whose destination byte matched no attached
@@ -170,8 +212,9 @@ func (s *Switch) PlugIn(prof nic.Profile, propagation sim.Time) (*nic.Port, byte
 	p := &swPort{addr: addr, link: sw}
 	p.drained = p.drain
 	sw.SetHandler(func(f *nic.Frame) { s.ingress(p, f) })
-	// The switch queues f.Data for egress (store-and-forward); the sending
-	// NIC must not recycle delivered frame buffers.
+	// The switch queues f.Data for egress (store-and-forward), so the
+	// sending NIC does not recycle delivered frame buffers itself: the
+	// switch gives each one back to f.Owner when it is done with it.
 	sw.RetainsRx = true
 	sw.Observer = func(rec nic.TxRecord) { s.egressDone(p, rec) }
 	s.ports = append(s.ports, p)
@@ -179,78 +222,76 @@ func (s *Switch) PlugIn(prof nic.Profile, propagation sim.Time) (*nic.Port, byte
 	return ep, addr
 }
 
-// ingress routes one frame arriving from the endpoint behind p.
+// ingress routes one frame arriving from the endpoint behind p. A frame it
+// drops goes straight back to its sender.
 func (s *Switch) ingress(p *swPort, f *nic.Frame) {
 	p.stats.InFrames++
 	p.stats.InBytes += uint64(len(f.Data))
+	fr := fwdFrame{data: f.Data, owner: f.Owner}
 	if p.adminDown {
 		p.stats.DownedIngress++
+		fr.release()
 		return
 	}
 	if len(f.Data) <= netstack.HdrDstOff {
 		s.misrouted++
+		fr.release()
 		return
 	}
-	out := s.byAddr[f.Data[netstack.HdrDstOff]]
-	if out == nil {
+	fr.out = s.byAddr[f.Data[netstack.HdrDstOff]]
+	if fr.out == nil {
 		s.misrouted++
+		fr.release()
 		return
 	}
-	if len(s.fwd) == cap(s.fwd) && s.fwdHead > 0 {
-		// Full with a spent prefix: slide the waiting frames down instead
-		// of growing, so the FIFO stays as long as the frames in flight.
-		n := copy(s.fwd, s.fwd[s.fwdHead:])
-		clear(s.fwd[n:])
-		s.fwd, s.fwdHead = s.fwd[:n], 0
-	}
-	s.fwd = append(s.fwd, fwdFrame{out: out, data: f.Data})
+	s.fwd.push(fr)
 	s.eng.After(sim.FromNanos(s.cfg.LatencyNs), s.forwardHead)
 }
 
 // forwardNext forwards the frame at the head of the switching-delay FIFO.
-func (s *Switch) forwardNext() {
-	f := s.fwd[s.fwdHead]
-	s.fwd[s.fwdHead] = fwdFrame{}
-	s.fwdHead++
-	if s.fwdHead == len(s.fwd) {
-		s.fwd = s.fwd[:0]
-		s.fwdHead = 0
-	}
-	s.forward(f.out, f.data)
-}
+func (s *Switch) forwardNext() { s.forward(s.fwd.pop()) }
 
-// forward posts one frame on the egress port q, or tail-drops it when the
-// output queue is full.
-func (s *Switch) forward(q *swPort, data []byte) {
+// forward posts one frame on its egress port, or tail-drops it when the
+// output queue is full. A posted frame waits in the port's gathering FIFO
+// for its DMA; a dropped one goes straight back to its sender.
+func (s *Switch) forward(f fwdFrame) {
+	q := f.out
 	if q.adminDown {
 		q.stats.DownedEgress++
+		f.release()
 		return
 	}
 	if q.outstanding >= s.cfg.EgressDepth {
 		q.stats.EgressDrops++
+		f.release()
 		return
 	}
-	err := q.link.Send([]nic.SGEntry{{Data: data}})
+	err := q.link.Send([]nic.SGEntry{{Data: f.data}})
 	if err != nil {
 		// Only possible if an endpoint somehow sourced a frame the egress
-		// port cannot carry; account it as an egress drop, never panic the
-		// fabric mid-run.
+		// port cannot carry, or the port refused the post; account it as
+		// an egress drop, never panic the fabric mid-run.
 		q.stats.EgressDrops++
+		f.release()
 		return
 	}
+	q.gathering.push(f)
 	q.outstanding++
 	if q.outstanding > q.stats.MaxBacklog {
 		q.stats.MaxBacklog = q.outstanding
 	}
 	q.stats.OutFrames++
-	q.stats.OutBytes += uint64(len(data))
+	q.stats.OutBytes += uint64(len(f.data))
 }
 
-// egressDone observes one forwarded frame's transmit record: it drains the
-// output-queue bound when the frame leaves the wire and accumulates the
-// port-contention time (actual post-to-wire-exit time minus the unloaded
-// forwarding cost of a frame that size).
+// egressDone observes one forwarded frame's transmit record, which the
+// port reports once it has gathered the frame: it gives the frame's
+// buffer back to its sender, drains the output-queue bound when the frame
+// leaves the wire, and accumulates the port-contention time (actual
+// post-to-wire-exit time minus the unloaded forwarding cost of a frame
+// that size).
 func (s *Switch) egressDone(q *swPort, rec nic.TxRecord) {
+	q.gathering.pop().release()
 	wait := float64(rec.TxDone-rec.Posted)/float64(sim.Nanosecond) -
 		unloadedNs(s.cfg.Port, rec.Bytes, rec.Entries)
 	if wait > 0 {

@@ -34,6 +34,9 @@ type Store struct {
 
 	m         map[string]*entry
 	simCursor uint64
+	// bufs is allocValue's scratch: a new value's buffers wait here until
+	// the caller stores them, so a put allocates no list of its own.
+	bufs []*mem.Buf
 
 	// Stats.
 	Gets, Puts, Misses uint64
@@ -118,9 +121,10 @@ func (s *Store) TryPut(key []byte, vals ...[]byte) error {
 	return nil
 }
 
-// allocValue copies vals into fresh pinned buffers, all-or-nothing.
+// allocValue copies vals into fresh pinned buffers, all-or-nothing. The
+// returned list is the store's scratch, valid until the next allocValue.
 func (s *Store) allocValue(vals [][]byte) ([]*mem.Buf, error) {
-	bufs := make([]*mem.Buf, 0, len(vals))
+	bufs := s.bufs[:0]
 	for _, v := range vals {
 		if len(v) == 0 {
 			continue
@@ -137,6 +141,7 @@ func (s *Store) allocValue(vals [][]byte) ([]*mem.Buf, error) {
 		copy(b.Bytes(), v)
 		bufs = append(bufs, b)
 	}
+	s.bufs = bufs
 	return bufs, nil
 }
 

@@ -70,9 +70,8 @@ func TestValuesArePinned(t *testing.T) {
 func TestPutReplacePointerSwap(t *testing.T) {
 	s := newStore()
 	s.Put([]byte("k"), []byte("old-value"))
-	old := s.Get([]byte("k"))
-	// Simulate an in-flight send holding a reference.
-	old.IncRef()
+	// Simulate an in-flight send holding a view of its own.
+	old := s.Get([]byte("k")).Clone()
 	s.Put([]byte("k"), []byte("new-value"))
 	// The store dropped its reference, but the in-flight one keeps the old
 	// data intact (no in-place update).

@@ -18,7 +18,12 @@ type Client interface {
 	// Steps returns how many request/response exchanges req needs (≥ 1).
 	Steps(req workloads.Request) int
 	// BuildStep encodes step s of req; the returned payload must carry id
-	// so the matching response can be identified.
+	// so the matching response can be identified. The payload need only
+	// stay valid until the next BuildStep on the same client: the
+	// generator hands it to Endpoint.SendContiguous at once, and both
+	// stacks copy it into a DMA buffer before returning, so a client may
+	// build every request in one scratch buffer. req is read-only: its
+	// slices may be the generator's prebuilt keys.
 	BuildStep(id uint64, req workloads.Request, s int) []byte
 	// ResponseID extracts the id from a response payload.
 	ResponseID(payload []byte) (uint64, error)

@@ -103,13 +103,12 @@ type Allocator struct {
 	// ErrNoMem at the bound instead of growing a new slab. Zero means
 	// unbounded (the pre-overload-hardening behaviour).
 	capSlots int64
-	// bufFree recycles Buf view structs: a view whose final reference is
-	// dropped (refcount reaches zero) parks here and the next
-	// TryAlloc/RecoverPtr/SubView reuses it instead of allocating. Views
-	// whose DecRef was not the last reference are NOT recycled — another
-	// holder may still alias the struct. The allocator is single-goroutine
-	// by contract, so a plain slice suffices. Parked views have slab nil,
-	// so a (contract-violating) use after the final DecRef fails fast.
+	// bufFree recycles Buf view structs: a view is one reference, so every
+	// DecRef parks its view here, whether or not it dropped the last
+	// reference, and the next TryAlloc/RecoverPtr/SubView reuses it
+	// instead of allocating. The allocator is single-goroutine by
+	// contract, so a plain slice suffices. Parked views have slab nil, so a
+	// (contract-violating) use of a view after its DecRef fails fast.
 	bufFree []*Buf
 }
 
@@ -408,9 +407,12 @@ func (a *Allocator) SlabCounts() map[int]int {
 }
 
 // Buf is a reference-counted view of a pinned allocation — the paper's
-// RcBuf {data_pointer, offset, len, refcnt}. Multiple Bufs may view the
-// same allocation; the slot returns to the free list when the shared
-// refcount reaches zero.
+// RcBuf {data_pointer, offset, len, refcnt}. Each view is exactly one
+// reference, held by exactly one holder: a holder that needs a reference
+// of its own takes its own view (Clone, SubView, RecoverPtr), and DecRef
+// ends the view it is called on. Multiple Bufs may view the same
+// allocation; the slot returns to the free list when the shared refcount
+// reaches zero.
 type Buf struct {
 	slab *slab
 	slot int32
@@ -442,24 +444,31 @@ func (b *Buf) RefcountSimAddr() uint64 {
 // Refcount returns the current reference count of the allocation.
 func (b *Buf) Refcount() int32 { return b.slab.refcnts[b.slot] }
 
-// IncRef adds a reference. Panics if the allocation is already free.
-func (b *Buf) IncRef() {
+// incRef adds a reference to the allocation. Panics if it is already
+// free. Only a new view may take one (SubView): a view is one reference.
+func (b *Buf) incRef() {
 	if b.slab.refcnts[b.slot] <= 0 {
-		panic("mem: IncRef on freed buffer")
+		panic("mem: reference taken on freed buffer")
 	}
 	b.slab.refcnts[b.slot]++
 }
 
-// DecRef drops a reference, returning the slot to the allocator free list
-// when the count reaches zero. Panics on double free.
+// DecRef drops the reference this view holds and ends the view, returning
+// the slot to the allocator free list when the count reaches zero. The
+// view struct itself recycles through the allocator whether or not other
+// views keep the slot alive, so the caller must not touch b again. Panics
+// on double free and on a view already dropped.
 func (b *Buf) DecRef() {
-	rc := b.slab.refcnts[b.slot]
+	s := b.slab
+	if s == nil {
+		panic("mem: DecRef on a dropped view")
+	}
+	rc := s.refcnts[b.slot]
 	if rc <= 0 {
 		panic("mem: DecRef on freed buffer (double free)")
 	}
-	b.slab.refcnts[b.slot] = rc - 1
+	s.refcnts[b.slot] = rc - 1
 	if rc-1 == 0 {
-		s := b.slab
 		s.free = append(s.free, b.slot)
 		if len(s.free) == 1 {
 			s.class.partial = append(s.class.partial, s)
@@ -467,24 +476,28 @@ func (b *Buf) DecRef() {
 		st := statsOwner(s)
 		st.Frees++
 		st.SlotsInUse--
-		// The final reference is gone: no live holder may touch this view
-		// again, so the struct itself recycles through the allocator's Buf
-		// free list. slab nil-s out so a stale use panics instead of
-		// silently reading whatever allocation reuses the struct.
-		b.slab = nil
-		s.alloc.bufFree = append(s.alloc.bufFree, b)
 	}
+	// This view's reference is gone, so the struct parks on the
+	// allocator's Buf free list. slab nil-s out so a stale use panics
+	// instead of silently reading whatever allocation reuses the struct.
+	b.slab = nil
+	s.alloc.bufFree = append(s.alloc.bufFree, b)
 }
 
-// SubView returns a new view of n bytes starting off bytes into b, sharing
-// (and incrementing) the refcount.
+// SubView returns a new view of n bytes starting off bytes into b, holding
+// a reference of its own on the shared allocation.
 func (b *Buf) SubView(off, n int) *Buf {
 	if off < 0 || n < 0 || off+n > b.n {
 		panic(fmt.Sprintf("mem: SubView(%d, %d) out of range of %d-byte view", off, n, b.n))
 	}
-	b.IncRef()
+	b.incRef()
 	return b.slab.alloc.getBuf(b.slab, b.slot, b.off+off, n)
 }
+
+// Clone returns a new view of the same bytes holding a reference of its
+// own: the handle a second holder (the NIC for a DMA, a retransmission
+// queue) takes and drops with its own DecRef.
+func (b *Buf) Clone() *Buf { return b.SubView(0, b.n) }
 
 // Resize shrinks or grows the view in place within the slot's capacity.
 // It is used by receive paths that allocate a full-MTU buffer and trim it

@@ -90,20 +90,57 @@ func TestIncRefOnFreedPanics(t *testing.T) {
 			t.Error("IncRef on freed buffer did not panic")
 		}
 	}()
-	b.IncRef()
+	b.incRef()
 }
 
 func TestRefcountKeepsSlotAlive(t *testing.T) {
 	a := NewAllocator()
 	b := a.Alloc(64)
-	b.IncRef() // e.g. the NIC holds a reference during DMA
-	b.DecRef() // application frees
+	dma := b.Clone() // e.g. the NIC holds its own view during DMA
+	b.DecRef()       // application frees
 	if a.Stats().SlotsInUse != 1 {
 		t.Error("slot freed while a reference was outstanding")
 	}
-	b.DecRef() // NIC completion
+	dma.DecRef() // NIC completion
 	if a.Stats().SlotsInUse != 0 {
 		t.Error("slot not freed after last reference dropped")
+	}
+}
+
+// A view is one reference: once its own DecRef has run, every use of it
+// panics, even while a clone keeps the slot alive.
+func TestViewDeadAfterItsDecRef(t *testing.T) {
+	a := NewAllocator()
+	b := a.Alloc(64)
+	keep := b.Clone()
+	b.DecRef()
+	if keep.Refcount() != 1 || a.Stats().SlotsInUse != 1 {
+		t.Fatalf("clone left refcount %d, %d slots in use; want 1 and 1", keep.Refcount(), a.Stats().SlotsInUse)
+	}
+	for _, use := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Bytes", func() { b.Bytes() }},
+		{"Refcount", func() { b.Refcount() }},
+		{"Clone", func() { b.Clone() }},
+		{"DecRef", b.DecRef},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a dropped view did not panic", use.name)
+				}
+			}()
+			use.fn()
+		}()
+	}
+	if keep.Refcount() != 1 {
+		t.Fatalf("a use of the dropped view moved the shared refcount to %d", keep.Refcount())
+	}
+	keep.DecRef()
+	if a.Stats().SlotsInUse != 0 {
+		t.Error("slot not freed after the clone's DecRef")
 	}
 }
 

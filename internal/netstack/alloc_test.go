@@ -9,19 +9,22 @@ import (
 )
 
 // TestSendObjectAllocFree pins the combined serialize-and-send path
-// (§3.2.3) for a copied-field object: once the message pool, the DMA
-// buffers and the NIC's frame state are warm, building a message with an
-// int and two copied byte fields, sending it, releasing it and running the
-// frame to delivery must not allocate. A zero-copy field is left out: it
-// still costs one mem.Buf view per send.
+// (§3.2.3): once the message pool, the DMA buffers, the buffer views and
+// the NIC's frame state are warm, building a message with an int, two
+// copied byte fields and one 1,024-byte zero-copy field, sending it,
+// releasing it and running the frame to delivery must not allocate. The
+// zero-copy field's view and the NIC's clone of it both come back to the
+// allocator's view free list.
 func TestSendObjectAllocFree(t *testing.T) {
 	eng, ua, ub, na, _ := udpPair(nic.MellanoxCX6())
 	s := &core.Schema{Name: "PutReq", Fields: []core.Field{
 		{Name: "id", Kind: core.KindInt},
 		{Name: "key", Kind: core.KindBytes},
 		{Name: "val", Kind: core.KindBytes},
+		{Name: "blob", Kind: core.KindBytes},
 	}}
 	key, val := []byte("key-bytes"), make([]byte, 96)
+	blob := na.alloc.Alloc(1024)
 	delivered := 0
 	ub.SetRecvHandler(func(p *mem.Buf) {
 		delivered++
@@ -32,6 +35,7 @@ func TestSendObjectAllocFree(t *testing.T) {
 		m.SetInt(0, 7)
 		m.SetBytes(1, na.ctx.NewCFPtrCopy(key))
 		m.SetBytes(2, na.ctx.NewCFPtrCopy(val))
+		m.SetBytes(3, na.ctx.NewCFPtr(blob.Bytes()))
 		if err := ua.SendObject(m); err != nil {
 			t.Fatal(err)
 		}
@@ -48,6 +52,9 @@ func TestSendObjectAllocFree(t *testing.T) {
 	}
 	if delivered != 8+101 {
 		t.Fatalf("delivered %d frames, want %d", delivered, 8+101)
+	}
+	if ua.TxZCEntries != 8+101 || blob.Refcount() != 1 {
+		t.Fatalf("%d zero-copy entries posted, blob refcount %d; want %d and 1", ua.TxZCEntries, blob.Refcount(), 8+101)
 	}
 }
 

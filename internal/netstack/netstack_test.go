@@ -514,12 +514,12 @@ func TestReleaserModes(t *testing.T) {
 	} {
 		n := newNode()
 		buf := n.alloc.Alloc(64)
-		buf.IncRef() // the NIC's reference
+		dma := buf.Clone() // the NIC's view
 		r := releaser{refcount: c.refcount}
 		if c.meter {
 			r.meter = n.meter
 		}
-		r.ReleaseSG(buf)
+		r.ReleaseSG(dma)
 		if got := buf.Refcount(); got != 1 {
 			t.Errorf("%s: refcount %d after release, want 1", c.name, got)
 		}

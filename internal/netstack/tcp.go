@@ -174,10 +174,9 @@ func (c *TCPConn) SendObject(obj *core.Message, hdr ...byte) error {
 
 	seg := c.newSegment(l.ObjectLen(), first)
 	obj.IterateZCEntries(func(buf *mem.Buf) {
-		// One reference for retransmission retention...
+		// One view of its own for retransmission retention...
 		m.MetadataAccess(buf.RefcountSimAddr())
-		buf.IncRef()
-		seg.zc = append(seg.zc, buf)
+		seg.zc = append(seg.zc, buf.Clone())
 	})
 	return c.enqueue(seg)
 }
@@ -262,26 +261,25 @@ func (c *TCPConn) SendContiguous(payload []byte, sim uint64) error {
 	return c.enqueue(c.newSegment(len(payload), first))
 }
 
-// transmit posts one segment to the NIC, taking per-post references for the
-// DMA engine.
+// transmit posts one segment to the NIC, taking per-post views for the DMA
+// engine.
 func (c *TCPConn) transmit(seg *segment) error {
 	m := c.Meter
 	m.Charge(m.CPU.TxDescCy)
-	seg.first.IncRef() // NIC's reference on the header+copy buffer
+	first := seg.first.Clone() // NIC's view of the header+copy buffer
 	entries := append(c.txEntries[:0], nic.SGEntry{
-		Data: seg.first.Bytes(), Sim: seg.first.SimAddr(), Rel: &c.firstRel, RelArg: seg.first,
+		Data: first.Bytes(), Sim: first.SimAddr(), Rel: &c.firstRel, RelArg: first,
 	})
 	for _, b := range seg.zc {
 		m.SGPost()
-		b.IncRef() // NIC's reference
-		entries = append(entries, nic.SGEntry{Data: b.Bytes(), Sim: b.SimAddr(), Rel: &c.zcRel, RelArg: b})
+		dma := b.Clone() // NIC's view
+		entries = append(entries, nic.SGEntry{Data: dma.Bytes(), Sim: dma.SimAddr(), Rel: &c.zcRel, RelArg: dma})
 	}
 	c.txEntries = entries[:0]
 	if err := c.Port.Send(entries); err != nil {
-		// Undo the per-post NIC references: the hardware never saw them.
-		seg.first.DecRef()
-		for _, b := range seg.zc {
-			b.DecRef()
+		// Drop the per-post NIC views: the hardware never saw them.
+		for i := range entries {
+			entries[i].RelArg.(*mem.Buf).DecRef()
 		}
 		return err
 	}

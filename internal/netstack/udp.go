@@ -382,15 +382,15 @@ func (u *UDP) SendObject(obj *core.Message, hdr ...byte) error {
 	obj.IterateZCEntries(func(buf *mem.Buf) {
 		if taken < zcCap {
 			taken++
-			// The NIC reads application memory asynchronously: take a
-			// reference on behalf of the DMA, released at completion.
+			// The NIC reads application memory asynchronously: it takes a
+			// view of its own for the DMA, dropped at completion.
 			m.MetadataAccess(buf.RefcountSimAddr())
-			buf.IncRef()
+			dma := buf.Clone()
 			entries = append(entries, nic.SGEntry{
-				Data:   buf.Bytes(),
-				Sim:    buf.SimAddr(),
+				Data:   dma.Bytes(),
+				Sim:    dma.SimAddr(),
 				Rel:    &u.rel,
-				RelArg: buf,
+				RelArg: dma,
 			})
 		} else {
 			overflow = append(overflow, buf)
@@ -466,14 +466,14 @@ func (u *UDP) SendObjectViaSGArray(obj *core.Message) error {
 	arr = append(arr, sge{data: objBuf.Bytes(), sim: objBuf.SimAddr(), buf: objBuf})
 	obj.IterateZCEntries(func(buf *mem.Buf) {
 		m.MetadataAccess(buf.RefcountSimAddr())
-		buf.IncRef()
-		arr = append(arr, sge{data: buf.Bytes(), sim: buf.SimAddr(), buf: buf})
+		dma := buf.Clone()
+		arr = append(arr, sge{data: dma.Bytes(), sim: dma.SimAddr(), buf: dma})
 	})
 
 	// --- Networking layer: walk the array again, prepend header entry. ---
 	hdrBuf, err := u.txPrep(0, nil)
 	if err != nil {
-		// Drop the references the serialization layer took into the array.
+		// Drop the views the serialization layer took into the array.
 		for _, e := range arr {
 			e.buf.DecRef()
 		}
@@ -595,8 +595,8 @@ func (u *UDP) SendSegments(segs [][]byte, sims []uint64, hdr ...byte) error {
 // completion. With safe=false it models the "raw scatter-gather" upper
 // bound of §2.4: the buffers are still held until DMA completes (that is
 // physics, not software), but none of the software bookkeeping is
-// charged. The header entry pays its completion either way. The caller's
-// own references are untouched.
+// charged. The header entry pays its completion either way. The NIC holds
+// a view of its own on each buffer, so the caller's views are untouched.
 func (u *UDP) SendPinned(bufs []*mem.Buf, safe bool, hdr ...byte) error {
 	m := u.Meter
 	hdrBuf, err := u.txPrep(0, hdr)
@@ -606,8 +606,8 @@ func (u *UDP) SendPinned(bufs []*mem.Buf, safe bool, hdr ...byte) error {
 	entries := append(u.txEntries[:0],
 		nic.SGEntry{Data: hdrBuf.Bytes(), Sim: hdrBuf.SimAddr(), Rel: &u.rel, RelArg: hdrBuf})
 	for _, b := range bufs {
-		e := nic.SGEntry{Data: b.Bytes(), Sim: b.SimAddr(), RelArg: b}
-		b.IncRef()
+		dma := b.Clone()
+		e := nic.SGEntry{Data: dma.Bytes(), Sim: dma.SimAddr(), RelArg: dma}
 		if safe {
 			m.Charge(m.CPU.RegistryLookupCy)
 			m.MetadataAccess(b.RefcountSimAddr())

@@ -139,11 +139,18 @@ type Frame struct {
 	// SentAt is when the sender posted the frame (for RTT bookkeeping in
 	// tests; real stacks carry timestamps in payloads).
 	SentAt sim.Time
+	// Owner is set only on a frame delivered to a port that RetainsRx and
+	// only when no Interceptor touched it: it is the sending port, whose
+	// frame pool Data came from. The retaining handler hands Data back with
+	// Owner.Recycle once it no longer needs it. A copy that passed an
+	// Interceptor has no Owner: duplicates may alias one buffer, so it is
+	// left to the garbage collector.
+	Owner *Port
 }
 
 // Handler consumes received frames. The *Frame is only valid for the
-// duration of the call (it may be pooled); handlers keep Data — which
-// remains theirs — not the Frame itself.
+// duration of the call (it may be pooled). Data stays valid past the call
+// only on a port that RetainsRx; any other handler copies what it keeps.
 type Handler func(*Frame)
 
 // Delivery describes one copy of an intercepted frame to put on the wire.
@@ -268,16 +275,20 @@ type Port struct {
 	rxPool []*rxOp
 
 	// dataPool recycles assembled-frame buffers. A frame buffer is handed
-	// to the observer and the peer's handler, neither of which may keep it
-	// past the call; once the pooled delivery returns, the buffer goes back
-	// here. Frames that pass through an interceptor are never recycled —
-	// their lifetime is not visible from the port.
+	// to the observer and the peer's handler. When the peer's handler may
+	// not keep it, the buffer comes back here once the pooled delivery
+	// returns; when the peer RetainsRx, its handler gives it back through
+	// Recycle (Frame.Owner). Frames that pass through an interceptor are
+	// never recycled: duplicates may alias one buffer, so their lifetime is
+	// not visible from the port.
 	dataPool [][]byte
 
 	// RetainsRx marks that this port's handler legitimately keeps
 	// Frame.Data beyond the handler call — a store-and-forward switch
-	// queuing the frame for egress. Senders then leave delivered buffers
-	// to the garbage collector instead of recycling them.
+	// queuing the frame for egress. A frame that passed no Interceptor
+	// then arrives with Frame.Owner set, and the handler gives its buffer
+	// back to the sender with Owner.Recycle once the frame is gathered or
+	// dropped.
 	RetainsRx bool
 }
 
@@ -297,7 +308,10 @@ func (p *Port) getData(total int) []byte {
 	return make([]byte, 0, total)
 }
 
-func (p *Port) putData(b []byte) { p.dataPool = append(p.dataPool, b) }
+// Recycle gives a frame buffer this port sent back to its pool: the
+// retaining handler's half of RetainsRx. Call it once per Frame.Owner, after
+// the last read of the buffer.
+func (p *Port) Recycle(b []byte) { p.dataPool = append(p.dataPool, b) }
 
 // txOp is the in-flight state of one posted frame between Send and DMA
 // completion. The gather list is copied in (callers may reuse their entry
@@ -541,8 +555,9 @@ func (p *Port) deliverAt(at sim.Time, data []byte, sentAt sim.Time, fcs uint32, 
 
 // deliver hands one frame copy to the peer's handler, charging both ends'
 // delivery stats, or discards a checked copy that fails its FCS. An
-// unchecked frame's buffer goes back to the pool afterwards unless the
-// peer retains it.
+// unchecked frame's buffer goes back to the pool afterwards, or, when the
+// peer retains it, travels with the frame as Owner for the peer to give
+// back.
 func (op *rxOp) deliver() {
 	p := op.p
 	peer := p.peer
@@ -554,11 +569,15 @@ func (op *rxOp) deliver() {
 		p.DeliveredBytes += uint64(len(data))
 		peer.RxFrames++
 		peer.RxBytes += uint64(len(data))
+		retained := !op.checked && peer.RetainsRx
+		if retained {
+			op.frame.Owner = p
+		}
 		if peer.handler != nil {
 			peer.handler(&op.frame)
 		}
-		if !op.checked && !peer.RetainsRx {
-			p.putData(data)
+		if !op.checked && !retained {
+			p.Recycle(data)
 		}
 	}
 	op.frame = Frame{}

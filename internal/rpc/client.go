@@ -44,9 +44,9 @@ func NewClient(n *driver.Node, sys driver.System, frontend byte) *Client {
 func (c *Client) Steps(workloads.Request) int { return 1 }
 
 // BuildStep implements loadgen.Client: one call frame aimed at the
-// frontend, the Header followed by the System.Marshal output of a PutReq
-// body. Like ClusterKVClient, addressing is a build-time side effect on the
-// node's UDP stack.
+// frontend, the Header followed by a PutReq body marshalled straight into
+// the frame scratch. Like ClusterKVClient, addressing is a build-time side
+// effect on the node's UDP stack.
 func (c *Client) BuildStep(id uint64, _ workloads.Request, _ int) []byte {
 	if c.valBuf == nil {
 		c.valBuf = make([]byte, c.ReqBytes)
@@ -55,11 +55,10 @@ func (c *Client) BuildStep(id uint64, _ workloads.Request, _ int) []byte {
 	m.SetInt(0, id)
 	m.SetBytes(1, c.keyBuf, 0)
 	m.SetBytes(2, c.valBuf, 0)
-	body := c.Sys.Marshal(m)
-	m.Release()
 	var hdr [HeaderLen]byte
 	Header{Kind: KindCall, Method: c.Method, Hop: 0, CallID: id, RootID: id}.EncodeTo(hdr[:])
-	c.out = append(append(c.out[:0], hdr[:]...), body...)
+	c.out = c.Sys.AppendMarshal(append(c.out[:0], hdr[:]...), m)
+	m.Release()
 	c.N.Arena.Reset()
 	c.N.UDP.DstAddr = c.Frontend
 	return c.out

@@ -35,7 +35,10 @@ func (o Op) String() string {
 	}
 }
 
-// Request is one client operation.
+// Request is one client operation. A generated request is read-only: its
+// Keys may be the generator's prebuilt key slices, shared by every request
+// for that key and by the preload records, so a consumer reads them and
+// builds a request of its own to change anything.
 type Request struct {
 	Op    Op
 	Keys  [][]byte
@@ -54,14 +57,15 @@ type Generator interface {
 	Name() string
 	// Records returns the data to preload into the store.
 	Records() []KV
-	// Next draws the next request.
+	// Next draws the next request. The request is read-only (see
+	// Request): its keys may be shared with every other draw of the key.
 	Next(r *rand.Rand) Request
 }
 
 // key formats the canonical fixed-width key used by all workloads: the
 // paper's YCSB keys are 30–31 bytes, Google/CDN keys 64 bytes. Formatted by
-// hand — one allocation, no fmt machinery — because preload emits one key
-// per record and the request path one per draw.
+// hand — one allocation, no fmt machinery — because a generator formats
+// every key it serves once, at construction.
 func key(prefix string, width, i int) []byte {
 	b := make([]byte, width)
 	copy(b, prefix)
@@ -78,6 +82,14 @@ func key(prefix string, width, i int) []byte {
 	return b
 }
 
+// keyList holds one prebuilt one-element Keys slice per key: key i's is
+// ks[i:i+1:i+1], so a generator hands out requests without allocating, and
+// the capacity bound keeps an append by a careless consumer from writing
+// into the next key's slot.
+type keyList [][]byte
+
+func (ks keyList) of(i int) [][]byte { return ks[i : i+1 : i+1] }
+
 // --- YCSB (read-only, §5 and §6.1.4) ---
 
 // YCSB models the YCSB-C trace: nKeys keys, Zipf(0.99) popularity,
@@ -88,6 +100,7 @@ type YCSB struct {
 	SegmentSize int
 	NSegments   int
 	zipf        *Zipf
+	keys        keyList // prebuilt for Next; the records reuse them
 	recOnce     sync.Once
 	records     []KV
 }
@@ -101,11 +114,16 @@ func NewYCSB(nKeys, segmentSize, nSegments int) *YCSB {
 // experiment contrasts a near-uniform popularity (low theta) against the
 // paper's 0.99 to isolate hot-shard effects from serialization effects.
 func NewYCSBTheta(nKeys, segmentSize, nSegments int, theta float64) *YCSB {
+	keys := make(keyList, nKeys)
+	for i := range keys {
+		keys[i] = key("user", 30, i)
+	}
 	return &YCSB{
 		NKeys:       nKeys,
 		SegmentSize: segmentSize,
 		NSegments:   nSegments,
 		zipf:        NewZipf(uint64(nKeys), theta),
+		keys:        keys,
 	}
 }
 
@@ -126,7 +144,6 @@ func (y *YCSB) Records() []KV {
 func (y *YCSB) buildRecords() {
 	recs := make([]KV, y.NKeys)
 	for i := range recs {
-		k := key("user", 30, i)
 		vals := make([][]byte, y.NSegments)
 		for j := range vals {
 			v := make([]byte, y.SegmentSize)
@@ -135,14 +152,13 @@ func (y *YCSB) buildRecords() {
 			}
 			vals[j] = v
 		}
-		recs[i] = KV{Key: k, Vals: vals}
+		recs[i] = KV{Key: y.keys[i], Vals: vals}
 	}
 	y.records = recs
 }
 
 func (y *YCSB) Next(r *rand.Rand) Request {
-	k := key("user", 30, int(y.zipf.Next(r)))
-	return Request{Op: OpGetList, Keys: [][]byte{k}}
+	return Request{Op: OpGetList, Keys: y.keys.of(int(y.zipf.Next(r)))}
 }
 
 // --- Google Protobuf bytes-size distribution (read-only, Table 1/Fig 6) ---
@@ -156,6 +172,7 @@ type Google struct {
 	dist    *SizeDist
 	zipf    *Zipf
 	records []KV
+	keys    keyList // records[i].Key, prebuilt for Next
 }
 
 // NewGoogle builds the workload with the given list-length range (1, 1–4,
@@ -166,8 +183,10 @@ func NewGoogle(nKeys, maxVals int, seed uint64) *Google {
 	r := rand.New(rand.NewPCG(seed, 0x6006))
 	const mtuBudget = 8000
 	g.records = make([]KV, nKeys)
+	g.keys = make(keyList, nKeys)
 	for i := range g.records {
 		k := key("gkey", 64, i)
+		g.keys[i] = k
 		for {
 			n := 1 + r.IntN(maxVals)
 			vals := make([][]byte, n)
@@ -195,8 +214,7 @@ func (g *Google) Name() string { return fmt.Sprintf("google-1to%d", g.MaxVals) }
 func (g *Google) Records() []KV { return g.records }
 
 func (g *Google) Next(r *rand.Rand) Request {
-	k := key("gkey", 64, int(g.zipf.Next(r)))
-	return Request{Op: OpGetList, Keys: [][]byte{k}}
+	return Request{Op: OpGetList, Keys: g.keys.of(int(g.zipf.Next(r)))}
 }
 
 // --- Twitter cache trace (read-write, Fig 7/8/12) ---
@@ -209,6 +227,7 @@ type Twitter struct {
 	dist    *SizeDist
 	zipf    *Zipf
 	records []KV
+	keys    keyList // records[i].Key, prebuilt for Next
 }
 
 // NewTwitter builds the workload with the paper's 8% put fraction.
@@ -216,13 +235,15 @@ func NewTwitter(nKeys int, seed uint64) *Twitter {
 	t := &Twitter{NKeys: nKeys, PutFrac: 0.08, dist: TwitterValueDist(), zipf: NewZipf(uint64(nKeys), 0.99)}
 	r := rand.New(rand.NewPCG(seed, 0x7717))
 	t.records = make([]KV, nKeys)
+	t.keys = make(keyList, nKeys)
 	for i := range t.records {
 		sz := t.dist.Sample(r)
 		v := make([]byte, sz)
 		for b := 0; b < len(v); b += 89 {
 			v[b] = byte(i)
 		}
-		t.records[i] = KV{Key: key("tw", 30, i), Vals: [][]byte{v}}
+		t.keys[i] = key("tw", 30, i)
+		t.records[i] = KV{Key: t.keys[i], Vals: [][]byte{v}}
 	}
 	return t
 }
@@ -231,16 +252,18 @@ func (t *Twitter) Name() string { return "twitter" }
 
 func (t *Twitter) Records() []KV { return t.records }
 
+// Next draws a get, or a put whose value it allocates; the key is the
+// prebuilt one either way.
 func (t *Twitter) Next(r *rand.Rand) Request {
-	k := key("tw", 30, int(t.zipf.Next(r)))
+	k := t.keys.of(int(t.zipf.Next(r)))
 	if r.Float64() < t.PutFrac {
 		v := make([]byte, t.dist.Sample(r))
 		for b := 0; b < len(v); b += 83 {
 			v[b] = 0xD1
 		}
-		return Request{Op: OpPut, Keys: [][]byte{k}, Vals: [][]byte{v}}
+		return Request{Op: OpPut, Keys: k, Vals: [][]byte{v}}
 	}
-	return Request{Op: OpGet, Keys: [][]byte{k}}
+	return Request{Op: OpGet, Keys: k}
 }
 
 // --- CDN image-object distribution (read-only, Table 2/Fig 11) ---
@@ -253,6 +276,7 @@ type CDN struct {
 	NObjects int
 	SegSize  int
 	records  []KV
+	keys     keyList // records[i].Key, prebuilt for Next
 	segCount []int
 	zipf     *Zipf
 }
@@ -264,6 +288,7 @@ func NewCDN(nObjects, segSize, maxObject int, seed uint64) *CDN {
 	c := &CDN{NObjects: nObjects, SegSize: segSize, zipf: NewZipf(uint64(nObjects), 0.99)}
 	r := rand.New(rand.NewPCG(seed, 0xCD17))
 	c.records = make([]KV, nObjects)
+	c.keys = make(keyList, nObjects)
 	c.segCount = make([]int, nObjects)
 	for i := range c.records {
 		size := sampleLogNormalSize(r, maxObject)
@@ -282,7 +307,8 @@ func NewCDN(nObjects, segSize, maxObject int, seed uint64) *CDN {
 			vals[j] = v
 			rem -= n
 		}
-		c.records[i] = KV{Key: key("cdn", 64, i), Vals: vals}
+		c.keys[i] = key("cdn", 64, i)
+		c.records[i] = KV{Key: c.keys[i], Vals: vals}
 		c.segCount[i] = nSegs
 	}
 	return c
@@ -312,7 +338,7 @@ func (c *CDN) Records() []KV { return c.records }
 // per-sub-object requests.
 func (c *CDN) Next(r *rand.Rand) Request {
 	i := int(c.zipf.Next(r))
-	return Request{Op: OpGetIndex, Keys: [][]byte{key("cdn", 64, i)}, Index: c.segCount[i]}
+	return Request{Op: OpGetIndex, Keys: c.keys.of(i), Index: c.segCount[i]}
 }
 
 // SegmentsOf returns the number of sub-objects of object i.
