@@ -8,14 +8,14 @@
 // Reproducing that mechanism requires an explicit cache model over the
 // simulated address space, not just fixed per-operation constants.
 //
-// Replacement state is stamp-based LRU: each level keeps flat tags[] and
-// stamps[] arrays indexed by set×way and a per-level monotone clock. A hit
-// is one stamp store; a fill scans the set for the minimum stamp. Because
-// every touch assigns a fresh, unique, monotonically increasing stamp, the
-// minimum-stamp way is exactly the least-recently-used way, so eviction
-// order is identical to a positional (MRU-ordered list) LRU — see
-// lru_equivalence_test.go, which differences this implementation against
-// the retained positional reference model.
+// Replacement state is stamp-based LRU: each level keeps a tag and a stamp
+// per way of every set, in pages of sets allocated on first fill, and a
+// per-level monotone clock. A hit is one stamp store; a fill scans the set
+// for the minimum stamp. Because every touch assigns a fresh, unique,
+// monotonically increasing stamp, the minimum-stamp way is exactly the
+// least-recently-used way, so eviction order is identical to a positional
+// (MRU-ordered list) LRU — see lru_equivalence_test.go, which differences
+// this implementation against the retained positional reference model.
 //
 // Addresses are simulated "physical" addresses handed out by internal/mem.
 // Costs are returned in CPU cycles (float64) and converted to virtual time
@@ -85,21 +85,34 @@ func DefaultConfig() Config {
 	}
 }
 
-// level is one set-associative cache level. tags and stamps are flat
-// set-major arrays (way w of set s lives at s*ways+w), nil until the first
-// access through a hierarchy over the level (Hierarchy.allocate), so a
-// level nothing touches costs no memory. A stamp of zero marks an empty
-// way: the clock starts at zero and is pre-incremented before every store,
-// so live stamps are always ≥ 1. Empty ways are filled front-to-back
-// before any eviction, matching the reference model's grow-until-full
-// behavior, and never reappear except via flushAll.
+// pageShift sets how many sets a level allocates at once: a page of
+// pageSets sets. The default L1's 64 sets are one page, and a 4 KiB range
+// (at most 65 lines, so 65 consecutive sets) touches at most two pages of
+// any level.
+const (
+	pageShift = 6
+	pageSets  = 1 << pageShift
+)
+
+// level is one set-associative cache level. Its sets live in pages of
+// pageSets sets, each page the tags of its sets followed by their stamps,
+// set-major: way w of the k-th set of a page has its tag at k*ways+w and
+// its stamp half a page further on. (A level of fewer than pageSets sets
+// leaves the rest of its one page unused.) The page table is nil until the
+// first access through a hierarchy over the level (Hierarchy.allocate),
+// and each page stays nil until the first fill into one of its sets, so a
+// level costs memory only for the sets a run fills. A nil page reads as
+// all ways empty, exactly the zeroed page a fill allocates. A stamp of zero
+// marks an empty way: the clock starts at zero and is pre-incremented
+// before every store, so live stamps are always ≥ 1. Empty ways are filled
+// front-to-back before any eviction, matching the reference model's
+// grow-until-full behavior, and never reappear except via flushAll.
 type level struct {
 	cfg     LevelConfig
 	numSets int
 	ways    int
 	pow2    bool // set index via mask instead of modulo
-	tags    []uint64
-	stamps  []uint64
+	pages   [][]uint64
 	clock   uint64
 	// stats
 	hits, misses uint64
@@ -121,13 +134,11 @@ func newLevel(cfg LevelConfig) *level {
 	}
 }
 
-// allocate gives the level its tag and stamp arrays, all ways empty, unless
-// it has them already.
+// allocate gives the level its page table, every page unallocated, unless
+// it has one already.
 func (l *level) allocate() {
-	if l.tags == nil {
-		n := l.numSets * l.ways
-		l.tags = make([]uint64, n)
-		l.stamps = make([]uint64, n)
+	if l.pages == nil {
+		l.pages = make([][]uint64, (l.numSets+pageSets-1)>>pageShift)
 	}
 }
 
@@ -138,13 +149,23 @@ func (l *level) setIndex(line uint64) int {
 	return int((line / LineSize) % uint64(l.numSets))
 }
 
-// lookup probes for line addr (already line-aligned). On hit it restamps
-// the way — an O(1) LRU update — and returns true. On miss it returns
-// false without filling.
-func (l *level) lookup(line uint64) bool {
-	base := l.setIndex(line) * l.ways
-	tags := l.tags[base : base+l.ways]
-	stamps := l.stamps[base : base+l.ways : base+l.ways]
+// set returns the tags and stamps of set s, or nil for both while the page
+// holding s is unallocated: a set with no ways to scan holds nothing.
+func (l *level) set(s int) (tags, stamps []uint64) {
+	pg := l.pages[s>>pageShift]
+	if pg == nil {
+		return nil, nil
+	}
+	w := l.ways
+	off := s & (pageSets - 1) * w
+	st := off + w<<pageShift // stamps start half a page on
+	return pg[off : off+w : off+w], pg[st : st+w : st+w]
+}
+
+// lookup probes a set, whose tags and stamps the caller loaded with l.set,
+// for line (already line-aligned). On hit it restamps the way — an O(1)
+// LRU update — and returns true. On miss it returns false without filling.
+func (l *level) lookup(tags, stamps []uint64, line uint64) bool {
 	for i, tag := range tags {
 		if tag == line && stamps[i] != 0 {
 			l.clock++
@@ -157,41 +178,40 @@ func (l *level) lookup(line uint64) bool {
 	return false
 }
 
-// fill inserts line, evicting the minimum-stamp (LRU) way if the set is
-// full. Returns the evicted line and true if an eviction happened. The
-// caller guarantees line is not already present (fill only runs after a
-// missed lookup at this level).
-func (l *level) fill(line uint64) (uint64, bool) {
-	base := l.setIndex(line) * l.ways
-	stamps := l.stamps[base : base+l.ways : base+l.ways]
-	min := 0
-	for i, s := range stamps {
-		if s == 0 {
-			l.clock++
-			l.tags[base+i] = line
-			stamps[i] = l.clock
-			return 0, false
+// fill inserts line into set s, whose tags and stamps the caller loaded
+// with l.set, evicting the minimum-stamp (LRU) way if the set is full. An
+// unallocated page (nil tags) is allocated here. The caller guarantees
+// line is not already present (fill only runs after a missed lookup at
+// this level).
+func (l *level) fill(s int, tags, stamps []uint64, line uint64) {
+	if tags == nil {
+		l.pages[s>>pageShift] = make([]uint64, 2*pageSets*l.ways)
+		tags, stamps = l.set(s)
+	}
+	lru := 0
+	for i, st := range stamps {
+		if st == 0 {
+			lru = i
+			break
 		}
-		if s < stamps[min] {
-			min = i
+		if st < stamps[lru] {
+			lru = i
 		}
 	}
-	victim := l.tags[base+min]
 	l.clock++
-	l.tags[base+min] = line
-	stamps[min] = l.clock
-	return victim, true
+	tags[lru] = line
+	stamps[lru] = l.clock
 }
 
-// contains probes without touching stamps, stats, or the clock. A level
-// without arrays holds nothing.
+// contains probes without touching stamps, stats, the clock, or the page
+// table. A level without a page table holds nothing.
 func (l *level) contains(line uint64) bool {
-	if l.tags == nil {
+	if l.pages == nil {
 		return false
 	}
-	base := l.setIndex(line) * l.ways
-	for i, tag := range l.tags[base : base+l.ways] {
-		if tag == line && l.stamps[base+i] != 0 {
+	tags, stamps := l.set(l.setIndex(line))
+	for i, tag := range tags {
+		if tag == line && stamps[i] != 0 {
 			return true
 		}
 	}
@@ -199,10 +219,13 @@ func (l *level) contains(line uint64) bool {
 }
 
 // flushAll drops every line (used by experiments to start cold) by zeroing
-// the stamps; tags and the clock are kept, so refills after a flush stay
-// allocation-free and later stamps remain globally unique.
+// the stamps of the allocated pages; the pages, their tags and the clock
+// are kept, so refills after a flush stay allocation-free and later stamps
+// remain globally unique.
 func (l *level) flushAll() {
-	clear(l.stamps)
+	for _, pg := range l.pages {
+		clear(pg[len(pg)>>1:])
+	}
 }
 
 // Stats for one level.
@@ -212,10 +235,10 @@ type LevelStats struct {
 
 // Hierarchy is a three-level cache in front of DRAM. L3 may be shared with
 // other hierarchies (see NewShared) to model multiple cores. Its levels
-// allocate their arrays on its first Access or AccessRange; until then
-// Stats reads zero, Contains reports HitDRAM and Flush does nothing, so a
-// hierarchy nothing accesses (a load generator's) costs no array memory
-// and no time to zero it.
+// allocate their page tables on its first Access or AccessRange, and each
+// page on the first fill into it; until then Stats reads zero, Contains
+// reports HitDRAM and Flush does nothing, so a hierarchy nothing accesses
+// (a load generator's) costs no set memory and no time to zero it.
 type Hierarchy struct {
 	cfg    Config
 	l1, l2 *level
@@ -260,46 +283,57 @@ func NewShared(base *Hierarchy) *Hierarchy {
 // purposes (the line is brought in, dirtiness is not modelled because the
 // paper's costs are read-latency dominated).
 func (h *Hierarchy) Access(addr uint64) (HitLevel, float64) {
-	if h.l1.tags == nil {
+	l1 := h.l1
+	if l1.pages == nil {
 		h.allocate()
 	}
 	line := addr &^ uint64(LineSize-1)
-	if h.l1.lookup(line) {
+	s := l1.setIndex(line)
+	tags, stamps := l1.set(s)
+	if l1.lookup(tags, stamps, line) {
 		return HitL1, h.cfg.L1.LatencyCy
 	}
-	return h.missBelowL1(line)
+	return h.missBelowL1(line, s)
 }
 
-// allocate gives every level of h its arrays on h's first access. A shared
-// L3 is allocated once, by the first access of any hierarchy over it.
+// allocate gives every level of h its page table on h's first access. A
+// shared L3's is allocated once, by the first access of any hierarchy over
+// it.
 func (h *Hierarchy) allocate() {
 	h.l1.allocate()
 	h.l2.allocate()
 	h.l3.allocate()
 }
 
-// Allocated reports whether h's private levels have their arrays, that is,
-// whether h has been accessed.
-func (h *Hierarchy) Allocated() bool { return h.l1.tags != nil }
+// Allocated reports whether h's private levels have their page tables,
+// that is, whether h has been accessed.
+func (h *Hierarchy) Allocated() bool { return h.l1.pages != nil }
 
-// missBelowL1 resolves a line that already missed (and was counted by) L1:
-// probe L2 and L3, fill upward, and charge DRAM with stream detection on a
-// full miss.
-func (h *Hierarchy) missBelowL1(line uint64) (HitLevel, float64) {
-	if h.l2.lookup(line) {
-		h.l1.fill(line)
+// missBelowL1 resolves a line that already missed (and was counted by) L1
+// in its set s1: probe L2 and L3, fill upward, and charge DRAM with stream
+// detection on a full miss. Each level's set is loaded once, for its probe
+// and its fill alike.
+func (h *Hierarchy) missBelowL1(line uint64, s1 int) (HitLevel, float64) {
+	l1, l2, l3 := h.l1, h.l2, h.l3
+	tags1, stamps1 := l1.set(s1)
+	s2 := l2.setIndex(line)
+	tags2, stamps2 := l2.set(s2)
+	if l2.lookup(tags2, stamps2, line) {
+		l1.fill(s1, tags1, stamps1, line)
 		return HitL2, h.cfg.L2.LatencyCy
 	}
-	if h.l3.lookup(line) {
-		h.l2.fill(line)
-		h.l1.fill(line)
+	s3 := l3.setIndex(line)
+	tags3, stamps3 := l3.set(s3)
+	if l3.lookup(tags3, stamps3, line) {
+		l2.fill(s2, tags2, stamps2, line)
+		l1.fill(s1, tags1, stamps1, line)
 		return HitL3, h.cfg.L3.LatencyCy
 	}
 	// DRAM. Fill all levels.
 	h.DRAMAccesses++
-	h.l3.fill(line)
-	h.l2.fill(line)
-	h.l1.fill(line)
+	l3.fill(s3, tags3, stamps3, line)
+	l2.fill(s2, tags2, stamps2, line)
+	l1.fill(s1, tags1, stamps1, line)
 	cost := h.cfg.DRAMLatencyCy
 	if h.streamValid && line == h.streamNext {
 		// Sequential miss stream: the prefetcher has this line in flight.
@@ -316,11 +350,11 @@ func (h *Hierarchy) missBelowL1(line uint64) (HitLevel, float64) {
 // This is the batched fast path for the copy/scatter-gather loops that
 // dominate paper workloads: the L1 probe is inlined and the L1 set index
 // advances by increment-and-wrap (consecutive lines map to consecutive
-// sets), so a range already resident in L1 costs one restamp per line with
-// no division, no per-line call, and nothing touched below L1. Lines that
-// miss fall into the same missBelowL1 path Access uses, so costs, stats,
-// stream detection, and eviction order are exactly those of a per-line
-// Access loop (range_equivalence_test.go pins this).
+// sets), so a range already resident in L1 costs one set load and one
+// restamp per line with no division, no per-line call, and nothing touched
+// below L1. Lines that miss fall into the same missBelowL1 path Access
+// uses, so costs, stats, stream detection, and eviction order are exactly
+// those of a per-line Access loop (range_equivalence_test.go pins this).
 func (h *Hierarchy) AccessRange(addr uint64, n int) (cycles float64, dramLines int) {
 	if n <= 0 {
 		return 0, 0
@@ -328,15 +362,13 @@ func (h *Hierarchy) AccessRange(addr uint64, n int) (cycles float64, dramLines i
 	line := addr &^ uint64(LineSize-1)
 	nLines := int((addr+uint64(n)-1)/LineSize-line/LineSize) + 1
 	l1 := h.l1
-	if l1.tags == nil {
+	if l1.pages == nil {
 		h.allocate()
 	}
 	idx := l1.setIndex(line)
 	l1Cy := h.cfg.L1.LatencyCy
 	for k := 0; k < nLines; k++ {
-		base := idx * l1.ways
-		tags := l1.tags[base : base+l1.ways]
-		stamps := l1.stamps[base : base+l1.ways : base+l1.ways]
+		tags, stamps := l1.set(idx)
 		hit := false
 		for i, tag := range tags {
 			if tag == line && stamps[i] != 0 {
@@ -351,7 +383,7 @@ func (h *Hierarchy) AccessRange(addr uint64, n int) (cycles float64, dramLines i
 			cycles += l1Cy
 		} else {
 			l1.misses++
-			lvl, c := h.missBelowL1(line)
+			lvl, c := h.missBelowL1(line, idx)
 			cycles += c
 			if lvl == HitDRAM {
 				dramLines++

@@ -145,7 +145,13 @@ func (c *Ctx) copyPtr(data []byte) CFPtr {
 		m.Charge(m.CPU.ArenaAllocCy)
 	}
 	if len(data) > 0 {
-		m.Copy(c.Alloc.SimAddrOf(data), v.Sim, len(data))
+		// Only a cache model reads the source's address, and an unpinned
+		// source's is a hash of its bytes.
+		var src uint64
+		if m.Cache != nil {
+			src = c.Alloc.SimAddrOf(data)
+		}
+		m.Copy(src, v.Sim, len(data))
 		copy(v.Data, data)
 	}
 	return CFPtr{data: v.Data, sim: v.Sim}

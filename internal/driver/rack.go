@@ -84,7 +84,7 @@ func (r *Rack) addNode(port *nic.Port, useTCP bool, cache *cachesim.Hierarchy) *
 // generates the load (§6.1.1), and only a server's meter is drained into
 // simulated time, so nothing a load generator's cache could hold reaches a
 // result. n keeps its hierarchy for readers of every node's Cache; left
-// untouched, it holds no level arrays.
+// untouched, it holds no cache pages.
 func unmetered(n *Node) *Node {
 	n.Meter.Cache = nil
 	return n

@@ -35,7 +35,7 @@ func checkUnmetered(t *testing.T, clients, servers []*Node) {
 
 // Every builder that makes load-generator nodes makes them unmetered: after
 // a short run on each, no client's hierarchy has done any cache-model work
-// or allocated its level arrays, while every server's has.
+// or allocated its cache levels' page tables, while every server's has.
 func TestLoadGeneratorsUnmetered(t *testing.T) {
 	gen := workloads.NewYCSB(200, 512, 2)
 	run := func(t *testing.T, eng *sim.Engine, ep loadgen.Endpoint, cl loadgen.Client, g workloads.Generator) {

@@ -33,6 +33,7 @@ func TestRequestLifecycleAllocFree(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const warm, window = 5 * sim.Millisecond, 100 * sim.Millisecond
 			f := newEchoFixture(sim.Microsecond)
+			f.fillCachePages()
 			ru := Start(Config{
 				Eng: f.eng, EP: f.client, Gen: genConst{}, Client: idClient{pad: 56},
 				RatePerS: 100_000, Warmup: warm, Measure: window, Seed: 1,

@@ -32,6 +32,7 @@ func BenchmarkRequestLifecycle(b *testing.B) {
 	}{{"no-retry", RetryPolicy{}}, {"retry", benchRetry}} {
 		b.Run(tc.name, func(b *testing.B) {
 			f := newEchoFixture(sim.Microsecond)
+			f.fillCachePages()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()

@@ -107,6 +107,7 @@ type echoFixture struct {
 	eng     *sim.Engine
 	client  *netstack.UDP
 	server  *netstack.UDP
+	cache   *cachesim.Hierarchy // the server's
 	core    *sim.Core
 	service sim.Time
 }
@@ -116,11 +117,13 @@ func newEchoFixture(service sim.Time) *echoFixture {
 	pc, ps := nic.Link(eng, nic.MellanoxCX6(), nic.MellanoxCX6(), sim.FromNanos(1000))
 	cAlloc, sAlloc := mem.NewAllocator(), mem.NewAllocator()
 	cMeter := costmodel.NewMeter(costmodel.DefaultCPU(), nil) // a load generator's: no cache model
-	sMeter := costmodel.NewMeter(costmodel.DefaultCPU(), cachesim.New(cachesim.DefaultConfig()))
+	sCache := cachesim.New(cachesim.DefaultConfig())
+	sMeter := costmodel.NewMeter(costmodel.DefaultCPU(), sCache)
 	f := &echoFixture{
 		eng:     eng,
 		client:  netstack.NewUDP(eng, pc, cAlloc, cMeter),
 		server:  netstack.NewUDP(eng, ps, sAlloc, sMeter),
+		cache:   sCache,
 		core:    sim.NewCore(eng),
 		service: service,
 	}
@@ -139,6 +142,13 @@ func newEchoFixture(service sim.Time) *echoFixture {
 	})
 	return f
 }
+
+// fillCachePages materializes every page of the server's cache levels with
+// one L3-sized range. The server sends each reply from a hash of its bytes,
+// so without this a run keeps filling pages for the first time (at most
+// one per page, a few hundred in all), which a window that counts
+// allocations would see.
+func (f *echoFixture) fillCachePages() { f.cache.AccessRange(0, f.cache.L3Size()) }
 
 // idClient is a trivial single-step client: 8-byte id + padding.
 type idClient struct{ pad int }

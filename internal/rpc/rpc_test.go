@@ -321,7 +321,7 @@ func TestUndecodableReplyFailsFanIn(t *testing.T) {
 }
 
 // The chain's client is a load generator, built unmetered: after a run its
-// hierarchy has done no cache-model work and allocated no level arrays,
+// hierarchy has done no cache-model work and allocated no page tables,
 // while every tier's has.
 func TestChainClientUnmetered(t *testing.T) {
 	c := NewChain(chainCfg(driver.SysCornflakes, 2, 2))

@@ -157,7 +157,7 @@ func (h Header) rank(i int) int {
 // entry. The field must be present.
 func (h Header) EntryOffset(i int) int {
 	if !h.Present(i) {
-		panic(fmt.Sprintf("wire: EntryOffset of absent field %d", i))
+		panic(fieldError{field: i, nFields: -1})
 	}
 	return h.base + h.fixedLen() + h.rank(i)*EntrySize
 }
@@ -200,8 +200,21 @@ func (h Header) Object() []byte { return h.obj }
 
 func (h Header) checkField(i int) {
 	if i < 0 || i >= h.nFields {
-		panic(fmt.Sprintf("wire: field %d out of range (%d fields)", i, h.nFields))
+		panic(fieldError{field: i, nFields: h.nFields})
 	}
+}
+
+// fieldError is what a header accessor panics with when it cannot serve
+// field: out of range for a schema of nFields fields, or, with nFields -1,
+// absent. It formats its text only when printed, which keeps the bitmap
+// accessors small enough to inline.
+type fieldError struct{ field, nFields int }
+
+func (e fieldError) Error() string {
+	if e.nFields < 0 {
+		return fmt.Sprintf("wire: EntryOffset of absent field %d", e.field)
+	}
+	return fmt.Sprintf("wire: field %d out of range (%d fields)", e.field, e.nFields)
 }
 
 // ListTable is a view over a list's element table within an object.

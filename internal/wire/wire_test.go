@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -92,6 +93,30 @@ func TestFieldRangePanics(t *testing.T) {
 		}
 	}()
 	w.SetPresent(4)
+}
+
+// TestPanicTexts pins what the header accessors' panics print: the small
+// error type that keeps Present and SetPresent inlinable formats exactly the
+// text the accessors panicked with when they built it themselves.
+func TestPanicTexts(t *testing.T) {
+	w := NewWriter(make([]byte, 64), 0, 4)
+	for _, tc := range []struct {
+		call func()
+		want string
+	}{
+		{func() { w.EntryOffset(1) }, "wire: EntryOffset of absent field 1"},
+		{func() { w.SetPresent(4) }, "wire: field 4 out of range (4 fields)"},
+		{func() { w.Present(-1) }, "wire: field -1 out of range (4 fields)"},
+	} {
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != tc.want {
+					t.Errorf("panic printed %q, want %q", got, tc.want)
+				}
+			}()
+			tc.call()
+		}()
+	}
 }
 
 func TestNonZeroBase(t *testing.T) {

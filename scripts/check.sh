@@ -200,7 +200,7 @@ if [ "$fps" != "$(cat scripts/bench_fingerprints.golden)" ]; then
 	exit 1
 fi
 
-echo "== zero-alloc hot-path pins (DES engine, queue serve, meter, cache fill, frame path, range walk, message pool, switch forward and drops, serialize-and-send with a zero-copy field, TCP send/ack, request lifecycle, KV serve, RPC chain call, generator draws)"
+echo "== zero-alloc hot-path pins (DES engine, queue serve, meter, cache fill, frame path, range walk, cache pages, message pool, switch forward and drops, serialize-and-send with a zero-copy field, TCP send/ack, request lifecycle, KV serve, RPC chain call, generator draws)"
 go test ./internal/sim ./internal/costmodel ./internal/nic ./internal/cachesim ./internal/core ./internal/fabric ./internal/netstack ./internal/loadgen \
 	./internal/driver ./internal/rpc ./internal/workloads -run 'AllocFree|TestTimerStaleAfterRecycle'
 
